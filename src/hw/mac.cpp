@@ -28,25 +28,6 @@ MultipleSet::MultipleSet(u16 a, unsigned qbits, unsigned max_mag) : max_mag_(max
   }
 }
 
-u16 MultipleSet::select(unsigned mag) const {
-  SABER_REQUIRE(mag <= max_mag_, "magnitude outside precomputed set");
-  return multiples_[mag];
-}
-
-u16 mac_accumulate(u16 acc, u16 multiple, bool negative, unsigned qbits) {
-  const u32 q = u32{1} << qbits;
-  const u32 m = static_cast<u32>(low_bits(multiple, qbits));
-  const u32 r = negative ? static_cast<u32>(acc) + q - m : static_cast<u32>(acc) + m;
-  return static_cast<u16>(low_bits(r, qbits));
-}
-
-u16 mac_accumulate(u16 acc, u16 multiple, bool negative, unsigned qbits,
-                   FaultHook* hook) {
-  u16 r = mac_accumulate(acc, multiple, negative, qbits);
-  if (hook) r = static_cast<u16>(low_bits(hook->on_mac_accumulate(r, qbits), qbits));
-  return r;
-}
-
 std::string CycleStats::to_string() const {
   std::ostringstream os;
   os << "total=" << total << " compute=" << compute << " preload=" << preload

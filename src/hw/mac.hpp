@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/bits.hpp"
+#include "common/check.hpp"
 #include "hw/fault_hook.hpp"
 
 namespace saber::hw {
@@ -26,7 +27,10 @@ class MultipleSet {
   MultipleSet(u16 a, unsigned qbits, unsigned max_mag = 4);
 
   /// Multiple selected by the secret magnitude (the MAC-internal mux).
-  u16 select(unsigned mag) const;
+  u16 select(unsigned mag) const {
+    SABER_REQUIRE(mag <= max_mag_, "magnitude outside precomputed set");
+    return multiples_[mag];
+  }
 
   unsigned max_mag() const { return max_mag_; }
 
@@ -35,13 +39,27 @@ class MultipleSet {
   unsigned max_mag_ = 0;
 };
 
+// The MAC step and the multiple select run once per coefficient product in
+// every cycle-accurate core, so they are defined inline: an out-of-line call
+// per step dominated the simulated cores' run time, and its cost shifted
+// with the code layout of unrelated translation units.
+
 /// One MAC accumulate step: acc + sign * multiple mod 2^qbits.
-u16 mac_accumulate(u16 acc, u16 multiple, bool negative, unsigned qbits);
+inline u16 mac_accumulate(u16 acc, u16 multiple, bool negative, unsigned qbits) {
+  const u32 q = u32{1} << qbits;
+  const u32 m = static_cast<u32>(low_bits(multiple, qbits));
+  const u32 r = negative ? static_cast<u32>(acc) + q - m : static_cast<u32>(acc) + m;
+  return static_cast<u16>(low_bits(r, qbits));
+}
 
 /// As above, with an optional fault hook on the sum (modeling a stuck-at or
 /// transient bit in the MAC's accumulator adder). Null hook = fault-free.
-u16 mac_accumulate(u16 acc, u16 multiple, bool negative, unsigned qbits,
-                   FaultHook* hook);
+inline u16 mac_accumulate(u16 acc, u16 multiple, bool negative, unsigned qbits,
+                          FaultHook* hook) {
+  u16 r = mac_accumulate(acc, multiple, negative, qbits);
+  if (hook) r = static_cast<u16>(low_bits(hook->on_mac_accumulate(r, qbits), qbits));
+  return r;
+}
 
 /// Cycle accounting for one polynomial multiplication, split the way the
 /// paper discusses overheads (§4.1: pure multiplication vs memory accesses).

@@ -5,7 +5,9 @@
 //  * the u128-based mulmod/powmod/invmod helpers, used only on PUBLIC data
 //    (twiddle-table construction, primality testing) — these may divide;
 //  * word-generic, division-free arithmetic specialized to the Saber NTT
-//    prime p' = 2^41 + 10241, used on secret-dependent residues. The
+//    prime p' = 2^41 + 10241, used on secret-dependent residues: a
+//    general mulmod for products of two data words, and Shoup's mulmod for
+//    products with a public twiddle whose companion is precomputed. The
 //    butterflies run these in production (plain u64) and under the ct_audit
 //    taint analysis (ct::Tainted<u64>), so they must never branch, divide,
 //    or index on the data. Reduction folds the identity 2^41 ≡ -10241
@@ -90,6 +92,22 @@ constexpr W ntt_mulmod_g(const W& a, const W& b) {
   const auto t =
       lo + (mid << 21) + (2 * kNttPrimeC * kNttPrime - 2 * kNttPrimeC * hi);
   return ntt_condsub_g(ntt_fold_g(t));
+}
+
+/// Shoup companion of a PUBLIC multiplier w < p': floor(w * 2^64 / p').
+/// Divides, so it only ever runs on public constants (the twiddle tables).
+constexpr u64 ntt_shoup(u64 w) {
+  return static_cast<u64>((static_cast<u128>(w) << 64) / kNttPrime);
+}
+
+/// (a * w) mod p' for a < p' and a public w < p' with w_shoup = ntt_shoup(w)
+/// (Shoup's method). q = hi64(a * w_shoup) under-estimates floor(a*w/p') by
+/// at most one, so the remainder a*w - q*p' lies in [0, 2p'); it is exact in
+/// wrapping u64 arithmetic and needs one conditional subtract.
+template <typename W>
+constexpr W ntt_mulmod_shoup_g(const W& a, u64 w, u64 w_shoup) {
+  const auto q = ct::mul_hi_g(a, w_shoup);
+  return ntt_condsub_g(ct::cast<u64>(a * w - q * kNttPrime));
 }
 
 /// Lift a centered value c (|c| < p'/2), given as the i64 analog of W, into

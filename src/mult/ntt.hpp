@@ -12,7 +12,9 @@
 // primitives from modmath.hpp (twiddle indices and stage structure are
 // public; only the lane values carry secrets), so the identical kernel runs
 // over plain u64 residues in production and ct::Tainted<u64> under the
-// secret-independence audit.
+// secret-independence audit. Every butterfly multiplies by a public twiddle,
+// so it uses Shoup's mulmod with the companion precomputed in NttTables: one
+// high-half multiply, two low multiplies and one conditional subtract.
 #pragma once
 
 #include <array>
@@ -23,11 +25,15 @@
 namespace saber::mult {
 
 /// Twiddle factors in the order consumed by the Cooley-Tukey / Gentleman-
-/// Sande butterflies (powers of psi in bit-reversed order). Public data.
+/// Sande butterflies (powers of psi in bit-reversed order), each with its
+/// Shoup companion ntt_shoup(w) for the one-high-multiply mulmod. Public data.
 struct NttTables {
   std::array<u64, ring::kN> zetas{};
+  std::array<u64, ring::kN> zetas_shoup{};
   std::array<u64, ring::kN> zetas_inv{};
+  std::array<u64, ring::kN> zetas_inv_shoup{};
   u64 n_inv = 0;
+  u64 n_inv_shoup = 0;
 };
 
 /// Build (once) and return the twiddle tables for kPrime / kGenerator.
@@ -40,9 +46,10 @@ void ntt_forward_g(std::array<W, ring::kN>& v, const NttTables& t, OpCounts& ops
   std::size_t k = 1;
   for (std::size_t len = n / 2; len >= 1; len >>= 1) {
     for (std::size_t start = 0; start < n; start += 2 * len) {
-      const u64 zeta = t.zetas[k++];
+      const u64 zeta = t.zetas[k];
+      const u64 zeta_shoup = t.zetas_shoup[k++];
       for (std::size_t j = start; j < start + len; ++j) {
-        const W tw = ntt_mulmod_g(v[j + len], W{zeta});
+        const W tw = ntt_mulmod_shoup_g(v[j + len], zeta, zeta_shoup);
         v[j + len] = ntt_submod_g(v[j], tw);
         v[j] = ntt_addmod_g(v[j], tw);
       }
@@ -63,14 +70,16 @@ void ntt_inverse_g(std::array<W, ring::kN>& v, const NttTables& t, OpCounts& ops
     std::size_t g = 0;
     for (std::size_t start = 0; start < n; start += 2 * len, ++g) {
       const u64 zeta_inv = t.zetas_inv[k_base + g];
+      const u64 zeta_inv_shoup = t.zetas_inv_shoup[k_base + g];
       for (std::size_t j = start; j < start + len; ++j) {
         const W tw = v[j];
         v[j] = ntt_addmod_g(tw, v[j + len]);
-        v[j + len] = ntt_mulmod_g(W{zeta_inv}, ntt_submod_g(tw, v[j + len]));
+        v[j + len] =
+            ntt_mulmod_shoup_g(ntt_submod_g(tw, v[j + len]), zeta_inv, zeta_inv_shoup);
       }
     }
   }
-  for (auto& x : v) x = ntt_mulmod_g(x, W{t.n_inv});
+  for (auto& x : v) x = ntt_mulmod_shoup_g(x, t.n_inv, t.n_inv_shoup);
   ops.coeff_mults += n / 2 * 8 + n;
   ops.coeff_adds += n * 8;
 }

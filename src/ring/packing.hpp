@@ -12,6 +12,7 @@
 // codecs serve the hardware bus models and stay plain.
 #pragma once
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -32,41 +33,53 @@ constexpr std::size_t bytes_for(std::size_t count, unsigned bits) {
   return ceil_div<std::size_t>(count * bits, 8);
 }
 
-/// Pack values (each < 2^bits) LSB-first into a byte stream. Branch-free in
-/// the data: every bit is OR-accumulated unconditionally.
+/// Pack values (each < 2^bits) LSB-first into a byte stream, one value at a
+/// time: value i occupies stream bits [i*bits, (i+1)*bits), i.e. at most
+/// three bytes starting at byte i*bits/8 (offset + width <= 7 + 16 bits).
+/// Every byte after that first one is untouched by earlier values, so the
+/// window's tail bytes are stored outright and only its head is OR-merged.
+/// Window positions depend only on the index; the data never steers a branch.
 template <typename W>
 std::vector<ct::rebind_t<W, u8>> pack_bits_g(std::span<const W> values, unsigned bits) {
   using B = ct::rebind_t<W, u8>;
   SABER_REQUIRE(bits >= 1 && bits <= 16, "bit width out of range");
+  const u64 mask = mask64(bits);
   std::vector<B> out(bytes_for(values.size(), bits), B{0});
+  const std::size_t n = out.size();
   std::size_t bitpos = 0;
   for (const W& v : values) {
     if constexpr (!ct::is_tainted_v<W>) {
-      SABER_REQUIRE(v <= mask64(bits), "value exceeds bit width");
+      SABER_REQUIRE(v <= mask, "value exceeds bit width");
     }
-    for (unsigned b = 0; b < bits; ++b, ++bitpos) {
-      out[bitpos / 8] = ct::cast<u8>(
-          out[bitpos / 8] | (((ct::cast<u32>(v) >> b) & 1u) << (bitpos % 8)));
-    }
+    const std::size_t byte = bitpos / 8;
+    const auto x = ct::cast<u32>(v) << (bitpos % 8);
+    out[byte] = ct::cast<u8>(out[byte] | x);
+    if (byte + 1 < n) out[byte + 1] = ct::cast<u8>(x >> 8);
+    if (byte + 2 < n) out[byte + 2] = ct::cast<u8>(x >> 16);
+    bitpos += bits;
   }
   return out;
 }
 
 /// Inverse of pack_bits_g. `data` must hold at least values.size()*bits bits.
+/// Each value is read through the same <= 3-byte window, clipped at the end
+/// of `data` so the last value never reads past the input.
 template <typename B, typename W>
 void unpack_bits_g(std::span<const B> data, unsigned bits, std::span<W> values) {
   static_assert(ct::is_tainted_v<B> == ct::is_tainted_v<W>,
                 "byte and value words must share a taint mode");
   SABER_REQUIRE(bits >= 1 && bits <= 16, "bit width out of range");
   SABER_REQUIRE(data.size() * 8 >= values.size() * bits, "input too short");
+  const u32 mask = static_cast<u32>(mask64(bits));
+  const std::size_t n = data.size();
   std::size_t bitpos = 0;
   for (auto& v : values) {
-    ct::rebind_t<W, u16> x{0};
-    for (unsigned b = 0; b < bits; ++b, ++bitpos) {
-      x = ct::cast<u16>(x | (((ct::cast<u32>(data[bitpos / 8]) >> (bitpos % 8)) & 1u)
-                             << b));
-    }
-    v = x;
+    const std::size_t byte = bitpos / 8;
+    auto x = ct::cast<u32>(data[byte]);
+    if (byte + 1 < n) x = x | (ct::cast<u32>(data[byte + 1]) << 8);
+    if (byte + 2 < n) x = x | (ct::cast<u32>(data[byte + 2]) << 16);
+    v = ct::cast<u16>((x >> (bitpos % 8)) & mask);
+    bitpos += bits;
   }
 }
 
@@ -84,7 +97,7 @@ void unpack_words(std::span<const u64> words, unsigned bits, std::span<u16> valu
 /// Convenience: pack a polynomial's low `bits` bits per coefficient.
 template <std::size_t N, typename C>
 std::vector<ct::rebind_t<C, u8>> pack_poly(const PolyT<N, C>& p, unsigned bits) {
-  std::vector<C> masked(N);
+  std::array<C, N> masked{};
   for (std::size_t i = 0; i < N; ++i) {
     masked[i] = ct::cast<u16>(ct::low_bits_g(p[i], bits));
   }

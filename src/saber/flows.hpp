@@ -102,7 +102,7 @@ std::vector<ct::rebind_t<S, u8>> pack_secret_g(const ring::SecretVecOf<S>& s,
 template <typename B>
 ring::SecretVecOf<ct::rebind_t<B, i8>> unpack_secret_g(std::span<const B> sk,
                                                        const SaberParams& params) {
-  SABER_REQUIRE(sk.size() >= params.pke_sk_bytes(), "secret key too short");
+  SABER_REQUIRE(sk.size() == params.pke_sk_bytes(), "bad secret key length");
   ring::SecretVecOf<ct::rebind_t<B, i8>> s(params.l);
   for (std::size_t i = 0; i < params.l; ++i) {
     const auto poly = ring::unpack_poly<ring::kN, B>(

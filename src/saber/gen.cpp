@@ -13,16 +13,13 @@ ring::PolyMatrix gen_matrix(std::span<const u8> seed, const SaberParams& params)
   const std::size_t total = l * l * SaberParams::n;
   const auto buf =
       sha3::Shake128::hash(seed, ring::bytes_for(total, SaberParams::eq));
-  std::vector<u16> coeffs(total);
-  ring::unpack_bits(buf, SaberParams::eq, coeffs);
-
+  const std::size_t poly_bytes = ring::bytes_for(SaberParams::n, SaberParams::eq);
   ring::PolyMatrix a(l, l);
-  std::size_t pos = 0;
   for (std::size_t r = 0; r < l; ++r) {
     for (std::size_t c = 0; c < l; ++c) {
-      for (std::size_t k = 0; k < SaberParams::n; ++k) {
-        a.at(r, c)[k] = coeffs[pos++];
-      }
+      const auto bytes =
+          std::span<const u8>(buf).subspan((r * l + c) * poly_bytes, poly_bytes);
+      ring::unpack_bits(bytes, SaberParams::eq, a.at(r, c).c);
     }
   }
   return a;

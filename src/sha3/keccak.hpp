@@ -96,7 +96,8 @@ void keccak_f1600_g(KeccakStateT<L>& a) {
 /// Plain-lane entry point (the original API).
 void keccak_f1600(KeccakState& state);
 
-/// Generic sponge with byte-granular absorb/squeeze over byte word type B.
+/// Generic sponge with byte-granular absorb/squeeze over byte word type B,
+/// moving whole 8-byte lanes whenever the position is lane-aligned.
 ///
 /// `rate_bytes` is the block size (e.g. 136 for SHA3-256 / SHAKE-256, 168 for
 /// SHAKE-128, 72 for SHA3-512); `domain` is the padding domain-separation
@@ -113,11 +114,27 @@ class BasicSponge {
   }
 
   /// Absorb more message bytes. Must not be called after finalize().
+  /// Whenever the sponge position is lane-aligned and eight bytes remain,
+  /// a whole lane is xored in at once; the rate is a multiple of 8, so an
+  /// aligned lane never straddles a block boundary.
   void absorb(std::span<const B> data) {
     SABER_REQUIRE(!finalized_, "absorb after finalize");
-    for (const B& byte : data) {
-      state_[absorb_pos_ / 8] ^= ct::cast<u64>(byte) << (8 * (absorb_pos_ % 8));
-      if (++absorb_pos_ == rate_) {
+    std::size_t i = 0;
+    while (i < data.size()) {
+      if (absorb_pos_ % 8 == 0 && data.size() - i >= 8) {
+        Lane lane = ct::cast<u64>(data[i]);
+        for (unsigned k = 1; k < 8; ++k) {
+          lane = lane | (ct::cast<u64>(data[i + k]) << (8 * k));
+        }
+        state_[absorb_pos_ / 8] ^= lane;
+        i += 8;
+        absorb_pos_ += 8;
+      } else {
+        state_[absorb_pos_ / 8] ^= ct::cast<u64>(data[i]) << (8 * (absorb_pos_ % 8));
+        ++i;
+        ++absorb_pos_;
+      }
+      if (absorb_pos_ == rate_) {
         permute_block();
         absorb_pos_ = 0;
       }
@@ -136,16 +153,26 @@ class BasicSponge {
     squeeze_pos_ = 0;
   }
 
-  /// Squeeze output bytes; implicitly finalizes on first call.
+  /// Squeeze output bytes; implicitly finalizes on first call. Lane-aligned
+  /// runs of eight bytes are written from one lane at once.
   void squeeze(std::span<B> out) {
     if (!finalized_) finalize();
-    for (auto& byte : out) {
+    std::size_t i = 0;
+    while (i < out.size()) {
       if (squeeze_pos_ == rate_) {
         permute_block();
         squeeze_pos_ = 0;
       }
-      byte = ct::cast<u8>(state_[squeeze_pos_ / 8] >> (8 * (squeeze_pos_ % 8)));
-      ++squeeze_pos_;
+      const Lane& lane = state_[squeeze_pos_ / 8];
+      if (squeeze_pos_ % 8 == 0 && out.size() - i >= 8) {
+        for (unsigned k = 0; k < 8; ++k) out[i + k] = ct::cast<u8>(lane >> (8 * k));
+        i += 8;
+        squeeze_pos_ += 8;
+      } else {
+        out[i] = ct::cast<u8>(lane >> (8 * (squeeze_pos_ % 8)));
+        ++i;
+        ++squeeze_pos_;
+      }
     }
   }
 

@@ -18,13 +18,13 @@
 // silently.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "conformance_env.hpp"
 #include "mult/strategy.hpp"
 #include "multipliers/hw_multiplier.hpp"
 
@@ -33,25 +33,9 @@ namespace {
 
 constexpr unsigned kQ = 13;
 
-u64 env_u64(const char* name, u64 fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 0) : fallback;
-}
-
-std::size_t iterations() {
-  // Small by default (tier-1 ctest latency); run_all.sh raises it.
-  return static_cast<std::size_t>(env_u64("SABER_CONFORMANCE_ITERS", 4));
-}
-
-u64 base_seed() { return env_u64("SABER_CONFORMANCE_SEED", 0x5ABE2C0FULL); }
-
-/// Per-iteration seed: derived, not sequential, so reporting it is enough to
-/// replay one failing iteration in isolation (set SABER_CONFORMANCE_SEED to
-/// the reported value and SABER_CONFORMANCE_ITERS=1).
-u64 iter_seed(u64 base, std::size_t iter) {
-  Xoshiro256StarStar rng(base + iter);
-  return rng.next_u64();
-}
+using conformance::base_seed;
+using conformance::iter_seed;
+using conformance::iterations;
 
 /// Every implementation in the repository, constructed once per suite (the
 /// LW cores are expensive to build).

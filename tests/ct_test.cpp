@@ -226,15 +226,39 @@ TEST_F(TaintedTest, GenericHelpersMatchPlainResults) {
   EXPECT_EQ(to_twos_complement_g(t, 13).raw(), to_twos_complement_g(raw, 13));
   EXPECT_EQ(sign_extend_g(t, 13).raw(), sign_extend_g(raw, 13));
   EXPECT_EQ(centered_g(t, 13).raw(), centered_g(raw, 13));
-  EXPECT_EQ(popcount_low_g(t, 13).raw(), popcount_low_g(raw, 13));
   EXPECT_EQ(rotl_g(t, 7).raw(), rotl_g(u16{raw}, 7));
   EXPECT_EQ(sign_mask_g(cast<i64>(t) - 0x2000).raw(),
             sign_mask_g(static_cast<i64>(raw) - 0x2000));
 
   EXPECT_TRUE(low_bits_g(t, 10).tainted());
   EXPECT_TRUE(centered_g(t, 13).tainted());
-  EXPECT_TRUE(popcount_low_g(t, 13).tainted());
   EXPECT_EQ(total(), 0u);  // every helper is trap-free by construction
+}
+
+TEST_F(TaintedTest, MulHiPropagatesTaintWithoutViolations) {
+  const u64 a = 0xFEDCBA9876543210ULL;
+  const u64 b = 0x0123456789ABCDEFULL;
+  __extension__ using u128 = unsigned __int128;
+  const u64 want = static_cast<u64>((static_cast<u128>(a) * b) >> 64);
+  const Tainted<u64> secret(a, true);
+  const Tainted<u64> pub(b);
+
+  EXPECT_EQ(mul_hi_g(a, b), want);
+  EXPECT_EQ(mul_hi_g(secret, b).raw(), want);
+  EXPECT_EQ(mul_hi_g(b, secret).raw(), want);
+  EXPECT_EQ(mul_hi_g(secret, pub).raw(), want);
+  EXPECT_TRUE(mul_hi_g(secret, b).tainted());
+  EXPECT_TRUE(mul_hi_g(b, secret).tainted());
+  EXPECT_TRUE(mul_hi_g(pub, secret).tainted());
+  EXPECT_TRUE(mul_hi_g(secret, secret).tainted());
+  EXPECT_FALSE(mul_hi_g(pub, b).tainted());
+  EXPECT_FALSE(mul_hi_g(pub, pub).tainted());
+  // Narrower words widen to their u64 analog, keeping the taint bit.
+  const auto narrow = mul_hi_g(Tainted<u32>(0xFFFFFFFFu, true), ~u64{0});
+  EXPECT_EQ(narrow.raw(), 0xFFFFFFFEu);
+  EXPECT_TRUE(narrow.tainted());
+  EXPECT_EQ(total(), 0u);  // a widening multiply never traps
+  EXPECT_TRUE(Analysis::instance().declassifications().empty());
 }
 
 TEST_F(TaintedTest, CastRebindsWithoutTouchingTaint) {

@@ -309,6 +309,31 @@ TEST(SaberErrors, MalformedInputsRejected) {
   EXPECT_THROW(kem.decaps(bad_ct, kp.sk), ContractViolation);
 }
 
+// A PKE secret key must have exactly pke_sk_bytes: a longer blob (one stray
+// trailing byte, or the whole KEM secret key that embeds the PKE key as its
+// prefix) is a caller error, not a key.
+TEST(SaberErrors, OverLongSecretKeyRejected) {
+  const auto sb = mult::make_multiplier("schoolbook");
+  SaberPke pke(kSaber, mult::as_poly_mul(*sb));
+  SaberKemScheme kem(kSaber, mult::as_poly_mul(*sb));
+  Xoshiro256StarStar rng(4244);
+  const auto keys = pke.keygen(rng);
+  Message m{};
+  Seed r{};
+  const auto ct = pke.encrypt(m, r, keys.pk);
+  ASSERT_EQ(pke.decrypt(ct, keys.sk), m);
+
+  std::vector<u8> long_sk(keys.sk);
+  long_sk.push_back(0);
+  EXPECT_THROW(pke.decrypt(ct, long_sk), ContractViolation);
+  EXPECT_THROW(pke.unpack_secret(long_sk), ContractViolation);
+
+  const auto kp = kem.keygen(rng);
+  ASSERT_GT(kp.sk.size(), kSaber.pke_sk_bytes());
+  EXPECT_THROW(pke.unpack_secret(kp.sk), ContractViolation);
+  EXPECT_THROW(pke.decrypt(ct, kp.sk), ContractViolation);
+}
+
 // A corrupted secret key whose coefficients exceed the binomial bound is a
 // data-integrity failure, not valid input: unpacking rejects it.
 TEST(SaberErrors, OutOfRangeSecretKeyRejected) {

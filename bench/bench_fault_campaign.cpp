@@ -17,8 +17,8 @@
 //      small multiplier, DSP output) of the HS-I / HS-II / LW cycle-accurate
 //      cores, repaired by CheckedHwMultiplier: zero silent corruptions, ever.
 //   4. checking overhead   - cost of the verification policies and check
-//      kinds (schoolbook re-derivation vs point-evaluation vs Freivalds), at
-//      the multiplier level and for full KEM decapsulations.
+//      kinds (schoolbook re-derivation vs point-evaluation), at the
+//      multiplier level and for full KEM decapsulations.
 //   5. supervised prepare cost - lazy copy-on-quarantine transform caching:
 //      preparing a 3x3 public matrix through the supervised facade must cost
 //      ~1x a single checked backend (time and memory), not the sum over the
@@ -264,11 +264,9 @@ std::vector<OverheadRow> multiplier_overhead(int iters) {
     const char* label;
     CheckedConfig config;
   } policies[] = {
-      {"off", {CheckPolicy::kOff, 8}},
-      {"sampled-8", {CheckPolicy::kSampled, 8}},
-      {"full", {CheckPolicy::kFull, 8}},
-      {"full/point-eval", {CheckPolicy::kFull, 8, CheckKind::kPointEval}},
-      {"full/freivalds", {CheckPolicy::kFull, 8, CheckKind::kFreivalds}},
+      {"off", {CheckPolicy::kOff}},
+      {"full", {CheckPolicy::kFull}},
+      {"full/point-eval", {CheckPolicy::kFull, CheckKind::kPointEval}},
   };
 
   std::vector<OverheadRow> rows;
@@ -322,7 +320,6 @@ std::vector<DecapsRow> kem_decaps_overhead(int iters) {
   } kinds[] = {
       {"checked/full", CheckKind::kReference},
       {"checked/full/point-eval", CheckKind::kPointEval},
-      {"checked/full/freivalds", CheckKind::kFreivalds},
   };
 
   std::vector<DecapsRow> rows;
@@ -333,7 +330,7 @@ std::vector<DecapsRow> kem_decaps_overhead(int iters) {
     rows.push_back({k.label});
     schemes.push_back(std::make_shared<kem::SaberKemScheme>(
         kem::kSaber, std::shared_ptr<const mult::PolyMultiplier>(make_checked(
-                         kBackend, {CheckPolicy::kFull, 8, k.kind}))));
+                         kBackend, {CheckPolicy::kFull, k.kind}))));
   }
 
   volatile u8 sink = 0;

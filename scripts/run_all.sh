@@ -16,6 +16,10 @@ scripts/static_analysis.sh 2>&1 | tee test_output.txt
 
 ctest --test-dir build-release 2>&1 | tee -a test_output.txt
 
+# The repository benchmark's exact-count self-test: the checked_batch faults
+# still fire, and every one is recovered.
+python3 kembench/selftest.py 2>&1 | tee -a test_output.txt
+
 # Deeper randomized conformance sweep than the tier-1 default (4 iters): every
 # backend and every architecture core against schoolbook, failing iterations
 # report their replay seed.

@@ -75,7 +75,7 @@ u64 PointChecker::eval_public(const ring::Poly& a, unsigned qbits,
                               std::size_t root) const {
   const u64* pw = powers(root);
   // Centered lift so the evaluation matches the integers every backend
-  // actually convolves (and prepare_public caches).
+  // actually convolves.
   u128 pos = 0, neg = 0;
   for (std::size_t i = 0; i < ring::kN; ++i) {
     const i64 c = ring::centered(a[i], qbits);

@@ -33,16 +33,11 @@ namespace saber::robust {
 /// changing the product. Rotating among several roots closes that gap to
 /// defects vanishing at EVERY checked root simultaneously — each extra root
 /// multiplies the escape probability of a degree-d defect by <= d/P (see
-/// docs/robustness.md). `draw_root()` gives the per-check rotation;
-/// `kFreivalds` prepared transforms cache one operand evaluation per root so
-/// rotation costs nothing at finalize time.
+/// docs/robustness.md). `draw_root()` gives the per-check rotation.
 ///
-/// All checkers share one prime, so evaluations cached inside prepared
-/// transforms stay valid across every checker instance as long as the root
-/// set matches — which it does for everything reached through
-/// shared_point_checker() (the batch pipeline shares prepared matrices
-/// between worker threads). Tests may pick explicit coset indices via the
-/// span constructor.
+/// All checkers share one prime; everything reached through
+/// shared_point_checker() also shares one root set. Tests may pick explicit
+/// coset indices via the span constructor.
 ///
 /// Detection: a fault that perturbs the witness by a defect polynomial d(x)
 /// escapes root r iff d(x_r) == 0 (mod P). Single-coefficient defects (the
@@ -51,8 +46,7 @@ namespace saber::robust {
 class PointChecker {
  public:
   static constexpr unsigned kDefaultCosetIndex = 97;
-  /// Number of rotation roots the process-wide shared checker precomputes
-  /// (and therefore the number of cached evaluations per prepared operand).
+  /// Number of rotation roots the process-wide shared checker precomputes.
   static constexpr std::size_t kNumSharedRoots = 4;
 
   /// Single fixed root (the pre-rotation behavior; tests use this to model

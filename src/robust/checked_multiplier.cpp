@@ -1,5 +1,7 @@
 #include "robust/checked_multiplier.hpp"
 
+#include <optional>
+
 #include "common/check.hpp"
 #include "mult/schoolbook.hpp"
 #include "mult/strategy.hpp"
@@ -20,53 +22,51 @@ constexpr i64 kSecMagic = 0x5ABE'C4EC'0000'0002LL;
 constexpr i64 kAccMagic = 0x5ABE'C4EC'0000'0003LL;
 
 constexpr std::size_t kNn = ring::kN;
-/// Evaluations cached per operand: one per rotation root of the shared
-/// checker, so `kFreivalds` stays cache-only whichever root a check draws.
-constexpr std::size_t kRoots = PointChecker::kNumSharedRoots;
 /// Raw-operand footer of a prepared public/secret: kN coefficients, the
-/// operand's evaluation at every shared check root (kFreivalds reads them at
-/// finalize; the others carry them for a layout independent of CheckKind),
-/// and the magic.
-constexpr std::size_t kOperandTail = kNn + kRoots + 1;
-/// One (a, ea[kRoots], s, es[kRoots]) pair embedded in an accumulator.
-constexpr std::size_t kPairLen = 2 * (kNn + kRoots);
-// Offsets inside one embedded pair.
-constexpr std::size_t kPairEa = kNn;
-constexpr std::size_t kPairS = kNn + kRoots;
-constexpr std::size_t kPairEs = 2 * kNn + kRoots;
+/// modulus it was prepared at, and the magic.
+constexpr std::size_t kOperandTail = kNn + 2;
+/// One (raw a, raw s, qbits) pair embedded in an accumulator.
+constexpr std::size_t kPairLen = 2 * kNn + 1;
 
-ring::Poly unpack_public(std::span<const i64> raw) {
-  ring::Poly a;
-  for (std::size_t i = 0; i < kNn; ++i) a[i] = static_cast<u16>(raw[i]);
-  return a;
+/// A checked operand, sliced: the inner backend's image and the raw operand.
+struct OperandView {
+  std::span<const i64> inner;
+  std::span<const i64> raw;  ///< kN coefficients
+  unsigned qbits;
+};
+
+OperandView parse_operand(std::span<const i64> t, i64 magic, const char* what) {
+  SABER_REQUIRE(t.size() >= kOperandTail && t.back() == magic, what);
+  const auto qbits = static_cast<unsigned>(t[t.size() - 2]);
+  SABER_REQUIRE(qbits >= 1 && qbits <= 16, "checked transform qbits corrupt");
+  const std::size_t inner_len = t.size() - kOperandTail;
+  return {t.first(inner_len), t.subspan(inner_len, kNn), qbits};
 }
 
-ring::SecretPoly unpack_secret(std::span<const i64> raw) {
-  ring::SecretPoly s;
-  for (std::size_t i = 0; i < kNn; ++i) s[i] = static_cast<i8>(raw[i]);
-  return s;
-}
-
-/// Split a checked accumulator into (inner prefix length, embedded pairs).
+/// A checked accumulator, sliced: the inner accumulator and the raw pairs.
 struct AccView {
-  std::size_t inner_len;
+  std::span<const i64> inner;
   std::span<const i64> pairs;  ///< n_pairs * kPairLen values
 };
 
-AccView parse_acc(const mult::Transformed& acc) {
+AccView parse_acc(std::span<const i64> acc) {
   SABER_REQUIRE(acc.size() >= 2 && acc.back() == kAccMagic,
                 "not a checked-multiplier accumulator");
   const auto n = static_cast<std::size_t>(acc[acc.size() - 2]);
   const std::size_t tail = 2 + n * kPairLen;
   SABER_REQUIRE(acc.size() >= tail, "corrupt checked accumulator header");
   const std::size_t inner_len = acc.size() - tail;
-  return {inner_len, std::span(acc).subspan(inner_len, n * kPairLen)};
+  return {acc.first(inner_len), acc.subspan(inner_len, n * kPairLen)};
 }
 
-std::span<const i64> operand_prefix(const mult::Transformed& t, i64 magic,
-                                    const char* what) {
-  SABER_REQUIRE(t.size() >= kOperandTail && t.back() == magic, what);
-  return std::span(t).first(t.size() - kOperandTail);
+/// Append the raw-operand footer to an inner image.
+template <class P>
+mult::Transformed with_raw(mult::Transformed t, const P& p, unsigned qbits, i64 magic) {
+  t.reserve(t.size() + kOperandTail);
+  for (std::size_t i = 0; i < kNn; ++i) t.push_back(p[i]);
+  t.push_back(static_cast<i64>(qbits));
+  t.push_back(magic);
+  return t;
 }
 
 }  // namespace
@@ -74,7 +74,6 @@ std::span<const i64> operand_prefix(const mult::Transformed& t, i64 magic,
 std::string_view to_string(CheckPolicy policy) {
   switch (policy) {
     case CheckPolicy::kOff: return "off";
-    case CheckPolicy::kSampled: return "sampled";
     case CheckPolicy::kFull: return "full";
   }
   return "?";
@@ -84,9 +83,37 @@ std::string_view to_string(CheckKind kind) {
   switch (kind) {
     case CheckKind::kReference: return "reference";
     case CheckKind::kPointEval: return "point-eval";
-    case CheckKind::kFreivalds: return "freivalds";
   }
   return "?";
+}
+
+std::pair<ring::Poly, unsigned> CheckedMultiplier::raw_public(std::span<const i64> t) {
+  const auto v = parse_operand(t, kPubMagic, "not a checked public transform");
+  ring::Poly a;
+  for (std::size_t i = 0; i < kNn; ++i) a[i] = static_cast<u16>(v.raw[i]);
+  return {a, v.qbits};
+}
+
+std::pair<ring::SecretPoly, unsigned> CheckedMultiplier::raw_secret(
+    std::span<const i64> t) {
+  const auto v = parse_operand(t, kSecMagic, "not a checked secret transform");
+  ring::SecretPoly s;
+  for (std::size_t i = 0; i < kNn; ++i) s[i] = static_cast<i8>(v.raw[i]);
+  return {s, v.qbits};
+}
+
+std::vector<RawPair> CheckedMultiplier::raw_pairs(std::span<const i64> acc) {
+  const auto pairs = parse_acc(acc).pairs;
+  std::vector<RawPair> out(pairs.size() / kPairLen);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const auto p = pairs.subspan(k * kPairLen, kPairLen);
+    for (std::size_t i = 0; i < kNn; ++i) {
+      out[k].a[i] = static_cast<u16>(p[i]);
+      out[k].s[i] = static_cast<i8>(p[kNn + i]);
+    }
+    out[k].qbits = static_cast<unsigned>(p[2 * kNn]);
+  }
+  return out;
 }
 
 CheckedMultiplier::CheckedMultiplier(std::unique_ptr<mult::PolyMultiplier> inner,
@@ -97,21 +124,7 @@ CheckedMultiplier::CheckedMultiplier(std::unique_ptr<mult::PolyMultiplier> inner
                          : std::make_unique<mult::SchoolbookMultiplier>()),
       config_(config) {
   SABER_REQUIRE(static_cast<bool>(inner_), "inner multiplier required");
-  SABER_REQUIRE(config_.policy != CheckPolicy::kSampled || config_.sample_period >= 1,
-                "sample period must be >= 1");
   name_ = "checked(" + std::string(inner_->name()) + ")";
-}
-
-bool CheckedMultiplier::should_check() const {
-  switch (config_.policy) {
-    case CheckPolicy::kOff: return false;
-    case CheckPolicy::kFull: return true;
-    case CheckPolicy::kSampled: {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      return sample_clock_++ % config_.sample_period == 0;
-    }
-  }
-  return false;
 }
 
 void CheckedMultiplier::bump(u64 FaultCounters::* field) const {
@@ -133,6 +146,43 @@ FaultCounters CheckedMultiplier::fault_counters() const {
 std::vector<FaultRecord> CheckedMultiplier::fault_log() const {
   const std::lock_guard<std::mutex> lock(stats_mu_);
   return log_;
+}
+
+template <class Run, class Verify, class Retry, class Reference>
+ring::Poly CheckedMultiplier::ladder(FaultRecord::Path path, unsigned qbits, Run run,
+                                     Verify verify, Retry retry,
+                                     Reference reference) const {
+  if (config_.policy == CheckPolicy::kOff) return run();
+  bump(&FaultCounters::checks);
+  ring::Poly product{};
+  std::optional<ring::Poly> expected;
+  if (config_.kind == CheckKind::kPointEval) {
+    if (verify(product)) return product;
+  } else {
+    product = run();
+    expected = reference();
+    if (product == *expected) return product;
+  }
+
+  bump(&FaultCounters::mismatches);
+  if (!expected) expected = reference();
+  // Transient-fault recovery: a one-shot upset does not repeat.
+  const auto retried = retry();
+  if (retried == *expected) {
+    bump(&FaultCounters::retry_recoveries);
+    record(path, FaultRecord::Resolution::kRetry, qbits);
+    return retried;
+  }
+  // Permanent fault: fail over to the reference backend — after confirming
+  // the reference reproduces itself, so a faulty reference cannot be trusted
+  // silently.
+  if (reference() != *expected) {
+    throw FaultDetectedError(
+        "unrecoverable fault: reference backend is inconsistent with itself");
+  }
+  bump(&FaultCounters::failovers);
+  record(path, FaultRecord::Resolution::kFailover, qbits);
+  return *expected;
 }
 
 bool CheckedMultiplier::algebraic_multiply(const ring::Poly& a, const ring::Poly& b,
@@ -164,79 +214,21 @@ bool CheckedMultiplier::algebraic_multiply(const ring::Poly& a, const ring::Poly
 
 ring::Poly CheckedMultiplier::multiply(const ring::Poly& a, const ring::Poly& b,
                                        unsigned qbits) const {
-  if (config_.kind != CheckKind::kReference) {
-    if (!should_check()) return inner_->multiply(a, b, qbits);
-    bump(&FaultCounters::checks);
-    ring::Poly product{};
-    if (algebraic_multiply(a, b, qbits, product)) return product;
-    bump(&FaultCounters::mismatches);
-    const auto reference = fallback_->multiply(a, b, qbits);
-    const auto retried = inner_->multiply(a, b, qbits);
-    if (retried == reference) {
-      bump(&FaultCounters::retry_recoveries);
-      record(FaultRecord::Path::kMultiply, FaultRecord::Resolution::kRetry, qbits);
-      return retried;
-    }
-    if (fallback_->multiply(a, b, qbits) != reference) {
-      throw FaultDetectedError(
-          "unrecoverable fault: reference backend is inconsistent with itself");
-    }
-    bump(&FaultCounters::failovers);
-    record(FaultRecord::Path::kMultiply, FaultRecord::Resolution::kFailover, qbits);
-    return reference;
-  }
-
-  auto product = inner_->multiply(a, b, qbits);
-  if (!should_check()) return product;
-
-  bump(&FaultCounters::checks);
-  const auto reference = fallback_->multiply(a, b, qbits);
-  if (product == reference) return product;
-
-  bump(&FaultCounters::mismatches);
-  // Transient-fault recovery: a one-shot upset does not repeat.
-  const auto retried = inner_->multiply(a, b, qbits);
-  if (retried == reference) {
-    bump(&FaultCounters::retry_recoveries);
-    record(FaultRecord::Path::kMultiply, FaultRecord::Resolution::kRetry, qbits);
-    return retried;
-  }
-  // Permanent fault: fail over to the reference backend — after confirming
-  // the reference reproduces itself, so a faulty reference cannot be trusted
-  // silently.
-  if (fallback_->multiply(a, b, qbits) != reference) {
-    throw FaultDetectedError(
-        "unrecoverable fault: reference backend is inconsistent with itself");
-  }
-  bump(&FaultCounters::failovers);
-  record(FaultRecord::Path::kMultiply, FaultRecord::Resolution::kFailover, qbits);
-  return reference;
+  const auto run = [&] { return inner_->multiply(a, b, qbits); };
+  return ladder(
+      FaultRecord::Path::kMultiply, qbits, run,
+      [&](ring::Poly& p) { return algebraic_multiply(a, b, qbits, p); }, run,
+      [&] { return fallback_->multiply(a, b, qbits); });
 }
 
 mult::Transformed CheckedMultiplier::prepare_public(const ring::Poly& a,
                                                     unsigned qbits) const {
-  auto t = inner_->prepare_public(a, qbits);
-  t.reserve(t.size() + kOperandTail);
-  for (std::size_t i = 0; i < kNn; ++i) t.push_back(a[i]);
-  const auto& pc = shared_point_checker();
-  for (std::size_t r = 0; r < kRoots; ++r) {
-    t.push_back(static_cast<i64>(pc.eval_public(a, qbits, r)));
-  }
-  t.push_back(kPubMagic);
-  return t;
+  return with_raw(inner_->prepare_public(a, qbits), a, qbits, kPubMagic);
 }
 
 mult::Transformed CheckedMultiplier::prepare_secret(const ring::SecretPoly& s,
                                                     unsigned qbits) const {
-  auto t = inner_->prepare_secret(s, qbits);
-  t.reserve(t.size() + kOperandTail);
-  for (std::size_t i = 0; i < kNn; ++i) t.push_back(s[i]);
-  const auto& pc = shared_point_checker();
-  for (std::size_t r = 0; r < kRoots; ++r) {
-    t.push_back(static_cast<i64>(pc.eval_secret(s, r)));
-  }
-  t.push_back(kSecMagic);
-  return t;
+  return with_raw(inner_->prepare_secret(s, qbits), s, qbits, kSecMagic);
 }
 
 mult::Transformed CheckedMultiplier::make_accumulator() const {
@@ -250,78 +242,65 @@ void CheckedMultiplier::pointwise_accumulate(mult::Transformed& acc,
                                              const mult::Transformed& a,
                                              const mult::Transformed& s) const {
   const auto view = parse_acc(acc);
-  const auto inner_a = operand_prefix(a, kPubMagic, "not a checked public transform");
-  const auto inner_s = operand_prefix(s, kSecMagic, "not a checked secret transform");
+  const auto pa = parse_operand(a, kPubMagic, "not a checked public transform");
+  const auto ps = parse_operand(s, kSecMagic, "not a checked secret transform");
 
   // Delegate on the inner slices (the inner backend sees exactly the layout
   // it produced), then rebuild: inner acc | pairs | new pair | n+1 | magic.
-  mult::Transformed inner_acc(acc.begin(),
-                              acc.begin() + static_cast<std::ptrdiff_t>(view.inner_len));
-  inner_->pointwise_accumulate(inner_acc, mult::Transformed(inner_a.begin(), inner_a.end()),
-                               mult::Transformed(inner_s.begin(), inner_s.end()));
+  // The pair keeps the public operand's modulus: a prepared secret may come
+  // from another modulus (see mult::prepare_secrets).
+  mult::Transformed inner_acc(view.inner.begin(), view.inner.end());
+  inner_->pointwise_accumulate(inner_acc,
+                               mult::Transformed(pa.inner.begin(), pa.inner.end()),
+                               mult::Transformed(ps.inner.begin(), ps.inner.end()));
 
   mult::Transformed next;
   next.reserve(inner_acc.size() + view.pairs.size() + kPairLen + 2);
   next.insert(next.end(), inner_acc.begin(), inner_acc.end());
   next.insert(next.end(), view.pairs.begin(), view.pairs.end());
-  next.insert(next.end(), a.end() - kOperandTail, a.end() - 1);
-  next.insert(next.end(), s.end() - kOperandTail, s.end() - 1);
+  next.insert(next.end(), pa.raw.begin(), pa.raw.end());
+  next.insert(next.end(), ps.raw.begin(), ps.raw.end());
+  next.push_back(static_cast<i64>(pa.qbits));
   next.push_back(static_cast<i64>(view.pairs.size() / kPairLen + 1));
   next.push_back(kAccMagic);
   acc = std::move(next);
 }
 
-ring::Poly CheckedMultiplier::reference_sum(std::span<const i64> pairs,
+ring::Poly CheckedMultiplier::reference_sum(std::span<const RawPair> pairs,
                                             unsigned qbits) const {
   ring::Poly sum{};
-  for (std::size_t off = 0; off < pairs.size(); off += kPairLen) {
-    const auto a = unpack_public(pairs.subspan(off, kNn));
-    const auto s = unpack_secret(pairs.subspan(off + kPairS, kNn));
-    ring::add_inplace(sum, fallback_->multiply_secret(a, s, qbits), qbits);
+  for (const auto& p : pairs) {
+    ring::add_inplace(sum, fallback_->multiply_secret(p.a, p.s, qbits), qbits);
   }
   return sum;
 }
 
-ring::Poly CheckedMultiplier::inner_recompute(std::span<const i64> pairs,
+ring::Poly CheckedMultiplier::inner_recompute(std::span<const RawPair> pairs,
                                               unsigned qbits) const {
   // Full re-derivation on the inner backend: fresh forward transforms, fresh
   // accumulation, fresh inverse transform. A transient during the *original*
   // prepare or accumulate is left behind, not replayed.
   auto acc = inner_->make_accumulator();
-  for (std::size_t off = 0; off < pairs.size(); off += kPairLen) {
-    const auto a = unpack_public(pairs.subspan(off, kNn));
-    const auto s = unpack_secret(pairs.subspan(off + kPairS, kNn));
-    inner_->pointwise_accumulate(acc, inner_->prepare_public(a, qbits),
-                                 inner_->prepare_secret(s, qbits));
+  for (const auto& p : pairs) {
+    inner_->pointwise_accumulate(acc, inner_->prepare_public(p.a, p.qbits),
+                                 inner_->prepare_secret(p.s, p.qbits));
   }
   return inner_->finalize(acc, qbits);
 }
 
 bool CheckedMultiplier::algebraic_finalize(const mult::Transformed& inner_acc,
-                                           std::span<const i64> pairs, unsigned qbits,
-                                           ring::Poly& product) const {
+                                           std::span<const RawPair> pairs,
+                                           unsigned qbits, ring::Poly& product) const {
   const auto& pc = shared_point_checker();
-  // Rotate the evaluation root per check. kFreivalds pays nothing for the
-  // rotation: prepare_* cached one evaluation per root, finalize just picks
-  // the drawn root's column.
   const std::size_t root = pc.draw_root();
   try {
     const auto w = inner_->finalize_witness(inner_acc);
     // The check is linear in the accumulated terms: sum_k a_k(x_r) * s_k(x_r)
-    // must equal w(x_r). With cached evaluations (kFreivalds) this is the
-    // Freivalds vector check for a matvec row: O(l) modular multiplies plus
-    // one witness evaluation, independent of the backend's transform cost.
+    // must equal w(x_r), each public operand lifted at its own modulus.
     u64 sum = 0;
-    for (std::size_t off = 0; off < pairs.size(); off += kPairLen) {
-      u64 ea, es;
-      if (config_.kind == CheckKind::kFreivalds) {
-        ea = static_cast<u64>(pairs[off + kPairEa + root]);
-        es = static_cast<u64>(pairs[off + kPairEs + root]);
-      } else {
-        ea = pc.eval_public(unpack_public(pairs.subspan(off, kNn)), qbits, root);
-        es = pc.eval_secret(unpack_secret(pairs.subspan(off + kPairS, kNn)), root);
-      }
-      sum = pc.add(sum, pc.mul(ea, es));
+    for (const auto& p : pairs) {
+      sum = pc.add(sum, pc.mul(pc.eval_public(p.a, p.qbits, root),
+                               pc.eval_secret(p.s, root)));
     }
     if (pc.eval_witness(w, root) != sum) return false;
     product = mult::reduce_witness<ring::kN>(std::span<const i64>(w), qbits);
@@ -333,53 +312,15 @@ bool CheckedMultiplier::algebraic_finalize(const mult::Transformed& inner_acc,
 
 ring::Poly CheckedMultiplier::finalize(const mult::Transformed& acc,
                                        unsigned qbits) const {
-  const auto view = parse_acc(acc);
-  const mult::Transformed inner_acc(
-      acc.begin(), acc.begin() + static_cast<std::ptrdiff_t>(view.inner_len));
-
-  if (config_.kind != CheckKind::kReference) {
-    if (!should_check()) return inner_->finalize(inner_acc, qbits);
-    bump(&FaultCounters::checks);
-    ring::Poly product{};
-    if (algebraic_finalize(inner_acc, view.pairs, qbits, product)) return product;
-    bump(&FaultCounters::mismatches);
-    const auto ref = reference_sum(view.pairs, qbits);
-    const auto retry = inner_recompute(view.pairs, qbits);
-    if (retry == ref) {
-      bump(&FaultCounters::retry_recoveries);
-      record(FaultRecord::Path::kFinalize, FaultRecord::Resolution::kRetry, qbits);
-      return retry;
-    }
-    if (reference_sum(view.pairs, qbits) != ref) {
-      throw FaultDetectedError(
-          "unrecoverable fault: reference backend is inconsistent with itself");
-    }
-    bump(&FaultCounters::failovers);
-    record(FaultRecord::Path::kFinalize, FaultRecord::Resolution::kFailover, qbits);
-    return ref;
-  }
-
-  auto result = inner_->finalize(inner_acc, qbits);
-  if (!should_check()) return result;
-
-  bump(&FaultCounters::checks);
-  const auto reference = reference_sum(view.pairs, qbits);
-  if (result == reference) return result;
-
-  bump(&FaultCounters::mismatches);
-  const auto retried = inner_recompute(view.pairs, qbits);
-  if (retried == reference) {
-    bump(&FaultCounters::retry_recoveries);
-    record(FaultRecord::Path::kFinalize, FaultRecord::Resolution::kRetry, qbits);
-    return retried;
-  }
-  if (reference_sum(view.pairs, qbits) != reference) {
-    throw FaultDetectedError(
-        "unrecoverable fault: reference backend is inconsistent with itself");
-  }
-  bump(&FaultCounters::failovers);
-  record(FaultRecord::Path::kFinalize, FaultRecord::Resolution::kFailover, qbits);
-  return reference;
+  const auto inner = parse_acc(acc).inner;
+  const mult::Transformed inner_acc(inner.begin(), inner.end());
+  const auto pairs = raw_pairs(acc);
+  return ladder(
+      FaultRecord::Path::kFinalize, qbits,
+      [&] { return inner_->finalize(inner_acc, qbits); },
+      [&](ring::Poly& p) { return algebraic_finalize(inner_acc, pairs, qbits, p); },
+      [&] { return inner_recompute(pairs, qbits); },
+      [&] { return reference_sum(pairs, qbits); });
 }
 
 std::size_t CheckedMultiplier::max_accumulated_terms() const {
@@ -399,18 +340,7 @@ CheckedHwMultiplier::CheckedHwMultiplier(std::unique_ptr<arch::HwMultiplier> inn
                            : std::make_unique<mult::SchoolbookMultiplier>()),
       config_(config) {
   SABER_REQUIRE(static_cast<bool>(inner_), "inner architecture required");
-  SABER_REQUIRE(config_.policy != CheckPolicy::kSampled || config_.sample_period >= 1,
-                "sample period must be >= 1");
   name_ = "checked(" + std::string(inner_->name()) + ")";
-}
-
-bool CheckedHwMultiplier::should_check() {
-  switch (config_.policy) {
-    case CheckPolicy::kOff: return false;
-    case CheckPolicy::kFull: return true;
-    case CheckPolicy::kSampled: return sample_clock_++ % config_.sample_period == 0;
-  }
-  return false;
 }
 
 void CheckedHwMultiplier::check_cycles(const hw::CycleStats& cycles) {
@@ -434,7 +364,7 @@ arch::MultiplierResult CheckedHwMultiplier::multiply(const ring::Poly& a,
   constexpr unsigned kQ = arch::MemoryMap::kQBits;
   auto res = inner_->multiply(a, s, accumulate);
   check_cycles(res.cycles);
-  if (!should_check()) return res;
+  if (config_.policy == CheckPolicy::kOff) return res;
 
   ++counters_.checks;
   auto expected = reference_->multiply_secret(a, s, kQ);

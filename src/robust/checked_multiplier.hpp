@@ -8,7 +8,6 @@
 //
 //   policy kFull     every product is verified (the acceptance bar:
 //                    100% detection of single-bit product faults);
-//   policy kSampled  1-in-N products verified (cheap steady-state screening);
 //   policy kOff      pass-through (for overhead baselines).
 //
 // On a mismatch the decorator (1) records a fault event, (2) recomputes once
@@ -19,20 +18,22 @@
 // runs throw FaultDetectedError). Either way the caller receives a correct
 // product: the KEM result survives the fault.
 //
-// The split-transform path (prepare/accumulate/finalize, PR 1) is covered
-// too: the decorator's Transformed layout appends the raw operands to the
-// inner backend's transforms, so finalize() can rebuild an independent
-// reference sum — and, on retry, re-run the whole inner transform pipeline
-// from scratch (a fault during prepare/accumulate is caught, not just one
-// during finalize). The embedded operands roughly double prepared-operand
-// memory; that is the price of instance-independent verifiability (prepared
-// matrices stay shareable across worker threads, as the batch pipeline
-// requires).
+// The split-transform path (prepare/accumulate/finalize) is covered too: the
+// decorator's Transformed layout keeps the raw operands once, after the
+// inner backend's image, so finalize() can rebuild an independent reference
+// sum — and, on retry, re-run the whole inner transform pipeline from
+// scratch (a fault during prepare/accumulate is caught, not just one during
+// finalize). BackendSupervisor reuses the same raw operands to re-prepare on
+// another backend, through the accessors below; it keeps no copy of its own.
+// Prepared transforms stay instance-independent, so prepared matrices remain
+// shareable across worker threads, as the batch pipeline requires.
 #pragma once
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/faults.hpp"
@@ -41,7 +42,7 @@
 
 namespace saber::robust {
 
-enum class CheckPolicy : u8 { kOff, kSampled, kFull };
+enum class CheckPolicy : u8 { kOff, kFull };
 
 std::string_view to_string(CheckPolicy policy);
 
@@ -51,22 +52,17 @@ std::string_view to_string(CheckPolicy policy);
 ///               (~1.12x per multiply; catches anything, bar nothing);
 ///   kPointEval  run the inner split pipeline, obtain the exact-integer
 ///               witness (PolyMultiplier::finalize_witness) and check
-///               a(x0) * s(x0) == w(x0) mod a ~2^60 prime (~1.01x; the
-///               product is then the fold of the verified witness);
-///   kFreivalds  like kPointEval, but prepared transforms cache their
-///               operand evaluations, so a finalize over an accumulated
-///               matvec row checks sum_j ea_j * es_j == ew with O(l) extra
-///               modular multiplies — the Freivalds vector check.
+///               sum_k a_k(x0) * s_k(x0) == w(x0) mod a ~2^60 prime (~1.01x;
+///               the product is then the fold of the verified witness).
 ///
-/// Either algebraic kind falls back to the reference backend as arbiter the
-/// moment a check fails, so recovery semantics are identical to kReference.
-enum class CheckKind : u8 { kReference, kPointEval, kFreivalds };
+/// The kinds differ only in that verify step: a failed point check falls
+/// back to the reference backend as arbiter, so recovery is the same ladder.
+enum class CheckKind : u8 { kReference, kPointEval };
 
 std::string_view to_string(CheckKind kind);
 
 struct CheckedConfig {
   CheckPolicy policy = CheckPolicy::kFull;
-  std::size_t sample_period = 8;  ///< kSampled: verify every Nth product
   CheckKind kind = CheckKind::kReference;
 };
 
@@ -79,8 +75,30 @@ struct FaultRecord {
   unsigned qbits;
 };
 
+/// One product a checked accumulator absorbed: its raw operands and the
+/// public operand's modulus (a prepared secret is modulus-independent, so
+/// one is shared across moduli; see mult::prepare_secrets).
+struct RawPair {
+  ring::Poly a;
+  ring::SecretPoly s;
+  unsigned qbits;
+};
+
 class CheckedMultiplier final : public mult::PolyMultiplier, public FaultMonitor {
  public:
+  // Layout of a checked transform, private to checked_multiplier.cpp:
+  //
+  //   operand      inner image | raw N coefficients | qbits | magic
+  //   accumulator  inner accumulator | n x (raw a | raw s | qbits) | n | magic
+  //
+  // The accessors read the raw operands back (for BackendSupervisor's lazy
+  // re-prepare and accumulator migration) and throw ContractViolation on
+  // anything that is not the matching checked transform.
+  static std::pair<ring::Poly, unsigned> raw_public(std::span<const i64> t);
+  static std::pair<ring::SecretPoly, unsigned> raw_secret(std::span<const i64> t);
+  /// Every product the accumulator absorbed, in accumulation order.
+  static std::vector<RawPair> raw_pairs(std::span<const i64> acc);
+
   /// `fallback == nullptr` uses an independent schoolbook reference. The
   /// fallback must be a different physical instance from `inner` (and for
   /// real fault isolation, a different algorithm).
@@ -113,33 +131,37 @@ class CheckedMultiplier final : public mult::PolyMultiplier, public FaultMonitor
   std::size_t max_accumulated_terms() const override;
 
  private:
-  bool should_check() const;
+  /// The one recovery ladder of both paths. `run` computes the product on
+  /// the inner backend, `verify` computes and point-checks it (kPointEval),
+  /// `retry` recomputes it on the inner backend and `reference` re-derives
+  /// it on the fallback; only the verify step depends on CheckKind.
+  template <class Run, class Verify, class Retry, class Reference>
+  ring::Poly ladder(FaultRecord::Path path, unsigned qbits, Run run, Verify verify,
+                    Retry retry, Reference reference) const;
   /// Increment one fault counter under the stats mutex. Every counter
   /// mutation funnels through here so the monitor accessors never observe a
   /// torn or racy update.
   void bump(u64 FaultCounters::* field) const;
-  ring::Poly reference_sum(std::span<const i64> pairs, unsigned qbits) const;
-  ring::Poly inner_recompute(std::span<const i64> pairs, unsigned qbits) const;
+  ring::Poly reference_sum(std::span<const RawPair> pairs, unsigned qbits) const;
+  ring::Poly inner_recompute(std::span<const RawPair> pairs, unsigned qbits) const;
   void record(FaultRecord::Path path, FaultRecord::Resolution res, unsigned qbits) const;
   /// Algebraic verification of one product via the inner split pipeline.
   /// Returns false (leaving `product` untouched) when the point check fails
   /// or the corrupted state trips a backend invariant.
   bool algebraic_multiply(const ring::Poly& a, const ring::Poly& b, unsigned qbits,
                           ring::Poly& product) const;
-  /// Algebraic verification of an accumulated row. `pairs` supplies the
-  /// operand evaluations (cached for kFreivalds, recomputed for kPointEval).
+  /// Algebraic verification of an accumulated row against its raw pairs.
   bool algebraic_finalize(const mult::Transformed& inner_acc,
-                          std::span<const i64> pairs, unsigned qbits,
+                          std::span<const RawPair> pairs, unsigned qbits,
                           ring::Poly& product) const;
 
   std::unique_ptr<mult::PolyMultiplier> inner_;
   std::unique_ptr<mult::PolyMultiplier> fallback_;
   CheckedConfig config_;
   std::string name_;
-  mutable std::mutex stats_mu_;  ///< guards counters_, log_, sample_clock_
+  mutable std::mutex stats_mu_;  ///< guards counters_, log_
   mutable FaultCounters counters_;
   mutable std::vector<FaultRecord> log_;
-  mutable std::size_t sample_clock_ = 0;
 };
 
 /// Convenience: checked decorator over a strategy resolved by name.
@@ -180,7 +202,6 @@ class CheckedHwMultiplier final : public arch::HwMultiplier, public FaultMonitor
   u64 cycle_violations() const { return cycle_violations_; }
 
  private:
-  bool should_check();
   void check_cycles(const hw::CycleStats& cycles);
 
   std::unique_ptr<arch::HwMultiplier> inner_;
@@ -189,7 +210,6 @@ class CheckedHwMultiplier final : public arch::HwMultiplier, public FaultMonitor
   std::string name_;
   FaultCounters counters_;
   std::vector<FaultRecord> log_;
-  std::size_t sample_clock_ = 0;
   u64 baseline_total_ = 0;  ///< first run's total cycle count
   u64 cycle_violations_ = 0;
 };

@@ -18,12 +18,12 @@ constexpr i64 kSupSecMagic = 0x5ABE'C4EC'0000'0006LL;
 // The known-answer probe runs at the hardware modulus the KEM uses.
 constexpr unsigned kProbeQBits = 13;
 
-constexpr std::size_t kNn = ring::kN;
-
-// Supervised operand: inner_image(backend k) | raw coeffs | qbits | k | magic.
-constexpr std::size_t kOpFooter = kNn + 3;
-// Accumulator-retained raw pair: raw_a (kN) | raw_s (kN) | qbits.
-constexpr std::size_t kSupPairLen = 2 * kNn + 1;
+// A supervised transform is backend k's checked transform tagged with k:
+//
+//   checked image (operand or accumulator) of backend k | k | magic
+//
+// The checked image keeps the raw operands, so the supervisor keeps none.
+constexpr std::size_t kSupFooter = 2;
 
 struct BackendState {
   BreakerState state = BreakerState::kClosed;
@@ -39,46 +39,24 @@ struct BackendState {
   u64 probe_passes = 0;  ///< consecutive passes while half-open
 };
 
-/// A supervised operand, sliced: the single materialized backend image plus
-/// the retained raw polynomial it was prepared from.
-struct OpView {
-  std::span<const i64> inner;  ///< backend `backend`'s prepared image
-  std::span<const i64> raw;    ///< kN raw coefficients
-  unsigned qbits = 0;
+/// A supervised transform, sliced: backend `backend`'s checked image.
+struct Image {
+  std::span<const i64> checked;
   std::size_t backend = 0;
 };
 
-OpView parse_operand(const mult::Transformed& t, i64 magic, std::size_t nb,
-                     const char* what) {
-  SABER_REQUIRE(t.size() >= kOpFooter && t.back() == magic, what);
+Image parse_image(const mult::Transformed& t, i64 magic, std::size_t nb,
+                  const char* what) {
+  SABER_REQUIRE(t.size() >= kSupFooter && t.back() == magic, what);
   const auto backend = static_cast<std::size_t>(t[t.size() - 2]);
-  const auto qbits = static_cast<unsigned>(t[t.size() - 3]);
   SABER_REQUIRE(backend < nb, "supervised transform backend out of range");
-  SABER_REQUIRE(qbits >= 1 && qbits <= 16, "supervised transform qbits corrupt");
-  const std::size_t inner_len = t.size() - kOpFooter;
-  const std::span<const i64> s(t);
-  return {s.first(inner_len), s.subspan(inner_len, kNn), qbits, backend};
+  return {std::span(t).first(t.size() - kSupFooter), backend};
 }
 
-/// A supervised accumulator, sliced: one backend's inner accumulator plus the
-/// raw (a, s, qbits) pairs accumulated so far (the migration ledger).
-struct SupAccView {
-  std::span<const i64> inner;
-  std::span<const i64> pairs;  ///< n_pairs * kSupPairLen values
-  std::size_t backend = 0;
-};
-
-SupAccView parse_sup_acc(const mult::Transformed& t, std::size_t nb,
-                         const char* what) {
-  SABER_REQUIRE(t.size() >= 3 && t.back() == kSupAccMagic, what);
-  const auto backend = static_cast<std::size_t>(t[t.size() - 2]);
-  const auto n = static_cast<std::size_t>(t[t.size() - 3]);
-  SABER_REQUIRE(backend < nb, "supervised accumulator backend out of range");
-  const std::size_t tail = 3 + n * kSupPairLen;
-  SABER_REQUIRE(t.size() >= tail, "corrupt supervised accumulator");
-  const std::span<const i64> s(t);
-  return {s.first(t.size() - tail),
-          s.subspan(t.size() - tail, n * kSupPairLen), backend};
+mult::Transformed tag(mult::Transformed t, std::size_t k, i64 magic) {
+  t.push_back(static_cast<i64>(k));
+  t.push_back(magic);
+  return t;
 }
 
 }  // namespace
@@ -146,110 +124,60 @@ class SupervisedMultiplier final : public mult::PolyMultiplier, public FaultMoni
   }
 
   // Split-transform path — lazy, copy-on-quarantine. A prepared operand
-  // materializes ONE backend's transform image (whichever backend was
-  // healthy at prepare time) and retains the raw polynomial beside it:
+  // materializes ONE backend's checked image (whichever backend was healthy
+  // at prepare time), tagged with that backend:
   //
-  //   inner_image(backend k) | raw coeffs | qbits | k | magic
+  //   checked image of backend k | k | magic
   //
   // The no-fault path therefore pays exactly one backend's prepare cost and
-  // memory (it used to pay n_backends x both). When a later operation routes
-  // to a different backend j — i.e. after a quarantine — the consumer
-  // re-prepares backend j's image on demand from the retained raw
-  // polynomial (`lazy_prepares` in the status snapshot). The shared
-  // transform itself is immutable, so a mid-batch failover still never
-  // invalidates a shared prepared matrix: worker threads keep reading the
-  // backend-k image and raw coefficients concurrently, and each lazy
-  // re-preparation is a private copy. Accumulators retain the raw (a, s,
-  // qbits) pairs they absorbed, so an accumulator started on backend k can
-  // be migrated to backend j by replaying the pairs — that is the only
-  // moment the old eager scheme's cross-backend redundancy is actually
-  // needed, and it now costs only the quarantined window instead of every
-  // prepare.
+  // memory. When a later operation routes to a different backend j — i.e.
+  // after a quarantine — the consumer re-prepares backend j's image on
+  // demand from the raw polynomial the checked image keeps
+  // (`lazy_prepares` in the status snapshot). The shared transform itself is
+  // immutable, so a mid-batch failover never invalidates a shared prepared
+  // matrix: worker threads keep reading the backend-k image concurrently,
+  // and each lazy re-preparation is a private copy. A checked accumulator
+  // keeps the raw (a, s, qbits) pairs it absorbed, so an accumulator started
+  // on backend k migrates to backend j by replaying them.
 
   mult::Transformed prepare_public(const ring::Poly& a, unsigned qbits) const override {
     const std::size_t k = prepare_backend();
-    auto t = backends_[k]->prepare_public(a, qbits);
-    t.reserve(t.size() + kOpFooter);
-    for (std::size_t i = 0; i < kNn; ++i) t.push_back(a[i]);
-    t.push_back(static_cast<i64>(qbits));
-    t.push_back(static_cast<i64>(k));
-    t.push_back(kSupPubMagic);
-    return t;
+    return tag(backends_[k]->prepare_public(a, qbits), k, kSupPubMagic);
   }
 
   mult::Transformed prepare_secret(const ring::SecretPoly& s,
                                    unsigned qbits) const override {
     const std::size_t k = prepare_backend();
-    auto t = backends_[k]->prepare_secret(s, qbits);
-    t.reserve(t.size() + kOpFooter);
-    for (std::size_t i = 0; i < kNn; ++i) t.push_back(s[i]);
-    t.push_back(static_cast<i64>(qbits));
-    t.push_back(static_cast<i64>(k));
-    t.push_back(kSupSecMagic);
-    return t;
+    return tag(backends_[k]->prepare_secret(s, qbits), k, kSupSecMagic);
   }
 
   mult::Transformed make_accumulator() const override {
-    std::size_t k;
-    {
-      const std::lock_guard<std::mutex> lock(shared_->mu);
-      k = pick_locked();
-    }
-    auto acc = backends_[k]->make_accumulator();
-    acc.push_back(0);  // n_pairs
-    acc.push_back(static_cast<i64>(k));
-    acc.push_back(kSupAccMagic);
-    return acc;
+    const std::size_t k = pick();
+    return tag(backends_[k]->make_accumulator(), k, kSupAccMagic);
   }
 
   void pointwise_accumulate(mult::Transformed& acc, const mult::Transformed& a,
                             const mult::Transformed& s) const override {
     const std::size_t nb = backends_.size();
-    const auto av = parse_sup_acc(acc, nb, "not a supervised accumulator");
-    const auto pa = parse_operand(a, kSupPubMagic, nb, "not a supervised public transform");
-    const auto ps = parse_operand(s, kSupSecMagic, nb, "not a supervised secret transform");
-    // The operands may carry different qbits: a prepared secret is
-    // modulus-independent and legitimately shared across moduli (see
-    // mult::prepare_secrets). The product's modulus is the public operand's.
-
-    std::size_t j;
-    {
-      const std::lock_guard<std::mutex> lock(shared_->mu);
-      j = pick_locked();
-    }
-
+    const auto av = parse_image(acc, kSupAccMagic, nb, "not a supervised accumulator");
+    const auto pa = parse_image(a, kSupPubMagic, nb, "not a supervised public transform");
+    const auto ps = parse_image(s, kSupSecMagic, nb, "not a supervised secret transform");
     // Copy-on-quarantine: migrate the accumulator to backend j if a health
     // change moved traffic since it was created, then feed it backend-j
-    // images of both operands (lazily prepared when the operand was
-    // materialized for a different backend).
-    mult::Transformed inner_acc =
-        av.backend == j ? mult::Transformed(av.inner.begin(), av.inner.end())
-                        : replay_pairs(av.pairs, j);
-    backends_[j]->pointwise_accumulate(inner_acc, public_image(pa, j),
-                                       secret_image(ps, j));
-
-    mult::Transformed next;
-    next.reserve(inner_acc.size() + av.pairs.size() + kSupPairLen + 3);
-    next.insert(next.end(), inner_acc.begin(), inner_acc.end());
-    next.insert(next.end(), av.pairs.begin(), av.pairs.end());
-    next.insert(next.end(), pa.raw.begin(), pa.raw.end());
-    next.insert(next.end(), ps.raw.begin(), ps.raw.end());
-    next.push_back(static_cast<i64>(pa.qbits));
-    next.push_back(static_cast<i64>(av.pairs.size() / kSupPairLen + 1));
-    next.push_back(static_cast<i64>(j));
-    next.push_back(kSupAccMagic);
-    acc = std::move(next);
+    // images of both operands.
+    const std::size_t j = pick();
+    auto next = accumulator_on(av, j);
+    backends_[j]->pointwise_accumulate(next, public_image(pa, j), secret_image(ps, j));
+    acc = tag(std::move(next), j, kSupAccMagic);
   }
 
   ring::Poly finalize(const mult::Transformed& acc, unsigned qbits) const override {
-    const auto av = parse_sup_acc(acc, backends_.size(), "not a supervised accumulator");
+    const auto av = parse_image(acc, kSupAccMagic, backends_.size(),
+                                "not a supervised accumulator");
     const std::size_t idx = route();
     const u64 before = backends_[idx]->fault_counters().mismatches;
     try {
-      const mult::Transformed inner_acc =
-          av.backend == idx ? mult::Transformed(av.inner.begin(), av.inner.end())
-                            : replay_pairs(av.pairs, idx);
-      auto p = backends_[idx]->finalize(inner_acc, qbits);
+      auto p = backends_[idx]->finalize(accumulator_on(av, idx), qbits);
       note(idx, backends_[idx]->fault_counters().mismatches - before);
       return p;
     } catch (...) {
@@ -277,6 +205,12 @@ class SupervisedMultiplier final : public mult::PolyMultiplier, public FaultMoni
     return states.size() - 1;
   }
 
+  /// Backend for the next split-path step (no breaker timers advance).
+  std::size_t pick() const {
+    const std::lock_guard<std::mutex> lock(shared_->mu);
+    return pick_locked();
+  }
+
   /// Backend for a prepare_* call (counted so tests and the bench can prove
   /// the no-fault path materializes exactly one image).
   std::size_t prepare_backend() const {
@@ -291,40 +225,34 @@ class SupervisedMultiplier final : public mult::PolyMultiplier, public FaultMoni
     shared_->states[j].lazy_prepares += n;
   }
 
-  /// Backend-j image of a supervised public operand: the materialized inner
-  /// slice when it already is backend j's, a fresh on-demand preparation
-  /// from the retained raw polynomial otherwise.
-  mult::Transformed public_image(const OpView& v, std::size_t j) const {
-    if (v.backend == j) return {v.inner.begin(), v.inner.end()};
+  /// Backend-j image of a supervised public operand: the materialized checked
+  /// image when it already is backend j's, a fresh on-demand preparation from
+  /// its raw polynomial otherwise.
+  mult::Transformed public_image(const Image& v, std::size_t j) const {
+    if (v.backend == j) return {v.checked.begin(), v.checked.end()};
     count_lazy(j);
-    ring::Poly a;
-    for (std::size_t i = 0; i < kNn; ++i) a[i] = static_cast<u16>(v.raw[i]);
-    return backends_[j]->prepare_public(a, v.qbits);
+    const auto [a, qbits] = CheckedMultiplier::raw_public(v.checked);
+    return backends_[j]->prepare_public(a, qbits);
   }
 
-  mult::Transformed secret_image(const OpView& v, std::size_t j) const {
-    if (v.backend == j) return {v.inner.begin(), v.inner.end()};
+  mult::Transformed secret_image(const Image& v, std::size_t j) const {
+    if (v.backend == j) return {v.checked.begin(), v.checked.end()};
     count_lazy(j);
-    ring::SecretPoly s;
-    for (std::size_t i = 0; i < kNn; ++i) s[i] = static_cast<i8>(v.raw[i]);
-    return backends_[j]->prepare_secret(s, v.qbits);
+    const auto [s, qbits] = CheckedMultiplier::raw_secret(v.checked);
+    return backends_[j]->prepare_secret(s, qbits);
   }
 
-  /// Rebuild an accumulator on backend j by replaying the retained raw
-  /// pairs (accumulator migration across a failover boundary).
-  mult::Transformed replay_pairs(std::span<const i64> pairs, std::size_t j) const {
-    count_lazy(j, 2 * (pairs.size() / kSupPairLen));
+  /// Backend-j checked accumulator of a supervised one: a copy when it
+  /// already lives on backend j, otherwise a replay of its raw pairs
+  /// (accumulator migration across a failover boundary).
+  mult::Transformed accumulator_on(const Image& v, std::size_t j) const {
+    if (v.backend == j) return {v.checked.begin(), v.checked.end()};
+    const auto pairs = CheckedMultiplier::raw_pairs(v.checked);
+    count_lazy(j, 2 * pairs.size());
     auto acc = backends_[j]->make_accumulator();
-    for (std::size_t off = 0; off < pairs.size(); off += kSupPairLen) {
-      ring::Poly a;
-      ring::SecretPoly s;
-      for (std::size_t i = 0; i < kNn; ++i) {
-        a[i] = static_cast<u16>(pairs[off + i]);
-        s[i] = static_cast<i8>(pairs[off + kNn + i]);
-      }
-      const auto qbits = static_cast<unsigned>(pairs[off + 2 * kNn]);
-      backends_[j]->pointwise_accumulate(acc, backends_[j]->prepare_public(a, qbits),
-                                         backends_[j]->prepare_secret(s, qbits));
+    for (const auto& p : pairs) {
+      backends_[j]->pointwise_accumulate(acc, backends_[j]->prepare_public(p.a, p.qbits),
+                                         backends_[j]->prepare_secret(p.s, p.qbits));
     }
     return acc;
   }

@@ -30,13 +30,14 @@
 // counters never race) and shares only the mutex-guarded breaker state.
 // Split-transform caching stays sound across health changes — lazily,
 // copy-on-quarantine: a prepared transform materializes only the active
-// backend's image plus the raw polynomial it came from, so the no-fault
-// path pays exactly 1x a single backend's prepare cost and memory. A
-// consumer routed to a different backend (after a quarantine) re-prepares
-// that backend's image on demand from the retained raw polynomial;
-// accumulators retain their raw (a, s) pairs and are migrated across a
-// failover boundary by replay. Shared transforms stay immutable, so a
-// mid-batch failover never invalidates a shared prepared matrix.
+// backend's checked image (which keeps the raw polynomial it came from) and
+// a backend tag, so the no-fault path pays exactly 1x a single checked
+// backend's prepare cost and memory. A consumer routed to a different
+// backend (after a quarantine) re-prepares that backend's image on demand
+// from the raw polynomial; checked accumulators keep their raw (a, s) pairs
+// and are migrated across a failover boundary by replay. Shared transforms
+// stay immutable, so a mid-batch failover never invalidates a shared
+// prepared matrix.
 #pragma once
 
 #include <functional>

@@ -212,25 +212,13 @@ TEST(CheckedMultiplier, PolicyOffPassesFaultsThrough) {
   auto inj = injector_with(FaultSpec::permanent_flip(FaultSite::kProduct, 4, 33));
   CheckedMultiplier checked(
       std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("toom4"), inj),
-      CheckedConfig{CheckPolicy::kOff, 8});
+      CheckedConfig{CheckPolicy::kOff});
   mult::SchoolbookMultiplier ref;
   Xoshiro256StarStar rng(323);
   const auto a = ring::Poly::random(rng, kQ);
   const auto s = ring::SecretPoly::random(rng, 4);
   EXPECT_NE(checked.multiply_secret(a, s, kQ), ref.multiply_secret(a, s, kQ));
   EXPECT_EQ(checked.fault_counters().checks, 0u);
-}
-
-TEST(CheckedMultiplier, SampledPolicyChecksEveryNthProduct) {
-  const auto checked =
-      make_checked("toom4", CheckedConfig{CheckPolicy::kSampled, 4});
-  Xoshiro256StarStar rng(324);
-  for (int i = 0; i < 8; ++i) {
-    const auto a = ring::Poly::random(rng, kQ);
-    const auto s = ring::SecretPoly::random(rng, 4);
-    checked->multiply_secret(a, s, kQ);
-  }
-  EXPECT_EQ(checked->fault_counters().checks, 2u);  // products 0 and 4
 }
 
 // --- checked multiplier: concurrent monitor polling ------------------------
@@ -676,102 +664,88 @@ TEST(PointChecker, RotatingRootsCatchAdversarialDefectAFixedRootMisses) {
   for (const bool b : seen) EXPECT_TRUE(b);
 }
 
-// --- algebraic check kinds (point-eval / Freivalds) -------------------------
+// --- algebraic check kind (point-eval) -------------------------------------
+
+constexpr CheckedConfig kPointEvalConfig{CheckPolicy::kFull, CheckKind::kPointEval};
 
 TEST(CheckedMultiplier, AlgebraicKindsBitIdenticalToRawWhenFaultFree) {
   Xoshiro256StarStar rng(920);
-  for (const CheckKind kind : {CheckKind::kPointEval, CheckKind::kFreivalds}) {
-    for (const auto name : {"schoolbook", "karatsuba-8", "toom3", "toom4", "ntt"}) {
-      const auto raw = mult::make_multiplier(name);
-      const auto checked = make_checked(name, {CheckPolicy::kFull, 8, kind});
-      for (int iter = 0; iter < 3; ++iter) {
-        const auto a = ring::Poly::random(rng, kQ);
-        const auto b = ring::Poly::random(rng, kQ);
-        EXPECT_EQ(checked->multiply(a, b, kQ), raw->multiply(a, b, kQ))
-            << name << " " << to_string(kind);
-      }
-      const auto s = ring::SecretPoly::random(rng, 4);
+  for (const auto name : {"schoolbook", "karatsuba-8", "toom3", "toom4", "ntt"}) {
+    const auto raw = mult::make_multiplier(name);
+    const auto checked = make_checked(name, kPointEvalConfig);
+    for (int iter = 0; iter < 3; ++iter) {
       const auto a = ring::Poly::random(rng, kQ);
-      EXPECT_EQ(checked->multiply_secret(a, s, kQ), raw->multiply_secret(a, s, kQ))
-          << name << " " << to_string(kind);
-      EXPECT_GE(checked->fault_counters().checks, 4u);
-      EXPECT_EQ(checked->fault_counters().mismatches, 0u)
-          << name << " " << to_string(kind);
+      const auto b = ring::Poly::random(rng, kQ);
+      EXPECT_EQ(checked->multiply(a, b, kQ), raw->multiply(a, b, kQ)) << name;
     }
+    const auto s = ring::SecretPoly::random(rng, 4);
+    const auto a = ring::Poly::random(rng, kQ);
+    EXPECT_EQ(checked->multiply_secret(a, s, kQ), raw->multiply_secret(a, s, kQ))
+        << name;
+    EXPECT_GE(checked->fault_counters().checks, 4u);
+    EXPECT_EQ(checked->fault_counters().mismatches, 0u) << name;
   }
 }
 
 TEST(CheckedMultiplier, AlgebraicSplitPathMatchesRawMatvec) {
   Xoshiro256StarStar rng(921);
-  for (const CheckKind kind : {CheckKind::kPointEval, CheckKind::kFreivalds}) {
-    const std::size_t l = 3;
-    const auto a = random_matrix(l, rng, kQ);
-    const auto s = random_secrets(l, rng, 4);
-    const auto raw = mult::make_multiplier("toom4");
-    const auto checked = make_checked("toom4", {CheckPolicy::kFull, 8, kind});
-    EXPECT_EQ(mult::matrix_vector_mul(a, s, *checked, kQ, false),
-              mult::matrix_vector_mul(a, s, *raw, kQ, false))
-        << to_string(kind);
-    EXPECT_GE(checked->fault_counters().checks, l);
-    EXPECT_EQ(checked->fault_counters().mismatches, 0u) << to_string(kind);
-  }
+  const std::size_t l = 3;
+  const auto a = random_matrix(l, rng, kQ);
+  const auto s = random_secrets(l, rng, 4);
+  const auto raw = mult::make_multiplier("toom4");
+  const auto checked = make_checked("toom4", kPointEvalConfig);
+  EXPECT_EQ(mult::matrix_vector_mul(a, s, *checked, kQ, false),
+            mult::matrix_vector_mul(a, s, *raw, kQ, false));
+  EXPECT_GE(checked->fault_counters().checks, l);
+  EXPECT_EQ(checked->fault_counters().mismatches, 0u);
 }
 
 TEST(CheckedMultiplier, AlgebraicKindsDetectAndRetryTransientWitnessFaults) {
   Xoshiro256StarStar rng(922);
   mult::SchoolbookMultiplier ref;
-  for (const CheckKind kind : {CheckKind::kPointEval, CheckKind::kFreivalds}) {
-    auto inj = std::make_shared<FaultInjector>(17);
-    inj->arm(inj->random_product_transient(kQ, /*max_ordinal=*/1));
-    CheckedMultiplier checked(
-        std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("toom4"), inj),
-        {CheckPolicy::kFull, 8, kind});
-    const auto a = ring::Poly::random(rng, kQ);
-    const auto s = ring::SecretPoly::random(rng, 4);
-    EXPECT_EQ(checked.multiply_secret(a, s, kQ), ref.multiply_secret(a, s, kQ))
-        << to_string(kind);
-    EXPECT_EQ(checked.fault_counters().mismatches, 1u) << to_string(kind);
-    EXPECT_EQ(checked.fault_counters().retry_recoveries, 1u) << to_string(kind);
-  }
+  auto inj = std::make_shared<FaultInjector>(17);
+  inj->arm(inj->random_product_transient(kQ, /*max_ordinal=*/1));
+  CheckedMultiplier checked(
+      std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("toom4"), inj),
+      kPointEvalConfig);
+  const auto a = ring::Poly::random(rng, kQ);
+  const auto s = ring::SecretPoly::random(rng, 4);
+  EXPECT_EQ(checked.multiply_secret(a, s, kQ), ref.multiply_secret(a, s, kQ));
+  EXPECT_EQ(checked.fault_counters().mismatches, 1u);
+  EXPECT_EQ(checked.fault_counters().retry_recoveries, 1u);
 }
 
 TEST(CheckedMultiplier, AlgebraicKindsFailOverOnPermanentFaults) {
   Xoshiro256StarStar rng(923);
   mult::SchoolbookMultiplier ref;
-  for (const CheckKind kind : {CheckKind::kPointEval, CheckKind::kFreivalds}) {
-    auto inj = injector_with(FaultSpec::permanent_flip(FaultSite::kProduct, 6, 41));
-    CheckedMultiplier checked(
-        std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("toom4"), inj),
-        {CheckPolicy::kFull, 8, kind});
-    const auto a = ring::Poly::random(rng, kQ);
-    const auto s = ring::SecretPoly::random(rng, 4);
-    EXPECT_EQ(checked.multiply_secret(a, s, kQ), ref.multiply_secret(a, s, kQ))
-        << to_string(kind);
-    EXPECT_EQ(checked.fault_counters().mismatches, 1u) << to_string(kind);
-    EXPECT_EQ(checked.fault_counters().failovers, 1u) << to_string(kind);
-  }
+  auto inj = injector_with(FaultSpec::permanent_flip(FaultSite::kProduct, 6, 41));
+  CheckedMultiplier checked(
+      std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("toom4"), inj),
+      kPointEvalConfig);
+  const auto a = ring::Poly::random(rng, kQ);
+  const auto s = ring::SecretPoly::random(rng, 4);
+  EXPECT_EQ(checked.multiply_secret(a, s, kQ), ref.multiply_secret(a, s, kQ));
+  EXPECT_EQ(checked.fault_counters().mismatches, 1u);
+  EXPECT_EQ(checked.fault_counters().failovers, 1u);
 }
 
 TEST(CheckedMultiplier, AlgebraicFinalizeDetectsAccumulatedRowFaults) {
   Xoshiro256StarStar rng(924);
-  for (const CheckKind kind : {CheckKind::kPointEval, CheckKind::kFreivalds}) {
-    auto inj = injector_with({FaultSite::kProduct, FaultSpec::Kind::kTransient,
-                              /*bit=*/3, true, /*fire_at=*/0, 1, /*coeff=*/8});
-    CheckedMultiplier checked(
-        std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("ntt"), inj),
-        {CheckPolicy::kFull, 8, kind});
-    const auto raw = mult::make_multiplier("ntt");
-    const std::size_t l = 3;
-    const auto a = random_matrix(l, rng, kQ);
-    const auto s = random_secrets(l, rng, 4);
-    EXPECT_EQ(mult::matrix_vector_mul(a, s, checked, kQ, false),
-              mult::matrix_vector_mul(a, s, *raw, kQ, false))
-        << to_string(kind);
-    EXPECT_EQ(checked.fault_counters().mismatches, 1u) << to_string(kind);
-    EXPECT_EQ(checked.fault_counters().retry_recoveries, 1u) << to_string(kind);
-    ASSERT_GE(checked.fault_log().size(), 1u);
-    EXPECT_EQ(checked.fault_log()[0].path, FaultRecord::Path::kFinalize);
-  }
+  auto inj = injector_with({FaultSite::kProduct, FaultSpec::Kind::kTransient,
+                            /*bit=*/3, true, /*fire_at=*/0, 1, /*coeff=*/8});
+  CheckedMultiplier checked(
+      std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("ntt"), inj),
+      kPointEvalConfig);
+  const auto raw = mult::make_multiplier("ntt");
+  const std::size_t l = 3;
+  const auto a = random_matrix(l, rng, kQ);
+  const auto s = random_secrets(l, rng, 4);
+  EXPECT_EQ(mult::matrix_vector_mul(a, s, checked, kQ, false),
+            mult::matrix_vector_mul(a, s, *raw, kQ, false));
+  EXPECT_EQ(checked.fault_counters().mismatches, 1u);
+  EXPECT_EQ(checked.fault_counters().retry_recoveries, 1u);
+  ASSERT_GE(checked.fault_log().size(), 1u);
+  EXPECT_EQ(checked.fault_log()[0].path, FaultRecord::Path::kFinalize);
 }
 
 // --- architecture-routed fault campaigns ------------------------------------
@@ -846,7 +820,7 @@ TEST(CycleWatchdog, ArchitecturesReproduceTheirHeadlineBudgets) {
        {"lw4", "lw8", "lw16", "hs1-256", "hs1-512", "hs2", "baseline-256",
         "baseline-512"}) {
     CheckedHwMultiplier checked(arch::make_architecture(name),
-                                {CheckPolicy::kOff, 8, CheckKind::kReference});
+                                {CheckPolicy::kOff, CheckKind::kReference});
     for (int i = 0; i < 2; ++i) {
       const auto a = ring::Poly::random(rng, kQ);
       const auto s = ring::SecretPoly::random(rng, 4);

@@ -12,6 +12,7 @@
 #include "mult/strategy.hpp"
 #include "robust/fault_injector.hpp"
 #include "robust/faulty_multiplier.hpp"
+#include "robust/checked_multiplier.hpp"
 #include "robust/supervisor.hpp"
 #include "saber/batch.hpp"
 #include "saber/kem.hpp"
@@ -260,6 +261,84 @@ TEST(BackendSupervisor, AccumulatorMigratesAcrossFailoverBoundary) {
   const auto st = rig.sup.status();
   EXPECT_EQ(st[1].lazy_prepares, 2u);  // the replayed (a0, s0) pair
   EXPECT_EQ(st[1].calls, 1u);          // just the finalize; the rest ran on 0
+}
+
+TEST(BackendSupervisor, SupervisedLayoutKeepsRawOperandsOnce) {
+  BackendSupervisor sup({"toom4", "ntt"});
+  const auto m = sup.make_worker_multiplier();
+  const auto checked = make_checked("toom4");
+  Xoshiro256StarStar rng(21);
+  const std::size_t l = 3;
+  ring::PolyMatrix a(l, l);
+  for (std::size_t r = 0; r < l; ++r) {
+    for (std::size_t c = 0; c < l; ++c) a.at(r, c) = ring::Poly::random(rng, kQ);
+  }
+
+  // A supervised element is the checked image plus a fixed footer (backend
+  // index and magic): the raw polynomial is kept by the checked layer alone.
+  constexpr std::size_t kSupFooter = 2;
+  EXPECT_EQ(mult::PreparedMatrix(a, *m, kQ).value_count(),
+            mult::PreparedMatrix(a, *checked, kQ).value_count() + l * l * kSupFooter);
+
+  // Likewise the accumulator: one raw-pair ledger, no second copy.
+  auto sup_acc = m->make_accumulator();
+  auto chk_acc = checked->make_accumulator();
+  for (std::size_t j = 0; j < l; ++j) {
+    const auto s = ring::SecretPoly::random(rng, 4);
+    m->pointwise_accumulate(sup_acc, m->prepare_public(a.at(0, j), kQ),
+                            m->prepare_secret(s, kQ));
+    checked->pointwise_accumulate(chk_acc, checked->prepare_public(a.at(0, j), kQ),
+                                  checked->prepare_secret(s, kQ));
+  }
+  EXPECT_LE(sup_acc.size(), chk_acc.size() + kSupFooter);
+  EXPECT_EQ(m->finalize(sup_acc, kQ), checked->finalize(chk_acc, kQ));
+}
+
+TEST(BackendSupervisor, FailoverBetweenModQMatvecAndModPInnerProduct) {
+  // SaberPke::encrypt's pattern: secrets prepared once at q = 2^13 feed the
+  // mod-q matvec and the mod-p (eps = 10) inner product against a prepared
+  // public vector. Here backend 0 is quarantined after the matvec and after
+  // the first inner-product term, so the mod-p accumulator migrates and every
+  // later image is re-prepared at its own modulus.
+  constexpr unsigned kP = 10;
+  SupervisorConfig cfg{/*quarantine_after=*/1, /*probe_after=*/1000, 1, {}};
+  cfg.check.kind = CheckKind::kPointEval;
+  Rig rig(cfg);
+  const auto m = rig.sup.make_worker_multiplier();
+  const auto raw = mult::make_multiplier("toom4");
+  Xoshiro256StarStar rng(22);
+  const std::size_t l = 3;
+  ring::PolyMatrix a(l, l);
+  for (std::size_t r = 0; r < l; ++r) {
+    for (std::size_t c = 0; c < l; ++c) a.at(r, c) = ring::Poly::random(rng, kQ);
+  }
+  ring::PolyVec b(l);
+  for (auto& bp : b) bp = ring::Poly::random(rng, kP);
+  ring::SecretVec s(l);
+  for (auto& sp : s) sp = ring::SecretPoly::random(rng, 4);
+
+  const mult::PreparedMatrix pa(a, *m, kQ);
+  const mult::PreparedVector pb(b, *m, kP);
+  const auto ts = mult::prepare_secrets(s, *m, kQ);
+  EXPECT_EQ(mult::matrix_vector_mul(pa, ts, *m, false),
+            mult::matrix_vector_mul(a, s, *raw, kQ, false));
+
+  auto acc = m->make_accumulator();
+  m->pointwise_accumulate(acc, pb.at(0), ts[0]);
+
+  rig.inj->arm(FaultSpec::permanent_flip(FaultSite::kProduct, 5, 13));
+  const auto am = ring::Poly::random(rng, kQ);
+  const auto sm = ring::SecretPoly::random(rng, 4);
+  EXPECT_EQ(m->multiply_secret(am, sm, kQ), raw->multiply_secret(am, sm, kQ));
+  ASSERT_EQ(rig.sup.status()[0].state, BreakerState::kOpen);
+
+  for (std::size_t j = 1; j < l; ++j) m->pointwise_accumulate(acc, pb.at(j), ts[j]);
+  EXPECT_EQ(m->finalize(acc, kP), mult::inner_product(b, s, *raw, kP));
+  const auto st = rig.sup.status();
+  // Two for the migrated (b_0, s_0) pair, two for each later term.
+  EXPECT_EQ(st[1].lazy_prepares, 2 * l);
+  EXPECT_EQ(st[1].confirmed_faults, 0u);  // every point check on backend 1 passed
+  EXPECT_EQ(st[1].prepares, 0u);
 }
 
 TEST(BackendSupervisor, RawTransformsAreRejected) {

@@ -36,6 +36,51 @@ BENCHMARK_CAPTURE(BM_SoftwareMultiply, karatsuba8, "karatsuba-8");
 BENCHMARK_CAPTURE(BM_SoftwareMultiply, toom4, "toom4");
 BENCHMARK_CAPTURE(BM_SoftwareMultiply, ntt, "ntt");
 
+enum class Stage { kPreparePublic, kPrepareSecret, kPointwiseAccumulate, kFinalize };
+
+void BM_SplitStage(benchmark::State& state, const char* name, Stage stage) {
+  // One stage of the split-transform pipeline on Saber-shaped operands
+  // (qbits 13, |s| <= 4): the per-stage cost behind each product.
+  const auto algo = mult::make_multiplier(name);
+  Xoshiro256StarStar rng(13);
+  const auto a = ring::Poly::random(rng, 13);
+  const auto s = ring::SecretPoly::random(rng, 4);
+  const auto ta = algo->prepare_public(a, 13);
+  const auto ts = algo->prepare_secret(s, 13);
+  auto acc = algo->make_accumulator();
+  algo->pointwise_accumulate(acc, ta, ts);
+  for (auto _ : state) {
+    switch (stage) {
+      case Stage::kPreparePublic:
+        benchmark::DoNotOptimize(algo->prepare_public(a, 13));
+        break;
+      case Stage::kPrepareSecret:
+        benchmark::DoNotOptimize(algo->prepare_secret(s, 13));
+        break;
+      case Stage::kPointwiseAccumulate:
+        algo->pointwise_accumulate(acc, ta, ts);
+        benchmark::DoNotOptimize(acc.data());
+        benchmark::ClobberMemory();
+        break;
+      case Stage::kFinalize:
+        benchmark::DoNotOptimize(algo->finalize(acc, 13));
+        break;
+    }
+  }
+}
+#define SPLIT_STAGE_ROWS(tag, name)                                               \
+  BENCHMARK_CAPTURE(BM_SplitStage, tag##_prepare_public, name,                    \
+                    Stage::kPreparePublic);                                       \
+  BENCHMARK_CAPTURE(BM_SplitStage, tag##_prepare_secret, name,                    \
+                    Stage::kPrepareSecret);                                       \
+  BENCHMARK_CAPTURE(BM_SplitStage, tag##_pointwise_accumulate, name,              \
+                    Stage::kPointwiseAccumulate);                                 \
+  BENCHMARK_CAPTURE(BM_SplitStage, tag##_finalize, name, Stage::kFinalize)
+SPLIT_STAGE_ROWS(ntt, "ntt");
+SPLIT_STAGE_ROWS(toom3, "toom3");
+SPLIT_STAGE_ROWS(schoolbook, "schoolbook");
+#undef SPLIT_STAGE_ROWS
+
 // Shared 3x3 Saber fixture for the matrix-vector benchmarks.
 struct MatVecInputs {
   ring::PolyMatrix a{3, 3};

@@ -22,7 +22,6 @@ using TB = Tainted<u8>;
 using TC = Tainted<u16>;
 using TS = Tainted<i8>;
 using TW = Tainted<i64>;
-using TU = Tainted<u64>;
 using TPoly = ring::PolyT<kN, TC>;
 using TSecretPoly = ring::SecretPolyT<kN, TS>;
 
@@ -53,8 +52,8 @@ ring::PolyVecOf<TC> promote_vec(const ring::PolyVec& v) {
 
 // --- tainted negacyclic multiplication per backend -------------------------
 // Each body is the production algorithm's word-generic kernel instantiated
-// over Tainted<i64>/Tainted<u64> lanes; tables, recursion shapes and loop
-// bounds are public.
+// over Tainted<i64> lanes (Tainted<u32> residues for the NTT); tables,
+// recursion shapes and loop bounds are public.
 
 using TaintedMul = std::function<TPoly(const TPoly&, const TSecretPoly&, unsigned)>;
 
@@ -118,19 +117,13 @@ TPoly mul_toom(const TPoly& a, const TSecretPoly& s, unsigned qbits, unsigned pa
 TPoly mul_ntt(const TPoly& a, const TSecretPoly& s, unsigned qbits) {
   mult::OpCounts ops;
   const auto& t = mult::ntt_tables();
-  std::array<TU, kN> va{}, vs{};
-  for (std::size_t i = 0; i < kN; ++i) {
-    va[i] = mult::ntt_to_residue_g(centered_g(a[i], qbits));
-    vs[i] = mult::ntt_to_residue_g(cast<i64>(s[i]));
-  }
-  mult::ntt_forward_g(va, t, ops);
-  mult::ntt_forward_g(vs, t, ops);
-  for (std::size_t i = 0; i < kN; ++i) va[i] = mult::ntt_mulmod_g(va[i], vs[i]);
-  mult::ntt_inverse_g(va, t, ops);
-
+  auto acc = mult::NttImage<Tainted<u32>>{};
+  const auto ta = mult::ntt_prepare_g(mult::centered_lift(a, qbits), t, ops);
+  mult::ntt_pointwise_acc_g(acc, ta, mult::ntt_prepare_g(s.c, t, ops), t, ops);
+  const auto w = mult::ntt_lift_g(acc, t, ops);
   TPoly r;
   for (std::size_t i = 0; i < kN; ++i) {
-    r[i] = cast<u16>(to_twos_complement_g(mult::ntt_from_residue_g(va[i]), qbits));
+    r[i] = cast<u16>(to_twos_complement_g(w[i], qbits));
   }
   return r;
 }

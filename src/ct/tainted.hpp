@@ -432,23 +432,6 @@ constexpr rebind_t<W, i64> centered_g(const W& v, unsigned qbits) {
   return sign_extend_g(cast<u64>(v), qbits);
 }
 
-/// High 64 bits of the full 128-bit product of the u64 analogs of a and b:
-/// one widening multiply (MUL/MULX, fixed latency on mainstream cores), so
-/// it propagates like any other product — the result is tainted iff either
-/// operand is — and never traps.
-template <typename A, typename B>
-constexpr auto mul_hi_g(const A& a, const B& b) {
-  __extension__ using u128 = unsigned __int128;
-  const u128 product = static_cast<u128>(static_cast<u64>(detail::value_of(a))) *
-                       static_cast<u64>(detail::value_of(b));
-  const u64 hi = static_cast<u64>(product >> 64);
-  if constexpr (is_tainted_v<A> || is_tainted_v<B>) {
-    return Tainted<u64>(hi, detail::taint_of(a) || detail::taint_of(b));
-  } else {
-    return hi;
-  }
-}
-
 /// Rotate-left of the u64 analog (public amount; r == 0 handled without
 /// touching the data).
 template <typename W>

@@ -31,7 +31,7 @@ struct OpCounts {
 /// Transform-domain image of one operand (or one accumulator) under a
 /// particular algorithm's split-transform API. The layout is private to the
 /// algorithm that produced it: a centered-lift coefficient vector for the
-/// convolution algorithms, per-point limb evaluations for Toom-Cook, mod-p'
+/// convolution algorithms, per-point limb evaluations for Toom-Cook, mod-p1/p2
 /// NTT spectra for the NTT backend. Values always fit i64.
 using Transformed = std::vector<i64>;
 
@@ -108,7 +108,7 @@ class PolyMultiplier {
   /// Largest number of products one accumulator may safely absorb before
   /// finalize loses exactness, assuming the worst representable inputs
   /// (qbits <= 16, |s| <= 127). Each backend derives its own bound: the
-  /// convolution default from i64 range, the NTT backend from the p'/2 lift
+  /// convolution default from i64 range, the NTT backend from the P/2 CRT lift
   /// headroom, Toom-Cook from its evaluation/interpolation constants.
   /// Saber needs l <= 4.
   virtual std::size_t max_accumulated_terms() const;

@@ -1,5 +1,7 @@
 #include "mult/ntt.hpp"
 
+#include <cstring>
+
 #include "common/check.hpp"
 
 namespace saber::mult {
@@ -15,23 +17,53 @@ constexpr unsigned brv8(unsigned x) {
   return r;
 }
 
-NttTables make_ntt_tables() {
-  constexpr u64 p = kNttPrime;
+NttPrimeTables make_prime_tables(u32 p) {
   constexpr std::size_t n = ring::kN;
   SABER_ENSURE((p - 1) % (2 * n) == 0, "prime does not support 2N-th roots");
   const u64 psi = powmod(NttMultiplier::kGenerator, (p - 1) / (2 * n), p);
   SABER_ENSURE(powmod(psi, n, p) == p - 1, "psi is not a primitive 2N-th root");
   const u64 psi_inv = invmod_prime(psi, p);
-  NttTables t;
+  NttPrimeTables t;
+  t.p = p;
+  u32 inv = p;  // p^-1 mod 2^32 by Newton: p*p ≡ 1 (mod 8), each step doubles the bits
+  for (int i = 0; i < 4; ++i) inv *= 2u - p * inv;
+  t.p_neg_inv = 0u - inv;
   for (unsigned i = 0; i < n; ++i) {
-    t.zetas[i] = powmod(psi, brv8(i), p);
-    t.zetas_shoup[i] = ntt_shoup(t.zetas[i]);
-    t.zetas_inv[i] = powmod(psi_inv, brv8(i), p);
-    t.zetas_inv_shoup[i] = ntt_shoup(t.zetas_inv[i]);
+    t.zetas[i] = static_cast<u32>(powmod(psi, brv8(i), p));
+    t.zetas_shoup[i] = ntt_twiddle(t.zetas[i], p).shoup;
+    t.zetas_inv[i] = static_cast<u32>(powmod(psi_inv, brv8(i), p));
+    t.zetas_inv_shoup[i] = ntt_twiddle(t.zetas_inv[i], p).shoup;
   }
-  t.n_inv = invmod_prime(n, p);
-  t.n_inv_shoup = ntt_shoup(t.n_inv);
+  const u64 n_inv_mont = mulmod(invmod_prime(n, p), (u64{1} << 32) % p, p);
+  t.n_inv_mont = ntt_twiddle(static_cast<u32>(n_inv_mont), p);
   return t;
+}
+
+NttTables make_ntt_tables() {
+  NttTables t;
+  for (std::size_t k = 0; k < kNttPrimes.size(); ++k) {
+    t.primes[k] = make_prime_tables(kNttPrimes[k]);
+  }
+  t.crt = ntt_twiddle(static_cast<u32>(invmod_prime(kNttPrimes[0], kNttPrimes[1])),
+                      kNttPrimes[1]);
+  return t;
+}
+
+// A Transformed holds the bytes of an NttImage<u32>: 256 i64 words carry the
+// 256 residues mod p1 followed by the 256 residues mod p2.
+static_assert(sizeof(NttImage<u32>) == ring::kN * sizeof(i64));
+
+NttImage<u32> unpack_image(const Transformed& v) {
+  SABER_REQUIRE(v.size() == ring::kN, "operand not in the NTT transform domain");
+  NttImage<u32> img;
+  std::memcpy(img.data(), v.data(), sizeof(img));
+  return img;
+}
+
+Transformed pack_image(const NttImage<u32>& img) {
+  Transformed v(ring::kN);
+  std::memcpy(v.data(), img.data(), sizeof(img));
+  return v;
 }
 
 }  // namespace
@@ -43,90 +75,44 @@ const NttTables& ntt_tables() {
 
 NttMultiplier::NttMultiplier() { (void)ntt_tables(); }
 
-void NttMultiplier::forward(std::array<u64, kN>& v) const {
-  ntt_forward_g(v, ntt_tables(), ops_);
-}
-
-void NttMultiplier::inverse(std::array<u64, kN>& v) const {
-  ntt_inverse_g(v, ntt_tables(), ops_);
-}
-
 Transformed NttMultiplier::prepare_public(const ring::Poly& a, unsigned qbits) const {
-  std::array<u64, kN> v{};
-  for (std::size_t i = 0; i < kN; ++i) {
-    v[i] = ntt_to_residue_g(static_cast<i64>(ring::centered(a[i], qbits)));
-  }
-  forward(v);
-  return Transformed(v.begin(), v.end());
+  return pack_image(ntt_prepare_g(centered_lift(a, qbits), ntt_tables(), ops_));
 }
 
-Transformed NttMultiplier::prepare_secret(const ring::SecretPoly& s,
-                                          unsigned qbits) const {
-  (void)qbits;  // small signed secrets embed directly; no centering needed
-  std::array<u64, kN> v{};
-  for (std::size_t i = 0; i < kN; ++i) v[i] = ntt_to_residue_g(i64{s[i]});
-  forward(v);
-  return Transformed(v.begin(), v.end());
+// Small signed secrets embed directly: no centering, so qbits is unused.
+Transformed NttMultiplier::prepare_secret(const ring::SecretPoly& s, unsigned) const {
+  return pack_image(ntt_prepare_g(s.c, ntt_tables(), ops_));
 }
 
-Transformed NttMultiplier::make_accumulator() const { return Transformed(kN, 0); }
+Transformed NttMultiplier::make_accumulator() const { return Transformed(ring::kN, 0); }
 
 void NttMultiplier::pointwise_accumulate(Transformed& acc, const Transformed& a,
                                          const Transformed& s) const {
-  SABER_REQUIRE(acc.size() == kN && a.size() == kN && s.size() == kN,
-                "operand not in the NTT transform domain");
-  for (std::size_t i = 0; i < kN; ++i) {
-    const u64 prod = ntt_mulmod_g(static_cast<u64>(a[i]), static_cast<u64>(s[i]));
-    acc[i] = static_cast<i64>(ntt_addmod_g(static_cast<u64>(acc[i]), prod));
-  }
-  ops_.coeff_mults += kN;
-  ops_.coeff_adds += kN;
+  auto img = unpack_image(acc);
+  ntt_pointwise_acc_g(img, unpack_image(a), unpack_image(s), ntt_tables(), ops_);
+  std::memcpy(acc.data(), img.data(), sizeof(img));  // acc.size() == N: checked above
 }
 
 std::vector<i64> NttMultiplier::finalize_witness(const Transformed& acc) const {
-  SABER_REQUIRE(acc.size() == kN, "accumulator not in the NTT transform domain");
-  std::array<u64, kN> v{};
-  for (std::size_t i = 0; i < kN; ++i) v[i] = static_cast<u64>(acc[i]);
-  inverse(v);
-  // Centered lift without the two's-complement mask: as long as the true
-  // accumulated coefficients stay inside (-p'/2, p'/2) (the same headroom
-  // finalize needs for exactness) this IS the exact integer negacyclic
-  // remainder, length N.
-  std::vector<i64> w(kN);
-  for (std::size_t i = 0; i < kN; ++i) w[i] = ntt_from_residue_g(v[i]);
-  return w;
+  auto img = unpack_image(acc);
+  const auto w = ntt_lift_g(img, ntt_tables(), ops_);
+  return std::vector<i64>(w.begin(), w.end());
 }
 
 ring::Poly NttMultiplier::finalize(const Transformed& acc, unsigned qbits) const {
-  const auto w = finalize_witness(acc);
-  ring::Poly r;
-  for (std::size_t i = 0; i < kN; ++i) {
-    r[i] = static_cast<u16>(to_twos_complement(w[i], qbits));
-  }
-  return r;
+  auto img = unpack_image(acc);
+  return reduce_witness<ring::kN>(ntt_lift_g(img, ntt_tables(), ops_), qbits);
 }
 
 ring::Poly NttMultiplier::multiply(const ring::Poly& a, const ring::Poly& b,
                                    unsigned qbits) const {
   // Centered lift keeps the true integer product coefficients below
-  // N * (q/2)^2 = 2^36 in magnitude, far inside (-p'/2, p'/2).
-  std::array<u64, kN> va{}, vb{};
-  for (std::size_t i = 0; i < kN; ++i) {
-    va[i] = ntt_to_residue_g(static_cast<i64>(ring::centered(a[i], qbits)));
-    vb[i] = ntt_to_residue_g(static_cast<i64>(ring::centered(b[i], qbits)));
-  }
-  forward(va);
-  forward(vb);
-  for (std::size_t i = 0; i < kN; ++i) va[i] = ntt_mulmod_g(va[i], vb[i]);
-  ops_.coeff_mults += kN;
-  inverse(va);
-
-  ring::Poly r;
-  for (std::size_t i = 0; i < kN; ++i) {
-    // Exact centered lift back to Z, then reduce mod 2^qbits.
-    r[i] = static_cast<u16>(to_twos_complement(ntt_from_residue_g(va[i]), qbits));
-  }
-  return r;
+  // N * (q/2)^2 = 2^38 in magnitude at qbits 16, far inside (-P/2, P/2).
+  const auto& t = ntt_tables();
+  NttImage<u32> acc{};
+  ntt_pointwise_acc_g(acc, ntt_prepare_g(centered_lift(a, qbits), t, ops_),
+                      ntt_prepare_g(centered_lift(b, qbits), t, ops_), t, ops_);
+  return reduce_witness<ring::kN>(ntt_lift_g(acc, t, ops_), qbits);
 }
 
 }  // namespace saber::mult

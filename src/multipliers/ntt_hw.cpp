@@ -59,7 +59,9 @@ MultiplierResult NttHwMultiplier::multiply(const ring::Poly& a,
   run_cycle();
   st.preload += MemoryMap::kPublicWords + 1;
 
-  // Functional result via the verified software NTT over the same prime.
+  // Functional result from the verified software NTT. That one works mod two
+  // 31-bit primes with a CRT, not over the modeled 42-bit datapath prime;
+  // both lifts are exact, so the product is the same.
   auto out = ntt_.multiply(a, s.to_poly(kQ), kQ);
   if (accumulate != nullptr) {
     SABER_REQUIRE(accumulate->reduced(kQ), "accumulator must be reduced mod q");

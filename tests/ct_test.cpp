@@ -235,32 +235,6 @@ TEST_F(TaintedTest, GenericHelpersMatchPlainResults) {
   EXPECT_EQ(total(), 0u);  // every helper is trap-free by construction
 }
 
-TEST_F(TaintedTest, MulHiPropagatesTaintWithoutViolations) {
-  const u64 a = 0xFEDCBA9876543210ULL;
-  const u64 b = 0x0123456789ABCDEFULL;
-  __extension__ using u128 = unsigned __int128;
-  const u64 want = static_cast<u64>((static_cast<u128>(a) * b) >> 64);
-  const Tainted<u64> secret(a, true);
-  const Tainted<u64> pub(b);
-
-  EXPECT_EQ(mul_hi_g(a, b), want);
-  EXPECT_EQ(mul_hi_g(secret, b).raw(), want);
-  EXPECT_EQ(mul_hi_g(b, secret).raw(), want);
-  EXPECT_EQ(mul_hi_g(secret, pub).raw(), want);
-  EXPECT_TRUE(mul_hi_g(secret, b).tainted());
-  EXPECT_TRUE(mul_hi_g(b, secret).tainted());
-  EXPECT_TRUE(mul_hi_g(pub, secret).tainted());
-  EXPECT_TRUE(mul_hi_g(secret, secret).tainted());
-  EXPECT_FALSE(mul_hi_g(pub, b).tainted());
-  EXPECT_FALSE(mul_hi_g(pub, pub).tainted());
-  // Narrower words widen to their u64 analog, keeping the taint bit.
-  const auto narrow = mul_hi_g(Tainted<u32>(0xFFFFFFFFu, true), ~u64{0});
-  EXPECT_EQ(narrow.raw(), 0xFFFFFFFEu);
-  EXPECT_TRUE(narrow.tainted());
-  EXPECT_EQ(total(), 0u);  // a widening multiply never traps
-  EXPECT_TRUE(Analysis::instance().declassifications().empty());
-}
-
 TEST_F(TaintedTest, CastRebindsWithoutTouchingTaint) {
   const Tainted<u16> t(300, true);
   const auto narrowed = cast<u8>(t);

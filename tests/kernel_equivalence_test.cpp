@@ -10,10 +10,11 @@
 //    value count 0..2N is swept on buffers exactly bytes_for() long, so a
 //    tail over-read lands outside the allocation (the asan-ubsan leg of
 //    scripts/run_all.sh turns that into a failure).
-//  * The NTT butterflies multiply by public twiddles with Shoup's method on
-//    top of the ct::mul_hi_g primitive. Both are checked against plain u128
-//    arithmetic, and the transforms against a direct O(N^2) evaluation of
-//    the negacyclic NTT definition.
+//  * The NTT works on u32 residues mod two 31-bit primes: butterflies
+//    multiply by public twiddles with Shoup's method, the pointwise product
+//    is Montgomery's, and a CRT lifts the two residues back to Z. Each is
+//    checked against plain u64/u128 arithmetic per prime, and the transforms
+//    against a direct O(N^2) evaluation of the negacyclic NTT definition.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "conformance_env.hpp"
-#include "ct/tainted.hpp"
 #include "mult/modmath.hpp"
 #include "mult/ntt.hpp"
 #include "ring/packing.hpp"
@@ -34,8 +34,6 @@ using conformance::base_seed;
 using conformance::iter_seed;
 using conformance::iterations;
 using mult::u128;
-
-constexpr u64 kP = mult::kNttPrime;
 
 // --- bit-serial oracles ------------------------------------------------------
 
@@ -157,51 +155,76 @@ TEST(KernelEquivalence, CbdMatchesBitSerialOracle) {
   }
 }
 
-// --- high-half multiply and Shoup mulmod -----------------------------------------
-
-u64 mul_hi_ref(u64 a, u64 b) {
-  return static_cast<u64>((static_cast<u128>(a) * b) >> 64);
-}
-
-TEST(KernelEquivalence, MulHiMatchesU128Reference) {
-  const std::vector<u64> edges = {0,           1,          2,      kP - 1,
-                                  kP,          u64{1} << 41, u64{1} << 63,
-                                  ~u64{0} - 1, ~u64{0}};
-  for (const u64 a : edges) {
-    for (const u64 b : edges) {
-      EXPECT_EQ(ct::mul_hi_g(a, b), mul_hi_ref(a, b)) << a << " * " << b;
-    }
-  }
-  const u64 base = base_seed();
-  for (std::size_t iter = 0; iter < iterations(); ++iter) {
-    Xoshiro256StarStar rng(iter_seed(base, iter) ^ 0x41ULL);
-    for (int k = 0; k < 1000; ++k) {
-      const u64 a = rng.next_u64();
-      const u64 b = rng.next_u64();
-      ASSERT_EQ(ct::mul_hi_g(a, b), mul_hi_ref(a, b)) << a << " * " << b;
-    }
-  }
-}
+// --- Shoup, Montgomery and CRT arithmetic ----------------------------------------
 
 TEST(KernelEquivalence, ShoupMulmodMatchesU128Reference) {
+  const auto& tables = mult::ntt_tables();
+  const u64 base = base_seed();
+  for (const auto& t : tables.primes) {
+    const u32 p = t.p;
+    std::vector<u32> residues = {0, 1, 2, p - 2, p - 1, t.n_inv_mont.w};
+    std::vector<u32> multipliers = residues;
+    multipliers.insert(multipliers.end(), t.zetas.begin(), t.zetas.end());
+    multipliers.insert(multipliers.end(), t.zetas_inv.begin(), t.zetas_inv.end());
+    // Shoup's bound holds for any a < 2^32, not only for reduced residues.
+    residues.push_back(~u32{0});
+    for (std::size_t iter = 0; iter < iterations(); ++iter) {
+      Xoshiro256StarStar rng(iter_seed(base, iter) ^ 0x5A0ULL ^ p);
+      for (int k = 0; k < 64; ++k) residues.push_back(static_cast<u32>(rng.uniform(p)));
+    }
+    for (const u32 w : multipliers) {
+      const mult::Twiddle tw = mult::ntt_twiddle(w, p);
+      ASSERT_EQ(tw.w, w);
+      ASSERT_EQ(tw.shoup, static_cast<u32>((u128{w} << 32) / p));
+      for (const u32 a : residues) {
+        ASSERT_EQ(mult::ntt_mulmod_shoup_g(a, tw, p), mult::mulmod(a, w, p))
+            << a << " * " << w << " mod " << p;
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, MontgomeryMulmodMatchesU64Reference) {
+  const u64 base = base_seed();
+  for (const auto& t : mult::ntt_tables().primes) {
+    const u32 p = t.p;
+    ASSERT_EQ(static_cast<u32>(p * t.p_neg_inv), ~u32{0});  // p * (-p^-1) = -1
+    const u64 r_inv = mult::invmod_prime((u64{1} << 32) % p, p);
+    std::vector<u32> residues = {0, 1, 2, p - 2, p - 1};
+    for (std::size_t iter = 0; iter < iterations(); ++iter) {
+      Xoshiro256StarStar rng(iter_seed(base, iter) ^ 0x3047ULL ^ p);
+      for (int k = 0; k < 32; ++k) residues.push_back(static_cast<u32>(rng.uniform(p)));
+    }
+    for (const u32 a : residues) {
+      for (const u32 b : residues) {
+        const u64 want = u64{a} * b % p * r_inv % p;
+        ASSERT_EQ(mult::ntt_mulmod_mont_g(a, b, p, t.p_neg_inv), want)
+            << a << " * " << b << " mod " << p;
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, CrtLiftMatchesInt128Reference) {
+  __extension__ using i128 = __int128;
   const auto& t = mult::ntt_tables();
-  std::vector<u64> residues = {0, 1, 2, kP - 1, kP - 2, u64{1} << 41, (u64{1} << 41) - 1,
-                               t.n_inv};
-  std::vector<u64> multipliers = residues;
-  multipliers.insert(multipliers.end(), t.zetas.begin(), t.zetas.end());
-  multipliers.insert(multipliers.end(), t.zetas_inv.begin(), t.zetas_inv.end());
+  const i64 half = static_cast<i64>(u64{mult::kNttPrimes[0]} * mult::kNttPrimes[1] / 2);
+  std::vector<i64> values = {0, 1, -1, half - 1, -(half - 1), half, -half};
   const u64 base = base_seed();
   for (std::size_t iter = 0; iter < iterations(); ++iter) {
-    Xoshiro256StarStar rng(iter_seed(base, iter) ^ 0x5A0ULL);
-    for (int k = 0; k < 64; ++k) residues.push_back(rng.uniform(kP));
-  }
-  for (const u64 w : multipliers) {
-    const u64 w_shoup = mult::ntt_shoup(w);
-    ASSERT_EQ(w_shoup, static_cast<u64>((static_cast<u128>(w) << 64) / kP));
-    for (const u64 a : residues) {
-      ASSERT_EQ(mult::ntt_mulmod_shoup_g(a, w, w_shoup), mult::mulmod(a, w, kP))
-          << a << " * " << w;
+    Xoshiro256StarStar rng(iter_seed(base, iter) ^ 0xC47ULL);
+    for (int k = 0; k < 256; ++k) {
+      values.push_back(static_cast<i64>(rng.uniform(2 * static_cast<u64>(half) + 1)) -
+                       half);
     }
+  }
+  for (const i64 v : values) {
+    std::array<u32, 2> r{};
+    for (std::size_t k = 0; k < r.size(); ++k) {
+      const i128 p = mult::kNttPrimes[k];
+      r[k] = static_cast<u32>(((i128{v} % p) + p) % p);
+    }
+    ASSERT_EQ(mult::ntt_crt_lift_g(r[0], r[1], t), v) << v;
   }
 }
 
@@ -213,17 +236,19 @@ constexpr unsigned brv8(unsigned x) {
   return r;
 }
 
-/// Direct evaluation of the negacyclic NTT in the kernel's output order:
-/// slot i holds A(psi^(2*brv8(i)+1)) for the primitive 2N-th root psi.
-/// `inverse` evaluates the inverse map instead (the conjugate roots, scaled
-/// by N^-1). Plain u128 arithmetic, no butterflies.
-std::array<u64, ring::kN> ntt_reference(const std::array<u64, ring::kN>& v, bool inverse) {
+/// Direct evaluation of the negacyclic NTT mod p in the kernel's output
+/// order: slot i holds A(psi^(2*brv8(i)+1)) for the primitive 2N-th root psi.
+/// `inverse` evaluates the inverse map instead (the conjugate roots), scaled
+/// by N^-1 * 2^32 as the kernel's is. Plain u128 arithmetic, no butterflies.
+std::array<u32, ring::kN> ntt_reference(const std::array<u32, ring::kN>& v, u64 p,
+                                        bool inverse) {
   constexpr std::size_t n = ring::kN;
-  const u64 psi = mult::powmod(mult::NttMultiplier::kGenerator, (kP - 1) / (2 * n), kP);
+  const u64 psi = mult::powmod(mult::NttMultiplier::kGenerator, (p - 1) / (2 * n), p);
   std::array<u64, 2 * n> pow{};  // psi^k, k < 2N (psi^2N = 1)
   pow[0] = 1;
-  for (std::size_t k = 1; k < 2 * n; ++k) pow[k] = mult::mulmod(pow[k - 1], psi, kP);
-  std::array<u64, n> out{};
+  for (std::size_t k = 1; k < 2 * n; ++k) pow[k] = mult::mulmod(pow[k - 1], psi, p);
+  const u64 scale = mult::mulmod(mult::invmod_prime(n, p), (u64{1} << 32) % p, p);
+  std::array<u32, n> out{};
   for (std::size_t i = 0; i < n; ++i) {
     u64 acc = 0;
     for (std::size_t j = 0; j < n; ++j) {
@@ -233,48 +258,53 @@ std::array<u64, ring::kN> ntt_reference(const std::array<u64, ring::kN>& v, bool
       const std::size_t e = inverse ? (2 * brv8(static_cast<unsigned>(j)) + 1) * i
                                     : (2 * brv8(static_cast<unsigned>(i)) + 1) * j;
       const std::size_t k = inverse ? (2 * n - e % (2 * n)) % (2 * n) : e % (2 * n);
-      acc = mult::addmod(acc, mult::mulmod(v[j], pow[k], kP), kP);
+      acc = mult::addmod(acc, mult::mulmod(v[j], pow[k], p), p);
     }
-    out[i] = inverse ? mult::mulmod(acc, mult::invmod_prime(n, kP), kP) : acc;
+    out[i] = static_cast<u32>(inverse ? mult::mulmod(acc, scale, p) : acc);
   }
   return out;
 }
 
 TEST(KernelEquivalence, ShoupNttMatchesDirectEvaluation) {
-  const auto& t = mult::ntt_tables();
   const u64 base = base_seed();
-  for (std::size_t iter = 0; iter < iterations(); ++iter) {
-    const u64 seed = iter_seed(base, iter) ^ 0x1177ULL;
-    Xoshiro256StarStar rng(seed);
-    std::vector<std::array<u64, ring::kN>> inputs(3);
-    inputs[1].fill(kP - 1);
-    for (auto& x : inputs[2]) x = rng.uniform(kP);
-    // Pin the residues at the edges of the Shoup window in every slot class.
-    for (std::size_t i = 0; i < 8; ++i) {
-      inputs[2][rng.uniform(ring::kN)] = 0;
-      inputs[2][rng.uniform(ring::kN)] = 1;
-      inputs[2][rng.uniform(ring::kN)] = kP - 1;
-      inputs[2][rng.uniform(ring::kN)] = u64{1} << 41;
-    }
-    for (const auto& in : inputs) {
-      mult::OpCounts ops;
-      auto fwd = in;
-      mult::ntt_forward_g(fwd, t, ops);
-      ASSERT_EQ(fwd, ntt_reference(in, false)) << "forward (seed 0x" << std::hex << seed
-                                               << ")";
-      EXPECT_EQ(ops.coeff_mults, ring::kN / 2 * 8);
-      EXPECT_EQ(ops.coeff_adds, ring::kN * 8);
+  for (const auto& t : mult::ntt_tables().primes) {
+    const u32 p = t.p;
+    for (std::size_t iter = 0; iter < iterations(); ++iter) {
+      const u64 seed = iter_seed(base, iter) ^ 0x1177ULL ^ p;
+      Xoshiro256StarStar rng(seed);
+      std::vector<std::array<u32, ring::kN>> inputs(3);
+      inputs[1].fill(p - 1);
+      for (auto& x : inputs[2]) x = static_cast<u32>(rng.uniform(p));
+      // Pin the residues at the edges of the reduction window in every slot class.
+      for (std::size_t i = 0; i < 8; ++i) {
+        inputs[2][rng.uniform(ring::kN)] = 0;
+        inputs[2][rng.uniform(ring::kN)] = 1;
+        inputs[2][rng.uniform(ring::kN)] = p - 1;
+        inputs[2][rng.uniform(ring::kN)] = p - 2;
+      }
+      for (const auto& in : inputs) {
+        mult::OpCounts ops;
+        auto fwd = in;
+        mult::ntt_forward_g(fwd, t, ops);
+        ASSERT_EQ(fwd, ntt_reference(in, p, false))
+            << "forward mod " << p << " (seed 0x" << std::hex << seed << ")";
+        EXPECT_EQ(ops.coeff_mults, ring::kN / 2 * 8);
+        EXPECT_EQ(ops.coeff_adds, ring::kN * 8);
 
-      mult::OpCounts inv_ops;
-      auto inv = in;
-      mult::ntt_inverse_g(inv, t, inv_ops);
-      ASSERT_EQ(inv, ntt_reference(in, true)) << "inverse (seed 0x" << std::hex << seed
-                                              << ")";
-      EXPECT_EQ(inv_ops.coeff_mults, ring::kN / 2 * 8 + ring::kN);
-      EXPECT_EQ(inv_ops.coeff_adds, ring::kN * 8);
+        mult::OpCounts inv_ops;
+        auto inv = in;
+        mult::ntt_inverse_g(inv, t, inv_ops);
+        ASSERT_EQ(inv, ntt_reference(in, p, true))
+            << "inverse mod " << p << " (seed 0x" << std::hex << seed << ")";
+        EXPECT_EQ(inv_ops.coeff_mults, ring::kN / 2 * 8 + ring::kN);
+        EXPECT_EQ(inv_ops.coeff_adds, ring::kN * 8);
 
-      mult::ntt_inverse_g(fwd, t, inv_ops);
-      ASSERT_EQ(fwd, in) << "round trip";
+        // Through the Montgomery domain (times the image of 1, which is 1 in
+        // every slot), forward then inverse is the identity.
+        for (auto& x : fwd) x = mult::ntt_mulmod_mont_g(x, u32{1}, p, t.p_neg_inv);
+        mult::ntt_inverse_g(fwd, t, inv_ops);
+        ASSERT_EQ(fwd, in) << "round trip mod " << p;
+      }
     }
   }
 }

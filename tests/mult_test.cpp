@@ -184,27 +184,80 @@ TEST(ToomCook, SubMultiplicationCount) {
 }
 
 TEST(Ntt, PrimeAndRootAreValid) {
-  EXPECT_TRUE(is_prime_u64(NttMultiplier::kPrime));
-  EXPECT_EQ((NttMultiplier::kPrime - 1) % 512, 0u);
+  const auto& tables = ntt_tables();
+  for (std::size_t k = 0; k < kNttPrimes.size(); ++k) {
+    const u64 p = kNttPrimes[k];
+    EXPECT_TRUE(is_prime_u64(p));
+    EXPECT_EQ((p - 1) % 512, 0u);
+    EXPECT_NE((p - 1) % 1024, 0u);  // 2-adic valuation exactly 9
+    EXPECT_LT(p, u64{1} << 31);
+    // zetas[128] = psi^brv8(128) = psi, a primitive 512th root of unity.
+    const u64 psi = tables.primes[k].zetas[128];
+    EXPECT_EQ(powmod(psi, 256, p), p - 1);
+  }
+  // The CRT modulus P = p1 * p2 leaves P/2 > 2^40 of centered-lift headroom,
+  // the bound max_accumulated_terms() products of <= 2^30 each must stay in.
+  const u64 half = u64{kNttPrimes[0]} * kNttPrimes[1] / 2;
+  EXPECT_GT(half, u64{1} << 40);
+  EXPECT_GT(half, NttMultiplier().max_accumulated_terms() * (u64{1} << 30));
 }
 
 TEST(Ntt, ForwardInverseRoundTrip) {
-  NttMultiplier ntt;
   Xoshiro256StarStar rng(8);
-  std::array<u64, 256> v{}, orig{};
-  for (auto& x : v) x = rng.uniform(NttMultiplier::kPrime);
-  orig = v;
-  ntt.forward(v);
-  EXPECT_NE(v, orig);  // transform moved the data
-  ntt.inverse(v);
-  EXPECT_EQ(v, orig);
+  for (const auto& t : ntt_tables().primes) {
+    std::array<u32, 256> v{}, orig{};
+    for (auto& x : v) x = static_cast<u32>(rng.uniform(t.p));
+    orig = v;
+    OpCounts ops;
+    ntt_forward_g(v, t, ops);
+    EXPECT_NE(v, orig);  // transform moved the data
+    // The inverse cancels the 2^-32 of one Montgomery product; multiplying by
+    // 1 (the image of the constant polynomial 1) supplies it.
+    for (auto& x : v) x = ntt_mulmod_mont_g(x, u32{1}, t.p, t.p_neg_inv);
+    ntt_inverse_g(v, t, ops);
+    EXPECT_EQ(v, orig);
+  }
+}
+
+TEST(Ntt, WorstCaseAccumulationIsExact) {
+  // The documented worst case at qbits 16: every public coefficient is
+  // -2^15 and |s| = 127, signed so that output coefficient 0 of a * s,
+  // -2^15 * s_0 + 2^15 * sum_{j>=1} s_{N-j}, reaches N * 2^15 * 127 ~ 2^30.
+  constexpr unsigned kQ = 16;
+  Poly a;
+  for (auto& c : a.c) c = static_cast<u16>(1u << 15);  // centered: -2^15
+  SecretPoly s;
+  for (auto& c : s.c) c = 127;
+  s[0] = -127;
+
+  NttMultiplier ntt;
+  const auto sb = make_multiplier("schoolbook");
+  const std::size_t terms = ntt.max_accumulated_terms();
+  const auto ta = ntt.prepare_public(a, kQ);
+  const auto ts = ntt.prepare_secret(s, kQ);
+  auto acc = ntt.make_accumulator();
+  for (std::size_t k = 0; k < terms; ++k) ntt.pointwise_accumulate(acc, ta, ts);
+
+  auto sb_acc = sb->make_accumulator();
+  sb->pointwise_accumulate(sb_acc, sb->prepare_public(a, kQ), sb->prepare_secret(s, kQ));
+  // Schoolbook's witness is the linear convolution; fold it negacyclically.
+  const auto conv = sb->finalize_witness(sb_acc);
+  std::vector<i64> want(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    want[i] = conv[i] - (i + kN < conv.size() ? conv[i + kN] : 0);
+  }
+  ASSERT_EQ(want[0], i64{256} * (1 << 15) * 127);
+  for (auto& w : want) w *= static_cast<i64>(terms);
+  EXPECT_EQ(ntt.finalize_witness(acc), want);
+
+  // Public x public at the same extreme: N * (2^15)^2 = 2^38.
+  EXPECT_EQ(ntt.multiply(a, a, kQ), sb->multiply(a, a, kQ));
 }
 
 TEST(Modmath, PowAndInverse) {
-  constexpr u64 p = NttMultiplier::kPrime;
   EXPECT_EQ(powmod(2, 10, 1000), 24u);
   const u64 x = 123456789;
-  EXPECT_EQ(mulmod(x, invmod_prime(x, p), p), 1u);
+  for (const u64 p : kNttPrimes) EXPECT_EQ(mulmod(x, invmod_prime(x, p), p), 1u);
 }
 
 TEST(Modmath, MillerRabin) {

@@ -3,15 +3,19 @@
 // Prints the operation-count table for schoolbook / Karatsuba / Toom-Cook /
 // NTT, the §5.1 comparison of the LW multiplier against software and
 // coprocessor implementations, and times every algorithm with
-// google-benchmark on the host.
+// google-benchmark on the host. BM_HwCoreProduct/<arch> rows time one
+// simulated product on each cycle-accurate core (simulator speed, not the
+// modeled hardware's).
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <string>
 
 #include "analysis/comparisons.hpp"
 #include "common/rng.hpp"
 #include "mult/batch.hpp"
 #include "mult/strategy.hpp"
+#include "multipliers/hw_multiplier.hpp"
 #include "ring/polyvec.hpp"
 
 using namespace saber;
@@ -122,11 +126,26 @@ void BM_SaberMatrixVectorCached(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_SaberMatrixVectorCached, toom4, "toom4");
 BENCHMARK_CAPTURE(BM_SaberMatrixVectorCached, ntt, "ntt");
 
+void BM_HwCoreProduct(benchmark::State& state, std::string_view name) {
+  // One product on a cycle-accurate core, Saber-shaped operands.
+  const auto core = arch::make_architecture(name);
+  Xoshiro256StarStar rng(14);
+  const auto a = ring::Poly::random(rng, 13);
+  const auto s = ring::SecretPoly::random(rng, 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core->multiply(a, s));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::cout << analysis::render_algorithm_ops() << "\n";
   std::cout << analysis::render_lightweight_comparison() << "\n";
+  for (const auto name : arch::architecture_names()) {
+    benchmark::RegisterBenchmark(("BM_HwCoreProduct/" + std::string(name)).c_str(),
+                                 BM_HwCoreProduct, name);
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -6,6 +6,10 @@
 #   BENCH_fault.json       - fault detection/recovery rates and checking
 #                            overhead (bench_fault_campaign, which emits the
 #                            JSON itself - it is not a google-benchmark binary)
+# Each file opens with a "provenance" block: the git sha (and whether the
+# tree had uncommitted changes), the compiler, its version and the
+# CMAKE_CXX_FLAGS* the build dir was configured with (its CMakeCache.txt),
+# nproc, and the repetitions per row.
 #
 # Usage: scripts/bench_json.sh [build-dir]   (default: build-release)
 set -euo pipefail
@@ -18,13 +22,51 @@ if [[ ! -d "$BUILD_DIR/bench" ]]; then
   exit 1
 fi
 
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+
+# The provenance shared by every file; each file adds its "repetitions".
+python3 - "$BUILD_DIR/CMakeCache.txt" >"$TMP/provenance.json" <<'EOF'
+import json, os, subprocess, sys
+
+def run(*cmd):
+    try:
+        return subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+cache = {}
+for line in open(sys.argv[1]):
+    key, sep, value = line.rstrip("\n").partition("=")
+    name, colon, kind = key.partition(":")
+    if sep and colon and kind != "INTERNAL" and not line.startswith(("//", "#")):
+        cache[name] = value
+compiler = cache.get("CMAKE_CXX_COMPILER", "unknown")
+version = run(compiler, "--version")
+sha = run("git", "rev-parse", "HEAD")
+status = run("git", "status", "--porcelain", "--untracked-files=no")
+json.dump({
+    "git_sha": sha.strip() if sha else "unknown",
+    "git_dirty": bool(status.strip()) if status is not None else None,
+    "build_type": cache.get("CMAKE_BUILD_TYPE", ""),
+    "compiler": compiler,
+    "compiler_version": version.splitlines()[0] if version else "unknown",
+    "cxx_flags": {k: v for k, v in sorted(cache.items()) if k.startswith("CMAKE_CXX_FLAGS")},
+    "nproc": os.cpu_count(),
+}, sys.stdout)
+EOF
+
 distill() {
   # $1 = raw google-benchmark JSON, $2 = output file.
-  python3 - "$1" "$2" <<'EOF'
+  python3 - "$1" "$2" "$TMP/provenance.json" <<'EOF'
 import json, sys
 
 raw = json.load(open(sys.argv[1]))
+provenance = json.load(open(sys.argv[3]))
+provenance["repetitions"] = max((b.get("repetitions", 1) for b in raw["benchmarks"]),
+                                default=1)
 out = {
+    "provenance": provenance,
     "context": {
         k: raw["context"].get(k)
         for k in ("host_name", "num_cpus", "mhz_per_cpu", "library_version")
@@ -54,9 +96,6 @@ print(f"wrote {sys.argv[2]} ({len(out['benchmarks'])} benchmarks)")
 EOF
 }
 
-TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
-
 "$BUILD_DIR/bench/bench_throughput" \
   --benchmark_format=json --benchmark_out="$TMP/throughput.json" \
   --benchmark_out_format=json >/dev/null
@@ -67,5 +106,18 @@ distill "$TMP/throughput.json" BENCH_throughput.json
   --benchmark_out_format=json >/dev/null
 distill "$TMP/sw_mult.json" BENCH_sw_mult.json
 
-"$BUILD_DIR/bench/bench_fault_campaign" --json BENCH_fault.json >/dev/null
-echo "wrote BENCH_fault.json"
+"$BUILD_DIR/bench/bench_fault_campaign" --json "$TMP/fault.json" >/dev/null
+# The campaign writes its own layout; put the provenance block in front.
+python3 - "$TMP/fault.json" BENCH_fault.json "$TMP/provenance.json" <<'EOF'
+import json, sys
+
+provenance = json.load(open(sys.argv[3]))
+provenance["repetitions"] = 1
+body = open(sys.argv[1]).read()
+if not body.startswith("{\n"):
+    sys.exit("error: unexpected bench_fault_campaign output")
+text = '{\n  "provenance": ' + json.dumps(provenance) + ",\n" + body[2:]
+json.loads(text)  # still one valid document
+open(sys.argv[2], "w").write(text)
+print(f"wrote {sys.argv[2]}")
+EOF

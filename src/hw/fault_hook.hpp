@@ -7,7 +7,11 @@
 // of any dependency on the robustness library; robust::FaultInjector is the
 // production implementation (stuck-at / transient / burst campaigns).
 //
-// A null hook (the default) costs one pointer compare per event.
+// A null hook (the default) is fault-free. Bram64, Dsp48 and the scalar
+// hw::mac_accumulate step (LW and HS-II cores) compare the pointer per event.
+// The HS-I/baseline cores instead choose once per multiply between two
+// instantiations of their MAC row (hw::mac_row): one with the per-MAC sites
+// compiled in, and a hook-free one with no per-MAC check at all.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
+#include <span>
 #include <string>
 
 #include "common/bits.hpp"
@@ -59,6 +61,66 @@ inline u16 mac_accumulate(u16 acc, u16 multiple, bool negative, unsigned qbits,
   u16 r = mac_accumulate(acc, multiple, negative, qbits);
   if (hook) r = static_cast<u16>(low_bits(hook->on_mac_accumulate(r, qbits), qbits));
   return r;
+}
+
+/// The secret shift register of the high-speed cores, which shifts
+/// negacyclically (b <- b * x) once per broadcast coefficient, held as a
+/// window into ext = [-s, s] of length 2N: after i shifts the register reads
+/// ext[N-i .. 2N-i), so a shift moves the window instead of N lanes.
+template <std::size_t N>
+class SecretWindow {
+ public:
+  explicit SecretWindow(std::span<const i8, N> s) {
+    for (std::size_t j = 0; j < N; ++j) {
+      ext_[j] = static_cast<i8>(-s[j]);
+      ext_[N + j] = s[j];
+    }
+  }
+
+  /// Register contents after `shifts` shifts (0 <= shifts <= N).
+  std::span<const i8, N> after(std::size_t shifts) const {
+    SABER_REQUIRE(shifts <= N, "secret window shifted past one full turn");
+    return std::span<const i8, N>(ext_.data() + (N - shifts), N);
+  }
+
+ private:
+  std::array<i8, 2 * N> ext_{};
+};
+
+/// One broadcast step of a row of MACs (HS-I §3.1 and the [10] baseline):
+/// coefficient `a` meets every secret lane at once,
+///   acc[j] = acc[j] +- low_bits(a * min(|s[j]|, max_mag), qbits),
+/// the sign taken from s[j]. low_bits(a * m) is the shift-and-add multiple
+/// of Algorithm 2, and the clamp is the select mux's top input: a corrupted
+/// secret nibble beyond +-max_mag saturates there (fault-free the packed
+/// range is within +-max_mag).
+///
+/// kHooked = false compiles to a straight-line u16 loop the compiler
+/// vectorizes (the software form of many narrow MACs in one wide word).
+/// kHooked = true consults `hook` at the two per-MAC fault sites, in datapath
+/// order: the small-multiplier output, then the accumulator sum.
+template <bool kHooked, std::size_t N>
+inline void mac_row(std::span<u16, N> acc, std::span<const i8, N> s, u16 a,
+                    unsigned max_mag, unsigned qbits,
+                    [[maybe_unused]] FaultHook* hook) {
+  const u16 mask = static_cast<u16>(mask64(qbits));
+  const u16 av = static_cast<u16>(a & mask);
+  const u16 top = static_cast<u16>(max_mag);
+  for (std::size_t j = 0; j < N; ++j) {
+    const i8 sj = s[j];
+    const u16 raw_mag = static_cast<u16>(sj < 0 ? -sj : sj);
+    const u16 mag = raw_mag > top ? top : raw_mag;
+    u16 multiple = static_cast<u16>(av * mag & mask);
+    if constexpr (kHooked) {
+      multiple = static_cast<u16>(low_bits(hook->on_small_mult(multiple, qbits), qbits));
+    }
+    const u16 term = sj < 0 ? static_cast<u16>(-multiple) : multiple;
+    u16 sum = static_cast<u16>((acc[j] + term) & mask);
+    if constexpr (kHooked) {
+      sum = static_cast<u16>(low_bits(hook->on_mac_accumulate(sum, qbits), qbits));
+    }
+    acc[j] = sum;
+  }
 }
 
 /// Cycle accounting for one polynomial multiplication, split the way the

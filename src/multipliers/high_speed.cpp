@@ -12,13 +12,6 @@ namespace {
 
 constexpr unsigned kQ = MemoryMap::kQBits;
 
-/// Negacyclic shift of the secret register: b <- b * x.
-void shift_secret(std::array<i8, ring::kN>& b) {
-  const i8 last = b[ring::kN - 1];
-  for (std::size_t j = ring::kN - 1; j > 0; --j) b[j] = b[j - 1];
-  b[0] = static_cast<i8>(-last);
-}
-
 }  // namespace
 
 HighSpeedMultiplier::HighSpeedMultiplier(const HighSpeedConfig& cfg) : cfg_(cfg) {
@@ -101,8 +94,13 @@ MultiplierResult HighSpeedMultiplier::multiply(const ring::Poly& a,
   // walks the accumulator in chunks).
   const unsigned unroll = cfg_.macs >= 256 ? cfg_.macs / 256 : 1;
   const unsigned j_chunks = cfg_.macs >= 256 ? 1 : 256 / cfg_.macs;
-  std::array<i8, ring::kN> b{};
-  for (std::size_t j = 0; j < ring::kN; ++j) b[j] = sdec[j];
+  const hw::SecretWindow<ring::kN> secret(sdec.c);
+  // HS-I: one central multiple generator per broadcast coefficient;
+  // baseline: each MAC derives the multiple itself. Functionally equal — the
+  // difference is pure area (see build_area). The fault sites are compiled
+  // into the row only when a hook is attached.
+  const auto mac_row = fault_hook_ != nullptr ? &hw::mac_row<true, ring::kN>
+                                              : &hw::mac_row<false, ring::kN>;
 
   std::size_t next_public_word = 13;  // words 13..51 stream during compute
   for (std::size_t i = 0; i < ring::kN; i += unroll) {
@@ -118,29 +116,8 @@ MultiplierResult HighSpeedMultiplier::multiply(const ring::Poly& a,
         // Functional update for the whole outer step happens once the last
         // chunk's cycle runs; per-chunk slicing does not change the result.
         for (unsigned u = 0; u < unroll; ++u) {
-          const u16 ai = pub_coeff(i + u);
-          // HS-I: one central multiple generator per broadcast coefficient;
-          // baseline: each MAC derives the multiple itself. Functionally
-          // equal — the difference is pure area (see build_area).
-          const hw::MultipleSet multiples(ai, kQ, cfg_.max_mag);
-          for (std::size_t j = 0; j < ring::kN; ++j) {
-            const i8 sj = b[j];
-            const unsigned raw_mag = static_cast<unsigned>(sj < 0 ? -sj : sj);
-            // The select mux has max_mag+1 inputs; a corrupted secret nibble
-            // with a larger magnitude saturates at the top input (cannot
-            // happen fault-free: the packed range is within +-max_mag).
-            const unsigned mag = raw_mag > cfg_.max_mag ? cfg_.max_mag : raw_mag;
-            // Small-multiplier output site (shared multiple generator): the
-            // shift-and-add product before the MAC adder consumes it.
-            u16 multiple = multiples.select(mag);
-            if (fault_hook_ != nullptr) {
-              multiple = static_cast<u16>(
-                  low_bits(fault_hook_->on_small_mult(multiple, kQ), kQ));
-            }
-            acc[j] = hw::mac_accumulate(acc[j], multiple, sj < 0, kQ,
-                                        fault_hook_);
-          }
-          shift_secret(b);
+          mac_row(acc, secret.after(i + u), pub_coeff(i + u), cfg_.max_mag, kQ,
+                  fault_hook_);
         }
       }
       // Activity: the MAC bank updates macs accumulator coefficients/cycle.

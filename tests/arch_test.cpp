@@ -3,7 +3,10 @@
 // counts, and satisfy its structural claims.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hpp"
+#include "hw/fault_hook.hpp"
 #include "mult/schoolbook.hpp"
 #include "multipliers/dsp_packed.hpp"
 #include "multipliers/high_speed.hpp"
@@ -98,6 +101,41 @@ INSTANTIATE_TEST_SUITE_P(AllArchitectures, ArchAgreement,
                            }
                            return n;
                          });
+
+TEST(HighSpeedHook, IdleHookModelsTheSameMachine) {
+  // An attached hook that changes nothing switches the core to the MAC row
+  // with fault sites compiled in; product, schedule and activity must match
+  // the hook-free row exactly, for every MAC count and both designs.
+  Xoshiro256StarStar rng(106);
+  hw::FaultHook idle;
+  for (const unsigned macs : {64u, 128u, 256u, 512u, 1024u}) {
+    for (const bool centralized : {true, false}) {
+      HighSpeedMultiplier core(HighSpeedConfig{macs, centralized});
+      const auto a = Poly::random(rng, kQ);
+      const auto s = SecretPoly::random(rng, 4);
+      const auto prev = Poly::random(rng, kQ);
+      for (const Poly* accumulate : {static_cast<const Poly*>(nullptr), &prev}) {
+        core.set_fault_hook(nullptr);
+        const auto bare = core.multiply(a, s, accumulate);
+        core.set_fault_hook(&idle);
+        const auto hooked = core.multiply(a, s, accumulate);
+        SCOPED_TRACE(std::string(core.name()) + (accumulate ? " accumulate" : ""));
+        EXPECT_EQ(hooked.product, bare.product);
+        EXPECT_EQ(hooked.cycles.total, bare.cycles.total);
+        EXPECT_EQ(hooked.cycles.compute, bare.cycles.compute);
+        EXPECT_EQ(hooked.cycles.preload, bare.cycles.preload);
+        EXPECT_EQ(hooked.cycles.stall_public_load, bare.cycles.stall_public_load);
+        EXPECT_EQ(hooked.cycles.stall_secret_load, bare.cycles.stall_secret_load);
+        EXPECT_EQ(hooked.cycles.stall_accumulator, bare.cycles.stall_accumulator);
+        EXPECT_EQ(hooked.cycles.readout, bare.cycles.readout);
+        EXPECT_EQ(hooked.cycles.pipeline, bare.cycles.pipeline);
+        EXPECT_EQ(hooked.power.ff_toggles, bare.power.ff_toggles);
+        EXPECT_EQ(hooked.power.bram_reads, bare.power.bram_reads);
+        EXPECT_EQ(hooked.power.bram_writes, bare.power.bram_writes);
+      }
+    }
+  }
+}
 
 // ------------------------------------------------------------ cycle counts
 

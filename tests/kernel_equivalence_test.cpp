@@ -15,13 +15,20 @@
 //    is Montgomery's, and a CRT lifts the two residues back to Z. Each is
 //    checked against plain u64/u128 arithmetic per prime, and the transforms
 //    against a direct O(N^2) evaluation of the negacyclic NTT definition.
+//  * The high-speed cores apply one broadcast coefficient to a whole row of
+//    MACs at once (hw::mac_row) and read their secret shift register as a
+//    window into [-s, s] (hw::SecretWindow). Both are checked against the
+//    scalar per-MAC loop and per-broadcast register shift they replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "conformance_env.hpp"
+#include "hw/mac.hpp"
 #include "mult/modmath.hpp"
 #include "mult/ntt.hpp"
 #include "ring/packing.hpp"
@@ -304,6 +311,126 @@ TEST(KernelEquivalence, ShoupNttMatchesDirectEvaluation) {
         for (auto& x : fwd) x = mult::ntt_mulmod_mont_g(x, u32{1}, p, t.p_neg_inv);
         mult::ntt_inverse_g(fwd, t, inv_ops);
         ASSERT_EQ(fwd, in) << "round trip mod " << p;
+      }
+    }
+  }
+}
+
+// --- MAC row ---------------------------------------------------------------------
+
+TEST(KernelEquivalence, ShiftAddMultipleIsLowBitsProduct) {
+  constexpr unsigned kQ = 13;
+  for (u32 a = 0; a < (u32{1} << kQ); ++a) {
+    for (unsigned m = 0; m <= 5; ++m) {
+      ASSERT_EQ(low_bits(u64{a} * m, kQ), hw::shift_add_multiple(static_cast<u16>(a), m, kQ))
+          << a << " * " << m;
+    }
+  }
+}
+
+using Lanes = std::array<u16, ring::kN>;
+using SecretLanes = std::array<i8, ring::kN>;
+
+/// The per-broadcast negacyclic shift of the secret register (b <- b * x)
+/// that hw::SecretWindow replaced.
+void shift_secret_serial(SecretLanes& b) {
+  const i8 last = b[ring::kN - 1];
+  for (std::size_t j = ring::kN - 1; j > 0; --j) b[j] = b[j - 1];
+  b[0] = static_cast<i8>(-last);
+}
+
+/// The per-MAC loop hw::mac_row replaced: the MultipleSet select mux with its
+/// top input saturating, then the MAC step, with the two fault sites.
+void mac_row_serial(Lanes& acc, const SecretLanes& b, u16 a, unsigned max_mag,
+                    hw::FaultHook* hook) {
+  constexpr unsigned kQ = 13;
+  const hw::MultipleSet multiples(a, kQ, max_mag);
+  for (std::size_t j = 0; j < ring::kN; ++j) {
+    const int sj = b[j];
+    const unsigned raw_mag = static_cast<unsigned>(sj < 0 ? -sj : sj);
+    u16 multiple = multiples.select(raw_mag > max_mag ? max_mag : raw_mag);
+    if (hook != nullptr) {
+      multiple = static_cast<u16>(low_bits(hook->on_small_mult(multiple, kQ), kQ));
+    }
+    acc[j] = hw::mac_accumulate(acc[j], multiple, sj < 0, kQ, hook);
+  }
+}
+
+/// Flips bit 0 of every 7th value through either site and logs every call,
+/// so a result or log mismatch exposes a dropped, extra or reordered site.
+class RecordingHook final : public hw::FaultHook {
+ public:
+  std::vector<std::pair<char, u16>> log;
+
+  u16 on_small_mult(u16 value, unsigned) override { return record('m', value); }
+  u16 on_mac_accumulate(u16 value, unsigned) override { return record('a', value); }
+
+ private:
+  u16 record(char site, u16 value) {
+    log.emplace_back(site, value);
+    return log.size() % 7 == 0 ? static_cast<u16>(value ^ 1u) : value;
+  }
+};
+
+TEST(KernelEquivalence, SecretWindowMatchesNegacyclicShift) {
+  const u64 base = base_seed();
+  for (std::size_t iter = 0; iter < iterations(); ++iter) {
+    Xoshiro256StarStar rng(iter_seed(base, iter) ^ 0x5E1ULL);
+    SecretLanes b{};
+    for (auto& x : b) x = static_cast<i8>(static_cast<int>(rng.uniform(17)) - 8);
+    const hw::SecretWindow<ring::kN> window(b);
+    for (std::size_t shifts = 0; shifts <= ring::kN; ++shifts) {
+      const auto view = window.after(shifts);
+      ASSERT_TRUE(std::equal(view.begin(), view.end(), b.begin())) << "shifts=" << shifts;
+      shift_secret_serial(b);
+    }
+  }
+}
+
+TEST(KernelEquivalence, MacRowMatchesScalarReference) {
+  constexpr unsigned kQ = 13;
+  hw::FaultHook identity;
+  const u64 base = base_seed();
+  for (std::size_t iter = 0; iter < iterations(); ++iter) {
+    const u64 seed = iter_seed(base, iter) ^ 0x3ACULL;
+    Xoshiro256StarStar rng(seed);
+    for (const unsigned max_mag : {4u, 5u}) {
+      // Secrets up to +-8 (a 4-bit nibble), so the clamp saturates; every
+      // magnitude and sign also appears at a fixed lane.
+      SecretLanes b{};
+      for (auto& x : b) x = static_cast<i8>(static_cast<int>(rng.uniform(17)) - 8);
+      for (int v = -8; v <= 8; ++v) b[static_cast<std::size_t>(v + 8)] = static_cast<i8>(v);
+      const hw::SecretWindow<ring::kN> window(b);
+      for (std::size_t shifts = 0; shifts < ring::kN; ++shifts) {
+        const u64 pick = rng.uniform(8);
+        const u16 a = static_cast<u16>(pick == 0 ? 0 : pick == 1 ? mask64(kQ)
+                                                                 : rng.uniform(u64{1} << kQ));
+        Lanes acc{};
+        for (auto& x : acc) x = static_cast<u16>(rng.uniform(u64{1} << kQ));
+
+        Lanes want = acc;
+        mac_row_serial(want, b, a, max_mag, nullptr);
+        Lanes plain = acc;
+        hw::mac_row<false, ring::kN>(plain, window.after(shifts), a, max_mag, kQ, nullptr);
+        ASSERT_EQ(plain, want) << "hook-free, max_mag=" << max_mag << " shifts=" << shifts
+                               << " (seed 0x" << std::hex << seed << ")";
+        Lanes hooked = acc;
+        hw::mac_row<true, ring::kN>(hooked, window.after(shifts), a, max_mag, kQ, &identity);
+        ASSERT_EQ(hooked, want) << "identity hook, max_mag=" << max_mag << " shifts=" << shifts
+                                << " (seed 0x" << std::hex << seed << ")";
+
+        // A hook that corrupts values sees the same sites in the same order.
+        RecordingHook want_hook, got_hook;
+        Lanes want_faulty = acc;
+        mac_row_serial(want_faulty, b, a, max_mag, &want_hook);
+        Lanes got_faulty = acc;
+        hw::mac_row<true, ring::kN>(got_faulty, window.after(shifts), a, max_mag, kQ,
+                                    &got_hook);
+        ASSERT_EQ(got_faulty, want_faulty) << "shifts=" << shifts;
+        ASSERT_EQ(got_hook.log, want_hook.log) << "shifts=" << shifts;
+        ASSERT_EQ(got_hook.log.size(), 2 * ring::kN);
+
+        shift_secret_serial(b);
       }
     }
   }

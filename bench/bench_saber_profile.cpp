@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "coproc/programs.hpp"
 #include "multipliers/high_speed.hpp"
-#include "mult/strategy.hpp"
 #include "saber/kem.hpp"
 
 using namespace saber;
@@ -21,17 +20,11 @@ using namespace saber;
 namespace {
 
 void BM_KemRoundTrip(benchmark::State& state, const char* mult_name, bool hardware) {
-  std::unique_ptr<mult::PolyMultiplier> sw;
   std::unique_ptr<arch::HwMultiplier> hw_arch;
-  ring::PolyMulFn fn;
-  if (hardware) {
-    hw_arch = arch::make_architecture(mult_name);
-    fn = arch::as_poly_mul(*hw_arch);
-  } else {
-    sw = mult::make_multiplier(mult_name);
-    fn = mult::as_poly_mul(*sw);
-  }
-  kem::SaberKemScheme scheme(kem::kSaber, fn);
+  if (hardware) hw_arch = arch::make_architecture(mult_name);
+  const kem::SaberKemScheme scheme =
+      hardware ? kem::SaberKemScheme(kem::kSaber, arch::as_poly_mul(*hw_arch))
+               : kem::SaberKemScheme(kem::kSaber, mult_name);
   Xoshiro256StarStar rng(21);
   const auto kp = scheme.keygen(rng);
   for (auto _ : state) {

@@ -45,7 +45,9 @@ struct MatVecFixture {
 // (the code path before the batch backend existed).
 void BM_MatVecPerProduct(benchmark::State& state, const char* name) {
   const auto algo = mult::make_multiplier(name);
-  const auto fn = mult::as_poly_mul(*algo);
+  const auto fn = [&algo](const ring::Poly& a, const ring::SecretPoly& s, unsigned q) {
+    return algo->multiply_secret(a, s, q);
+  };
   MatVecFixture fx;
   for (auto _ : state) {
     benchmark::DoNotOptimize(ring::matrix_vector_mul(fx.a, fx.s, fn, 13, false));

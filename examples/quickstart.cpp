@@ -10,7 +10,6 @@
 
 #include "common/hex.hpp"
 #include "common/rng.hpp"
-#include "mult/strategy.hpp"
 #include "saber/kem.hpp"
 
 int main() {
@@ -19,8 +18,7 @@ int main() {
   // Saber multiplies polynomials thousands of times per KEM operation; the
   // multiplier strategy is injected so it can be swapped (see the
   // kem_on_hardware example for cycle-accurate hardware models).
-  const auto multiplier = mult::make_multiplier("toom4");
-  kem::SaberKemScheme scheme(kem::kSaber, mult::as_poly_mul(*multiplier));
+  kem::SaberKemScheme scheme(kem::kSaber, "ntt");
 
   Xoshiro256StarStar rng(/*seed=*/42);
 

@@ -15,7 +15,6 @@
 #include <sstream>
 
 #include "common/hex.hpp"
-#include "mult/strategy.hpp"
 #include "saber/kem.hpp"
 #include "sha3/sha3.hpp"
 
@@ -67,8 +66,7 @@ int run(int argc, char** argv) {
               << "' (LightSaber | Saber | FireSaber)\n";
     return 2;
   }
-  const auto algo = mult::make_multiplier("toom4");
-  kem::SaberKemScheme scheme(*params, mult::as_poly_mul(*algo));
+  kem::SaberKemScheme scheme(*params, "ntt");
 
   if (cmd == "info") {
     std::cout << params->name << ": l=" << params->l << " mu=" << params->mu

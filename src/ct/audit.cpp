@@ -218,20 +218,24 @@ AuditResult audit_kem_roundtrip(std::string_view backend,
     return ring::matrix_vector_mul(promote_matrix(a), s, mul,
                                    kem::SaberParams::eq, transpose);
   };
-  auto products = [&](const ring::PolyMatrix& a, const ring::PolyVec& b,
-                      const ring::SecretVecOf<TS>& sp) {
-    auto bp = ring::matrix_vector_mul(promote_matrix(a), sp, mul,
-                                      kem::SaberParams::eq, /*transpose=*/false);
-    auto vp = ring::inner_product(promote_vec(b), sp, mul, kem::SaberParams::ep);
-    return std::pair{std::move(bp), std::move(vp)};
-  };
   auto inner = [&](const ring::PolyVec& bp, const ring::SecretVecOf<TS>& s,
                    unsigned qbits) {
     return ring::inner_product(promote_vec(bp), s, mul, qbits);
   };
   auto encrypt = [&](const kem::MessageT<TB>& m, const kem::SeedT<TB>& r,
                      std::span<const u8> pk) {
-    return kem::flows::encrypt_flow(m, std::span<const TB>(r), pk, params, products);
+    // The pk and A are public: unpack and expand them in plain words.
+    ring::PolyVec b;
+    kem::Seed pk_seed_a{};
+    kem::flows::unpack_pk_g(pk, b, pk_seed_a, params);
+    const auto a = kem::gen_matrix(pk_seed_a, params);
+    return kem::flows::encrypt_flow(
+        m, std::span<const TB>(r), params, [&](const ring::SecretVecOf<TS>& sp) {
+          auto bp = ring::matrix_vector_mul(promote_matrix(a), sp, mul,
+                                            kem::SaberParams::eq, /*transpose=*/false);
+          auto vp = ring::inner_product(promote_vec(b), sp, mul, kem::SaberParams::ep);
+          return std::pair{std::move(bp), std::move(vp)};
+        });
   };
   auto decrypt = [&](std::span<const u8> c, std::span<const TB> pke_sk) {
     return kem::flows::decrypt_flow(c, pke_sk, params, inner);

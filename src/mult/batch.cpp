@@ -14,7 +14,7 @@ std::vector<Transformed> prepare_secrets(const ring::SecretVec& s,
 
 PreparedMatrix::PreparedMatrix(const ring::PolyMatrix& a, const PolyMultiplier& m,
                                unsigned qbits)
-    : rows_(a.rows()), cols_(a.cols()), qbits_(qbits) {
+    : rows_(a.rows()), cols_(a.cols()), qbits_(qbits), algorithm_(m.name()) {
   elems_.reserve(rows_ * cols_);
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t c = 0; c < cols_; ++c) {
@@ -25,7 +25,7 @@ PreparedMatrix::PreparedMatrix(const ring::PolyMatrix& a, const PolyMultiplier& 
 
 PreparedVector::PreparedVector(const ring::PolyVec& v, const PolyMultiplier& m,
                                unsigned qbits)
-    : qbits_(qbits) {
+    : qbits_(qbits), algorithm_(m.name()) {
   elems_.reserve(v.size());
   for (const auto& p : v) elems_.push_back(m.prepare_public(p, qbits));
 }
@@ -45,6 +45,8 @@ std::size_t PreparedVector::value_count() const {
 ring::PolyVec matrix_vector_mul(const PreparedMatrix& a,
                                 std::span<const Transformed> ts,
                                 const PolyMultiplier& m, bool transpose) {
+  SABER_REQUIRE(a.algorithm() == m.name(),
+                "prepared matrix was transformed by another multiplier");
   SABER_REQUIRE(a.rows() == a.cols(), "matrix must be square");
   SABER_REQUIRE(a.cols() == ts.size(), "dimension mismatch");
   SABER_REQUIRE(ts.size() <= m.max_accumulated_terms(),
@@ -86,6 +88,8 @@ ring::PolyVec matrix_vector_mul(const ring::PolyMatrix& a, const ring::SecretVec
 
 ring::Poly inner_product(const PreparedVector& b, std::span<const Transformed> ts,
                          const PolyMultiplier& m) {
+  SABER_REQUIRE(b.algorithm() == m.name(),
+                "prepared vector was transformed by another multiplier");
   SABER_REQUIRE(b.size() == ts.size(), "dimension mismatch");
   SABER_REQUIRE(ts.size() <= m.max_accumulated_terms(),
                 "batch accumulation exceeds exactness headroom");

@@ -13,6 +13,9 @@
 // expansion of A) over a whole batch of encapsulations against one key.
 #pragma once
 
+#include <string>
+#include <string_view>
+
 #include "mult/multiplier.hpp"
 #include "ring/polyvec.hpp"
 
@@ -21,7 +24,8 @@ namespace saber::mult {
 /// Public matrix with every element pre-transformed by one multiplier
 /// strategy. Valid for consumption by any multiplier instance of the same
 /// configuration (same `name()`); the transform layout is per-algorithm, not
-/// per-instance.
+/// per-instance. The preparing multiplier's name is recorded, and the
+/// prepared overloads below reject a consumer that reports another one.
 class PreparedMatrix {
  public:
   PreparedMatrix(const ring::PolyMatrix& a, const PolyMultiplier& m, unsigned qbits);
@@ -29,6 +33,7 @@ class PreparedMatrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   unsigned qbits() const { return qbits_; }
+  std::string_view algorithm() const { return algorithm_; }
   const Transformed& at(std::size_t r, std::size_t c) const {
     return elems_[r * cols_ + c];
   }
@@ -42,16 +47,19 @@ class PreparedMatrix {
  private:
   std::size_t rows_, cols_;
   unsigned qbits_;
+  std::string algorithm_;
   std::vector<Transformed> elems_;
 };
 
-/// Public vector (e.g. the key vector b) with pre-transformed elements.
+/// Public vector (e.g. the key vector b) with pre-transformed elements; the
+/// same name-keyed compatibility rule as PreparedMatrix.
 class PreparedVector {
  public:
   PreparedVector(const ring::PolyVec& v, const PolyMultiplier& m, unsigned qbits);
 
   std::size_t size() const { return elems_.size(); }
   unsigned qbits() const { return qbits_; }
+  std::string_view algorithm() const { return algorithm_; }
   const Transformed& at(std::size_t i) const { return elems_[i]; }
 
   /// Total i64 values held across every prepared element.
@@ -59,6 +67,7 @@ class PreparedVector {
 
  private:
   unsigned qbits_;
+  std::string algorithm_;
   std::vector<Transformed> elems_;
 };
 

@@ -35,6 +35,10 @@ struct OpCounts {
 /// NTT spectra for the NTT backend. Values always fit i64.
 using Transformed = std::vector<i64>;
 
+/// Thread safety: const calls are not safe to make concurrently on one
+/// instance, because they update the mutable OpCounts tally. Give each
+/// thread its own instance; Transformed images are plain data and may be
+/// shared between instances of the same name().
 class PolyMultiplier {
  public:
   virtual ~PolyMultiplier() = default;

@@ -6,11 +6,12 @@
 // ct_audit build over ct::Tainted<u8>. The audited code path IS the
 // production code path — there is no separate "constant-time variant".
 //
-// Public-data expansion (unpacking pk, expanding A from its seed) and the
-// polynomial products are injected as callables, because the product
-// backend is the one genuinely polymorphic piece: production routes through
-// the transform-cached batch backend or a raw PolyMulFn, the audit through
-// the tainted software kernels.
+// The polynomial products are injected as callables, because the product
+// backend is the one genuinely polymorphic piece. Production has one
+// pipeline: the split-transform batch backend over one PolyMultiplier, with
+// the public operands prepared before Enc runs (SaberPke::prepare_pk). The
+// audit injects the tainted software kernels and does the public pk
+// unpacking and A expansion itself.
 //
 // Declassification policy (audited in docs/static_analysis.md):
 //  * the packed pk and ciphertext are declassified by the CALLER at
@@ -201,20 +202,15 @@ PkeKeyBytes<B> keygen_flow(const SeedT<u8>& seed_a_in, std::span<const B> seed_s
   return PkeKeyBytes<B>{pack_pk_g(b, seed_a, params), pack_secret_g(s, params)};
 }
 
-/// Saber.PKE.Enc. `products(a, b, sp)` returns the pair
-/// (b' = A s' reduced mod q, v' = <b, s'> mod p); the split lets production
-/// share one secret transform between both products.
+/// Saber.PKE.Enc. `products(sp)` returns the pair (b' = A s' reduced mod q,
+/// v' = <b, s'> mod p) for the target public key (A, b); the split lets
+/// production share one secret transform between both products.
 template <typename B, typename Products>
 std::vector<B> encrypt_flow(const MessageT<B>& m, std::span<const B> seed_sp,
-                            std::span<const u8> pk, const SaberParams& params,
-                            Products&& products) {
-  ring::PolyVec b;
-  SeedT<u8> seed_a{};
-  unpack_pk_g(pk, b, seed_a, params);
-  const auto a = gen_matrix(seed_a, params);
+                            const SaberParams& params, Products&& products) {
   auto sp = gen_secret_g(seed_sp, params);
   SecretVecGuardT<ct::rebind_t<B, i8>> guard_sp{sp};
-  auto [bp, vp] = products(a, b, sp);
+  auto [bp, vp] = products(sp);
   return encrypt_seal_g(m, std::move(bp), vp, params);
 }
 

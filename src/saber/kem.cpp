@@ -39,24 +39,18 @@ KemKeyPair SaberKemScheme::keygen_deterministic(const Seed& seed_a, const Seed& 
   return assemble_kem_keys(pke_.keygen(seed_a, seed_s), z, params());
 }
 
-EncapsResult SaberKemScheme::encaps_with(std::span<const u8> pk,
-                                         const PreparedPublicKey* prep,
-                                         const Message& m_raw) const {
-  auto out = flows::encaps_flow(pk, m_raw, [&](const Message& m, const Seed& r) {
-    return prep ? pke_.encrypt(m, r, *prep) : pke_.encrypt(m, r, pk);
-  });
-  return EncapsResult{std::move(out.ct), out.key};
-}
-
 EncapsResult SaberKemScheme::encaps_deterministic(std::span<const u8> pk,
                                                   const Message& m_raw) const {
-  return encaps_with(pk, nullptr, m_raw);
+  return encaps_deterministic(pk, pke_.prepare_pk(pk), m_raw);
 }
 
 EncapsResult SaberKemScheme::encaps_deterministic(std::span<const u8> pk,
                                                   const PreparedPublicKey& prep,
                                                   const Message& m_raw) const {
-  return encaps_with(pk, &prep, m_raw);
+  auto out = flows::encaps_flow(pk, m_raw, [&](const Message& m, const Seed& r) {
+    return pke_.encrypt(m, r, prep);
+  });
+  return EncapsResult{std::move(out.ct), out.key};
 }
 
 EncapsResult SaberKemScheme::encaps(std::span<const u8> pk, RandomSource& rng) const {

@@ -22,12 +22,17 @@ struct EncapsResult {
   SharedSecret key;
 };
 
+/// Thread safety: concurrent const calls on one scheme share its multiplier,
+/// which is not safe (PolyMultiplier's OpCounts tally is mutable, and the
+/// hardware cores are stateful). Give each thread its own scheme and share
+/// prepared keys, as saber::batch::KemBatch does.
 class SaberKemScheme {
  public:
-  /// Generic path: any PolyMulFn (hardware models, custom closures).
+  /// A per-product fn (hardware models, custom closures), wrapped once by
+  /// mult::from_poly_mul.
   SaberKemScheme(const SaberParams& params, ring::PolyMulFn mul);
 
-  /// Fast path: an owned software multiplier (transform-cached batch backend).
+  /// An owned multiplier; every product uses its split-transform API.
   SaberKemScheme(const SaberParams& params,
                  std::shared_ptr<const mult::PolyMultiplier> algo);
 
@@ -50,7 +55,7 @@ class SaberKemScheme {
   /// (exposed for reproducible tests).
   EncapsResult encaps_deterministic(std::span<const u8> pk, const Message& m_raw) const;
 
-  /// Deterministic encapsulation against a prepared public key (fast path).
+  /// Deterministic encapsulation against a prepared public key.
   /// `pk` must be the exact byte string the preparation came from: it still
   /// enters the hash H(pk) binding the shared secret to the key.
   EncapsResult encaps_deterministic(std::span<const u8> pk,
@@ -62,9 +67,6 @@ class SaberKemScheme {
   SharedSecret decaps(std::span<const u8> ct, std::span<const u8> sk) const;
 
  private:
-  EncapsResult encaps_with(std::span<const u8> pk, const PreparedPublicKey* prep,
-                           const Message& m_raw) const;
-
   SaberPke pke_;
 };
 

@@ -3,14 +3,14 @@
 // the scheme can run on any software algorithm or simulated hardware
 // multiplier.
 //
-// Two injection forms exist:
-//  * a `mult::PolyMultiplier` instance (owned, resolved once) — the fast
-//    path: matrix products run through the transform-cached batch backend
-//    (mult/batch.hpp), and public keys can be pre-transformed with
-//    prepare_pk() to amortize A-expansion and forward transforms across many
-//    encryptions;
-//  * a raw `ring::PolyMulFn` — the generic path used by the cycle-accurate
-//    hardware models, which multiply one product at a time by design.
+// One product pipeline: every product runs through one owned
+// `mult::PolyMultiplier` and its split-transform batch backend
+// (mult/batch.hpp). A per-product `ring::PolyMulFn` (the cycle-accurate
+// hardware models, custom closures) is wrapped once by mult::from_poly_mul
+// into an identity-transform multiplier. Encryption has one body: the
+// unprepared form prepares the public key and calls the prepared form, and
+// prepare_pk() lets a caller amortize A-expansion and the public transforms
+// across many encryptions under one key.
 #pragma once
 
 #include <array>
@@ -37,7 +37,8 @@ using Seed = std::array<u8, SaberParams::seed_bytes>;
 /// A public key with the expensive per-key work done once: A expanded from
 /// its seed and forward-transformed, b forward-transformed. Reusable across
 /// any number of encrypt() calls on the SaberPke that produced it (or any
-/// SaberPke over the same parameters and multiplier strategy).
+/// SaberPke over the same parameters and a multiplier of the same name();
+/// another multiplier is rejected with ContractViolation).
 struct PreparedPublicKey {
   mult::PreparedMatrix a;   ///< transforms of A, mod q
   mult::PreparedVector b;   ///< transforms of b, mod p
@@ -45,11 +46,11 @@ struct PreparedPublicKey {
 
 class SaberPke {
  public:
-  /// Generic path: any PolyMulFn (hardware models, custom closures).
+  /// A per-product fn (hardware models, custom closures), wrapped once by
+  /// mult::from_poly_mul.
   SaberPke(const SaberParams& params, ring::PolyMulFn mul);
 
-  /// Fast path: an owned software multiplier; matrix products use the
-  /// transform-cached batch backend.
+  /// An owned multiplier; every product uses its split-transform API.
   SaberPke(const SaberParams& params,
            std::shared_ptr<const mult::PolyMultiplier> algo);
 
@@ -57,9 +58,6 @@ class SaberPke {
   SaberPke(const SaberParams& params, std::string_view mult_name);
 
   const SaberParams& params() const { return params_; }
-
-  /// The owned multiplier, or nullptr on the generic PolyMulFn path.
-  const mult::PolyMultiplier* multiplier() const { return algo_.get(); }
 
   /// Key generation from explicit seeds (deterministic; the KEM layer and
   /// tests use this). seed_a is re-hashed through SHAKE-128 as in the
@@ -69,14 +67,15 @@ class SaberPke {
   /// Randomized key generation.
   PkeKeyPair keygen(RandomSource& rng) const;
 
-  /// Encrypt a 256-bit message under randomness seed `seed_sp`.
+  /// Encrypt a 256-bit message under randomness seed `seed_sp`; the same as
+  /// encrypt(m, seed_sp, prepare_pk(pk)).
   std::vector<u8> encrypt(const Message& m, const Seed& seed_sp,
                           std::span<const u8> pk) const;
 
-  /// One-time per-key preparation for batched encryption (fast path only).
+  /// One-time per-key preparation for batched encryption.
   PreparedPublicKey prepare_pk(std::span<const u8> pk) const;
 
-  /// Encrypt against a prepared public key (fast path only).
+  /// Encrypt against a prepared public key.
   std::vector<u8> encrypt(const Message& m, const Seed& seed_sp,
                           const PreparedPublicKey& pk) const;
 
@@ -90,14 +89,8 @@ class SaberPke {
   void unpack_pk(std::span<const u8> pk, ring::PolyVec& b, Seed& seed_a) const;
 
  private:
-  ring::PolyVec mat_vec(const ring::PolyMatrix& a, const ring::SecretVec& s,
-                        bool transpose) const;
-  ring::Poly inner(const ring::PolyVec& b, const ring::SecretVec& s,
-                   unsigned qbits) const;
-
   SaberParams params_;
-  std::shared_ptr<const mult::PolyMultiplier> algo_;  ///< fast path when set
-  ring::PolyMulFn mul_;                               ///< generic path otherwise
+  std::shared_ptr<const mult::PolyMultiplier> mult_;
 };
 
 }  // namespace saber::kem

@@ -9,9 +9,11 @@
 
 #include <algorithm>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "mult/batch.hpp"
 #include "mult/strategy.hpp"
+#include "multipliers/hw_multiplier.hpp"
 #include "saber/batch.hpp"
 #include "saber/kem.hpp"
 
@@ -72,7 +74,9 @@ TEST_P(BatchDifferential, SplitTransformAccumulationMatchesSum) {
 
 TEST_P(BatchDifferential, MatrixVectorMatchesScalarReference) {
   Xoshiro256StarStar rng(903);
-  const auto fn = mult::as_poly_mul(*algo_);
+  const auto fn = [this](const ring::Poly& a, const ring::SecretPoly& s, unsigned q) {
+    return algo_->multiply_secret(a, s, q);
+  };
   for (const std::size_t l : {2u, 3u, 4u}) {
     const auto a = random_matrix(l, rng, qbits_);
     const auto s = random_secrets(l, rng, 4);
@@ -87,7 +91,9 @@ TEST_P(BatchDifferential, MatrixVectorMatchesScalarReference) {
 
 TEST_P(BatchDifferential, InnerProductMatchesScalarReference) {
   Xoshiro256StarStar rng(904);
-  const auto fn = mult::as_poly_mul(*algo_);
+  const auto fn = [this](const ring::Poly& a, const ring::SecretPoly& s, unsigned q) {
+    return algo_->multiply_secret(a, s, q);
+  };
   for (const std::size_t l : {2u, 3u, 4u}) {
     ring::PolyVec b(l);
     for (auto& p : b) p = ring::Poly::random(rng, qbits_);
@@ -155,11 +161,17 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, BatchDifferential,
 // --- Saber fast path ------------------------------------------------------
 
 TEST(SaberFastPath, MatchesGenericPathForAllStrategies) {
-  // The batched scheme (owned multiplier) must produce byte-identical keys
-  // and ciphertexts to the per-product PolyMulFn path over the same strategy.
+  // The split-transform scheme must produce byte-identical keys and
+  // ciphertexts to a per-product scheme over the same strategy: the
+  // from_poly_mul adapter calls multiply_secret once per product and caches
+  // no transform.
   for (const auto name : mult::multiplier_names()) {
-    const auto algo = mult::make_multiplier(name);
-    kem::SaberPke generic(kem::kSaber, mult::as_poly_mul(*algo));
+    const std::shared_ptr<const PolyMultiplier> algo = mult::make_multiplier(name);
+    kem::SaberPke generic(
+        kem::kSaber, mult::from_poly_mul([algo](const ring::Poly& a,
+                                                const ring::SecretPoly& s, unsigned q) {
+          return algo->multiply_secret(a, s, q);
+        }));
     kem::SaberPke fast(kem::kSaber, name);
 
     kem::Seed sa{}, ss{}, sp{};
@@ -177,7 +189,87 @@ TEST(SaberFastPath, MatchesGenericPathForAllStrategies) {
     const auto ct_f = fast.encrypt(m, sp, kf.pk);
     EXPECT_EQ(ct_f, ct_g) << name;
     EXPECT_EQ(fast.decrypt(ct_f, kf.sk), m) << name;
+    EXPECT_EQ(generic.decrypt(ct_f, kf.sk), m) << name;
   }
+}
+
+TEST(SaberFastPath, HardwareCoreSupportsPreparedEncaps) {
+  // A cycle-accurate core enters through the same pipeline, so prepare_pk and
+  // the prepared encaps work on it and match its unprepared encaps and the
+  // ntt scheme byte for byte.
+  const auto hw = arch::make_architecture("hs1-256");
+  const kem::SaberKemScheme hw_scheme(kem::kSaber, arch::as_poly_mul(*hw));
+  const kem::SaberKemScheme sw_scheme(kem::kSaber, "ntt");
+  kem::Seed sa{}, ss{};
+  kem::SharedSecret z{};
+  kem::Message m{};
+  sa.fill(0x31);
+  ss.fill(0x32);
+  z.fill(0x33);
+  m.fill(0x34);
+  const auto kp = hw_scheme.keygen_deterministic(sa, ss, z);
+  const auto kp_sw = sw_scheme.keygen_deterministic(sa, ss, z);
+  EXPECT_EQ(kp.pk, kp_sw.pk);
+  EXPECT_EQ(kp.sk, kp_sw.sk);
+
+  const auto prep = hw_scheme.pke().prepare_pk(kp.pk);
+  const auto prepared = hw_scheme.encaps_deterministic(kp.pk, prep, m);
+  const auto unprepared = hw_scheme.encaps_deterministic(kp.pk, m);
+  const auto reference = sw_scheme.encaps_deterministic(kp.pk, m);
+  EXPECT_EQ(prepared.ct, unprepared.ct);
+  EXPECT_EQ(prepared.key, unprepared.key);
+  EXPECT_EQ(prepared.ct, reference.ct);
+  EXPECT_EQ(prepared.key, reference.key);
+}
+
+TEST(SaberFastPath, PreparedKeyFromAnotherAlgorithmIsRejected) {
+  // A pk prepared on ntt passes every size check of a schoolbook consumer,
+  // but its transform layout is different: the consumer must refuse it
+  // rather than return a wrong ciphertext.
+  kem::SaberPke ntt(kem::kSaber, "ntt");
+  kem::SaberPke sb(kem::kSaber, "schoolbook");
+  kem::Seed sa{}, ss{}, sp{};
+  sa.fill(0x41);
+  ss.fill(0x42);
+  sp.fill(0x43);
+  const auto keys = ntt.keygen(sa, ss);
+  const auto prep = ntt.prepare_pk(keys.pk);
+  kem::Message m{};
+  m.fill(0x44);
+  EXPECT_THROW(sb.encrypt(m, sp, prep), ContractViolation);
+  EXPECT_EQ(prep.a.algorithm(), "ntt");
+  EXPECT_EQ(prep.b.algorithm(), "ntt");
+
+  // Each of the four prepared overloads checks the consumer on its own.
+  const auto schoolbook = mult::make_multiplier("schoolbook");
+  Xoshiro256StarStar rng(911);
+  const auto s = random_secrets(kem::kSaber.l, rng, 4);
+  const auto ts = mult::prepare_secrets(s, *schoolbook, kem::SaberParams::eq);
+  EXPECT_THROW(mult::matrix_vector_mul(prep.a, s, *schoolbook, false), ContractViolation);
+  EXPECT_THROW(mult::matrix_vector_mul(prep.a, ts, *schoolbook, false), ContractViolation);
+  EXPECT_THROW(mult::inner_product(prep.b, s, *schoolbook), ContractViolation);
+  EXPECT_THROW(mult::inner_product(prep.b, ts, *schoolbook), ContractViolation);
+}
+
+TEST(SaberFastPath, PreparedKeySharedAcrossSameNamedInstances) {
+  // KemBatch workers each own a multiplier and share one prepared key: any
+  // instance with the same name() may consume it.
+  const kem::SaberKemScheme owner(kem::kSaber, "ntt");
+  const kem::SaberKemScheme other(kem::kSaber, "ntt");
+  kem::Seed sa{}, ss{};
+  kem::SharedSecret z{};
+  kem::Message m{};
+  sa.fill(0x51);
+  ss.fill(0x52);
+  z.fill(0x53);
+  m.fill(0x54);
+  const auto kp = owner.keygen_deterministic(sa, ss, z);
+  const auto prep = owner.pke().prepare_pk(kp.pk);
+  const auto shared = other.encaps_deterministic(kp.pk, prep, m);
+  const auto own = owner.encaps_deterministic(kp.pk, m);
+  EXPECT_EQ(shared.ct, own.ct);
+  EXPECT_EQ(shared.key, own.key);
+  EXPECT_EQ(other.decaps(shared.ct, kp.sk), shared.key);
 }
 
 TEST(SaberFastPath, PreparedPkEncryptionIsIdentical) {

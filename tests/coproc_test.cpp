@@ -5,7 +5,6 @@
 
 #include "common/rng.hpp"
 #include "coproc/programs.hpp"
-#include "mult/strategy.hpp"
 #include "multipliers/high_speed.hpp"
 #include "saber/kem.hpp"
 
@@ -23,8 +22,7 @@ SaberCoproc::Seed seed_of(u8 fill) {
 
 // Software reference KEM for byte-for-byte comparison.
 kem::SaberKemScheme sw_scheme(const kem::SaberParams& p) {
-  static const auto algo = mult::make_multiplier("schoolbook");
-  return kem::SaberKemScheme(p, mult::as_poly_mul(*algo));
+  return kem::SaberKemScheme(p, "schoolbook");
 }
 
 // Reconstruct the software KEM keypair from the same seeds the coprocessor

@@ -293,12 +293,41 @@ TEST(Strategy, UnknownNameErrorListsRegisteredMultipliers) {
 }
 
 TEST(Strategy, PolyMulAdapter) {
+  // from_poly_mul: one fn call per product, accumulated and masked like the
+  // per-product sum; images of the wrong length and witnesses are rejected.
   SchoolbookMultiplier sb;
-  const auto fn = as_poly_mul(sb);
+  int calls = 0;
+  const auto m = from_poly_mul([&](const Poly& a, const SecretPoly& s, unsigned q) {
+    ++calls;
+    return sb.multiply_secret(a, s, q);
+  });
   Xoshiro256StarStar rng(9);
   const auto a = Poly::random(rng, 13);
+  const auto b = Poly::random(rng, 13);
   const auto s = SecretPoly::random(rng, 4);
-  EXPECT_EQ(fn(a, s, 13), sb.multiply_secret(a, s, 13));
+  EXPECT_EQ(m->multiply_secret(a, s, 13), sb.multiply_secret(a, s, 13));
+
+  const auto pa = m->prepare_public(a, 13);
+  const auto pb = m->prepare_public(b, 13);
+  const auto ps = m->prepare_secret(s, 13);
+  ASSERT_EQ(pa.size(), kN + 1);
+  ASSERT_EQ(ps.size(), kN);
+  auto acc = m->make_accumulator();
+  m->pointwise_accumulate(acc, pa, ps);
+  m->pointwise_accumulate(acc, pb, ps);
+  EXPECT_EQ(m->finalize(acc, 13),
+            ring::add(sb.multiply_secret(a, s, 13), sb.multiply_secret(b, s, 13), 13));
+  EXPECT_EQ(calls, 3);
+
+  EXPECT_THROW(m->pointwise_accumulate(acc, ps, ps), ContractViolation);
+  EXPECT_THROW(m->pointwise_accumulate(acc, pa, pa), ContractViolation);
+  auto short_acc = acc;
+  short_acc.pop_back();
+  EXPECT_THROW(m->pointwise_accumulate(short_acc, pa, ps), ContractViolation);
+  EXPECT_THROW(m->finalize(short_acc, 13), ContractViolation);
+  EXPECT_THROW(m->finalize_witness(acc), ContractViolation);
+  EXPECT_EQ(calls, 3);
+  EXPECT_THROW(from_poly_mul(nullptr), ContractViolation);
 }
 
 // ------------------------------------------- exact-integer product witnesses

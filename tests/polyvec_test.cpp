@@ -3,7 +3,6 @@
 
 #include "common/rng.hpp"
 #include "mult/schoolbook.hpp"
-#include "mult/strategy.hpp"
 #include "ring/polyvec.hpp"
 
 namespace saber::ring {
@@ -13,7 +12,10 @@ constexpr unsigned kQ = 13;
 
 class PolyVecTest : public ::testing::Test {
  protected:
-  PolyVecTest() : mul_(mult::as_poly_mul(sb_)) {}
+  PolyVecTest()
+      : mul_([this](const Poly& a, const SecretPoly& s, unsigned qbits) {
+          return sb_.multiply_secret(a, s, qbits);
+        }) {}
 
   PolyMatrix random_matrix(std::size_t l) {
     PolyMatrix m(l, l);

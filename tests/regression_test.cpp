@@ -56,8 +56,7 @@ class Regression : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(Regression, FrozenVectors) {
   const auto& v = kVectors[GetParam()];
   const auto& params = by_name(v.param);
-  const auto algo = mult::make_multiplier("schoolbook");
-  SaberKemScheme scheme(params, mult::as_poly_mul(*algo));
+  SaberKemScheme scheme(params, "schoolbook");
 
   std::vector<u8> name_bytes(v.param.begin(), v.param.end());
   sha3::ShakeDrbg rng(name_bytes);
@@ -84,8 +83,7 @@ INSTANTIATE_TEST_SUITE_P(AllParams, Regression,
 TEST(Regression, AllBackendsReproduceSaberVector) {
   const auto& v = kVectors[1];
   for (const auto name : mult::multiplier_names()) {
-    const auto algo = mult::make_multiplier(name);
-    SaberKemScheme scheme(kSaber, mult::as_poly_mul(*algo));
+    SaberKemScheme scheme(kSaber, name);
     std::vector<u8> name_bytes(v.param.begin(), v.param.end());
     sha3::ShakeDrbg rng(name_bytes);
     const auto kp = scheme.keygen(rng);

@@ -132,12 +132,12 @@ class SaberE2E
     : public ::testing::TestWithParam<std::tuple<std::string_view, std::string_view>> {
  protected:
   const SaberParams& params_ = params_by_name(std::get<0>(GetParam()));
-  std::unique_ptr<mult::PolyMultiplier> algo_ =
+  std::shared_ptr<const mult::PolyMultiplier> algo_ =
       mult::make_multiplier(std::get<1>(GetParam()));
 };
 
 TEST_P(SaberE2E, PkeRoundTrip) {
-  SaberPke pke(params_, mult::as_poly_mul(*algo_));
+  SaberPke pke(params_, algo_);
   Xoshiro256StarStar rng(77);
   const auto keys = pke.keygen(rng);
   EXPECT_EQ(keys.pk.size(), params_.pk_bytes());
@@ -155,7 +155,7 @@ TEST_P(SaberE2E, PkeRoundTrip) {
 }
 
 TEST_P(SaberE2E, KemAgreesOnSharedSecret) {
-  SaberKemScheme kem(params_, mult::as_poly_mul(*algo_));
+  SaberKemScheme kem(params_, algo_);
   Xoshiro256StarStar rng(78);
   const auto kp = kem.keygen(rng);
   for (int iter = 0; iter < 3; ++iter) {
@@ -165,7 +165,7 @@ TEST_P(SaberE2E, KemAgreesOnSharedSecret) {
 }
 
 TEST_P(SaberE2E, KemImplicitRejection) {
-  SaberKemScheme kem(params_, mult::as_poly_mul(*algo_));
+  SaberKemScheme kem(params_, algo_);
   Xoshiro256StarStar rng(79);
   const auto kp = kem.keygen(rng);
   const auto enc = kem.encaps(kp.pk, rng);
@@ -237,10 +237,8 @@ TEST(SaberDecodeMargin, RecenteringConstants) {
 // Multiplier backends must be interchangeable: keys made with one backend
 // decrypt ciphertexts made with another.
 TEST(SaberInterop, CrossBackendCiphertexts) {
-  const auto sb = mult::make_multiplier("schoolbook");
-  const auto ntt = mult::make_multiplier("ntt");
-  SaberKemScheme kem_sb(kSaber, mult::as_poly_mul(*sb));
-  SaberKemScheme kem_ntt(kSaber, mult::as_poly_mul(*ntt));
+  SaberKemScheme kem_sb(kSaber, "schoolbook");
+  SaberKemScheme kem_ntt(kSaber, "ntt");
   Xoshiro256StarStar rng(80);
   const auto kp = kem_sb.keygen(rng);
   const auto enc = kem_ntt.encaps(kp.pk, rng);
@@ -248,8 +246,7 @@ TEST(SaberInterop, CrossBackendCiphertexts) {
 }
 
 TEST(SaberDeterminism, KeygenFromSeedsIsReproducible) {
-  const auto sb = mult::make_multiplier("schoolbook");
-  SaberPke pke(kSaber, mult::as_poly_mul(*sb));
+  SaberPke pke(kSaber, "schoolbook");
   Seed sa{}, ss{};
   sa[0] = 1;
   ss[0] = 2;
@@ -260,8 +257,7 @@ TEST(SaberDeterminism, KeygenFromSeedsIsReproducible) {
 }
 
 TEST(SaberDeterminism, EncapsDeterministicVariant) {
-  const auto sb = mult::make_multiplier("schoolbook");
-  SaberKemScheme kem(kSaber, mult::as_poly_mul(*sb));
+  SaberKemScheme kem(kSaber, "schoolbook");
   Xoshiro256StarStar rng(81);
   const auto kp = kem.keygen(rng);
   Message m{};
@@ -274,8 +270,7 @@ TEST(SaberDeterminism, EncapsDeterministicVariant) {
 }
 
 TEST(SaberSecretKey, PackUnpackRoundTrip) {
-  const auto sb = mult::make_multiplier("schoolbook");
-  SaberPke pke(kSaber, mult::as_poly_mul(*sb));
+  SaberPke pke(kSaber, "schoolbook");
   Seed seed{};
   seed[3] = 7;
   const auto s = gen_secret(seed, kSaber);
@@ -284,9 +279,8 @@ TEST(SaberSecretKey, PackUnpackRoundTrip) {
 
 // Error paths: malformed inputs must be rejected loudly, never processed.
 TEST(SaberErrors, MalformedInputsRejected) {
-  const auto sb = mult::make_multiplier("schoolbook");
-  SaberPke pke(kSaber, mult::as_poly_mul(*sb));
-  SaberKemScheme kem(kSaber, mult::as_poly_mul(*sb));
+  SaberPke pke(kSaber, "schoolbook");
+  SaberKemScheme kem(kSaber, "schoolbook");
   Xoshiro256StarStar rng(4242);
   const auto keys = pke.keygen(rng);
   Message m{};
@@ -313,9 +307,8 @@ TEST(SaberErrors, MalformedInputsRejected) {
 // trailing byte, or the whole KEM secret key that embeds the PKE key as its
 // prefix) is a caller error, not a key.
 TEST(SaberErrors, OverLongSecretKeyRejected) {
-  const auto sb = mult::make_multiplier("schoolbook");
-  SaberPke pke(kSaber, mult::as_poly_mul(*sb));
-  SaberKemScheme kem(kSaber, mult::as_poly_mul(*sb));
+  SaberPke pke(kSaber, "schoolbook");
+  SaberKemScheme kem(kSaber, "schoolbook");
   Xoshiro256StarStar rng(4244);
   const auto keys = pke.keygen(rng);
   Message m{};
@@ -337,8 +330,7 @@ TEST(SaberErrors, OverLongSecretKeyRejected) {
 // A corrupted secret key whose coefficients exceed the binomial bound is a
 // data-integrity failure, not valid input: unpacking rejects it.
 TEST(SaberErrors, OutOfRangeSecretKeyRejected) {
-  const auto sb = mult::make_multiplier("schoolbook");
-  SaberPke pke(kSaber, mult::as_poly_mul(*sb));
+  SaberPke pke(kSaber, "schoolbook");
   Xoshiro256StarStar rng(4243);
   auto keys = pke.keygen(rng);
   // Force coefficient 0 to exactly 100 (bits 0..7 = 100, bits 8..12 = 0):
@@ -351,8 +343,7 @@ TEST(SaberErrors, OutOfRangeSecretKeyRejected) {
 // Decryption failure rate for Saber is ~2^-136; a small message sweep with
 // many distinct keys must never fail.
 TEST(SaberRobustness, ManyKeysManyMessages) {
-  const auto ntt = mult::make_multiplier("ntt");
-  SaberPke pke(kSaber, mult::as_poly_mul(*ntt));
+  SaberPke pke(kSaber, "ntt");
   Xoshiro256StarStar rng(82);
   for (int key = 0; key < 3; ++key) {
     const auto keys = pke.keygen(rng);

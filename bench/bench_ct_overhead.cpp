@@ -13,6 +13,7 @@
 #include <string>
 
 #include "ct/audit.hpp"
+#include "mult/strategy.hpp"
 #include "saber/kem.hpp"
 
 using namespace saber;
@@ -63,7 +64,7 @@ int main() {
   std::printf("keygen + encaps + honest decaps + tampered decaps)\n\n");
   std::printf("%-12s %12s %12s %12s %10s\n", "backend", "plain ms", "audit ms",
               "tainted ms", "ratio");
-  for (const auto backend : ct::audit_backend_names()) {
+  for (const auto backend : mult::multiplier_names()) {
     const kem::SaberKemScheme scheme(kem::kSaber, backend);
     const double plain = plain_roundtrip_ms(scheme, kReps);
     const double audit = audit_ms(backend, kReps);

@@ -8,6 +8,7 @@
 #include "common/ctops.hpp"
 #include "mult/karatsuba.hpp"
 #include "mult/ntt.hpp"
+#include "mult/strategy.hpp"
 #include "mult/toomcook.hpp"
 #include "saber/flows.hpp"
 #include "saber/kem.hpp"
@@ -51,97 +52,64 @@ ring::PolyVecOf<TC> promote_vec(const ring::PolyVec& v) {
 }
 
 // --- tainted negacyclic multiplication per backend -------------------------
-// Each body is the production algorithm's word-generic kernel instantiated
-// over Tainted<i64> lanes (Tainted<u32> residues for the NTT); tables,
+// No product body lives here: each transform family composes the stage
+// templates its production class runs over i64 (lift, accumulate, witness,
+// reduce), instantiated over Tainted<i64> lanes (Tainted<u32> residues for
+// the NTT). The backend is looked up in the registry and its configuration
+// (Karatsuba depth, Toom order) read off the production instance; tables,
 // recursion shapes and loop bounds are public.
 
 using TaintedMul = std::function<TPoly(const TPoly&, const TSecretPoly&, unsigned)>;
+using TSpan = std::span<const TW>;
 
-std::vector<TW> lift_secret(const TSecretPoly& s) {
-  std::vector<TW> sv(kN);
-  for (std::size_t i = 0; i < kN; ++i) sv[i] = cast<i64>(s[i]);
-  return sv;
+// Convolution family: the images are the lifted coefficients and the
+// accumulator is the linear convolution, filled by `acc_kernel`.
+template <typename AccKernel>
+TaintedMul conv_mul(AccKernel acc_kernel) {
+  return [acc_kernel](const TPoly& a, const TSecretPoly& s, unsigned qbits) {
+    mult::OpCounts ops;
+    std::vector<TW> acc(2 * kN - 1, TW{0});
+    acc_kernel(TSpan(mult::centered_lift(a, qbits)), TSpan(mult::lift_secret(s)),
+               std::span<TW>(acc), ops);
+    return mult::reduce_witness<kN, TW>(acc, qbits);
+  };
 }
 
-TPoly mul_schoolbook(const TPoly& a, const TSecretPoly& s, unsigned qbits) {
-  mult::OpCounts ops;
-  const auto av = mult::centered_lift(a, qbits);
-  const auto sv = lift_secret(s);
-  std::vector<TW> out(2 * kN - 1, TW{0});
-  mult::schoolbook_conv_g(std::span<const TW>(av), std::span<const TW>(sv),
-                          std::span<TW>(out), ops);
-  return mult::fold_negacyclic_g<kN, TW>(std::span<const TW>(out), qbits);
+TaintedMul toom_mul(const mult::ToomTables& t) {
+  return [&t](const TPoly& a, const TSecretPoly& s, unsigned qbits) {
+    mult::OpCounts ops;
+    auto acc = mult::toom_accumulator_g<TW>(t);
+    mult::toom_pointwise_acc_g<TW>(
+        acc, mult::toom_evaluate_g(mult::centered_lift(a, qbits), t, ops),
+        mult::toom_evaluate_g(mult::lift_secret(s), t, ops), t, ops);
+    return mult::reduce_witness<kN, TW>(mult::toom_interpolate_g<TW>(acc, t, ops), qbits);
+  };
 }
 
-TPoly mul_karatsuba(const TPoly& a, const TSecretPoly& s, unsigned qbits) {
-  mult::OpCounts ops;
-  const auto av = mult::centered_lift(a, qbits);
-  const auto sv = lift_secret(s);
-  std::vector<TW> out(2 * kN - 1, TW{0});
-  mult::karatsuba_conv_g(std::span<const TW>(av), std::span<const TW>(sv),
-                         std::span<TW>(out), /*levels=*/8, ops);
-  return mult::fold_negacyclic_g<kN, TW>(std::span<const TW>(out), qbits);
-}
-
-TPoly mul_toom(const TPoly& a, const TSecretPoly& s, unsigned qbits, unsigned parts) {
-  mult::OpCounts ops;
-  const auto& t = mult::toom_tables(parts);
-  auto av = mult::centered_lift(a, qbits);
-  auto sv = lift_secret(s);
-  av.resize(t.padded_len, TW{0});
-  sv.resize(t.padded_len, TW{0});
-
-  const auto ea = mult::toom_evaluate_g(std::span<const TW>(av), t, ops);
-  const auto eb = mult::toom_evaluate_g(std::span<const TW>(sv), t, ops);
-
-  const std::size_t part = t.part_len;
-  std::vector<TW> prods(static_cast<std::size_t>(t.points) * (2 * part - 1), TW{0});
-  for (unsigned i = 0; i < t.points; ++i) {
-    mult::karatsuba_conv_g(
-        std::span<const TW>(ea).subspan(i * part, part),
-        std::span<const TW>(eb).subspan(i * part, part),
-        std::span<TW>(prods).subspan(static_cast<std::size_t>(i) * (2 * part - 1),
-                                     2 * part - 1),
-        /*levels=*/32, ops);
-  }
-
-  std::vector<TW> out(2 * t.padded_len - 1, TW{0});
-  mult::toom_interpolate_acc_g(std::span<const TW>(prods), part, t,
-                               std::span<TW>(out), ops);
-  // The padded tail is provably zero (plain builds assert it); checking it
-  // here would branch on tainted values, so the audit just drops it.
-  return mult::fold_negacyclic_g<kN, TW>(
-      std::span<const TW>(out.data(), 2 * kN - 1), qbits);
-}
-
-TPoly mul_ntt(const TPoly& a, const TSecretPoly& s, unsigned qbits) {
+TPoly ntt_mul(const TPoly& a, const TSecretPoly& s, unsigned qbits) {
   mult::OpCounts ops;
   const auto& t = mult::ntt_tables();
   auto acc = mult::NttImage<Tainted<u32>>{};
   const auto ta = mult::ntt_prepare_g(mult::centered_lift(a, qbits), t, ops);
   mult::ntt_pointwise_acc_g(acc, ta, mult::ntt_prepare_g(s.c, t, ops), t, ops);
-  const auto w = mult::ntt_lift_g(acc, t, ops);
-  TPoly r;
-  for (std::size_t i = 0; i < kN; ++i) {
-    r[i] = cast<u16>(to_twos_complement_g(w[i], qbits));
-  }
-  return r;
+  return mult::reduce_witness<kN, TW>(mult::ntt_lift_g(acc, t, ops), qbits);
 }
 
 TaintedMul make_tainted_mul(std::string_view name) {
-  if (name == "schoolbook") return mul_schoolbook;
-  if (name == "karatsuba-8") return mul_karatsuba;
-  if (name == "toom3") {
-    return [](const TPoly& a, const TSecretPoly& s, unsigned qbits) {
-      return mul_toom(a, s, qbits, 3);
-    };
+  const auto m = mult::make_multiplier(name);
+  if (dynamic_cast<const mult::SchoolbookMultiplier*>(m.get()) != nullptr) {
+    return conv_mul(&mult::schoolbook_acc_g<TW>);
   }
-  if (name == "toom4") {
-    return [](const TPoly& a, const TSecretPoly& s, unsigned qbits) {
-      return mul_toom(a, s, qbits, 4);
-    };
+  if (const auto* k = dynamic_cast<const mult::KaratsubaMultiplier*>(m.get())) {
+    return conv_mul([levels = k->levels()](TSpan a, TSpan s, std::span<TW> acc,
+                                           mult::OpCounts& ops) {
+      mult::karatsuba_acc_g(a, s, acc, levels, ops);
+    });
   }
-  if (name == "ntt") return mul_ntt;
+  if (const auto* t = dynamic_cast<const mult::ToomCookMultiplier*>(m.get())) {
+    return toom_mul(mult::toom_tables(t->parts()));
+  }
+  if (dynamic_cast<const mult::NttMultiplier*>(m.get()) != nullptr) return ntt_mul;
   SABER_REQUIRE(false, "unknown audit backend");
   return {};
 }
@@ -170,10 +138,6 @@ std::array<TB, N> taint_array(const std::array<u8, N>& src) {
 }
 
 }  // namespace
-
-std::vector<std::string_view> audit_backend_names() {
-  return {"schoolbook", "karatsuba-8", "toom3", "toom4", "ntt"};
-}
 
 std::vector<std::string_view> declassify_allowlist() {
   return {"secret-bound-check", "keygen-pk-publish", "encaps-ct-publish",
@@ -287,7 +251,7 @@ AuditResult audit_kem_roundtrip(std::string_view backend,
 
 std::vector<AuditResult> audit_backends(const kem::SaberParams& params) {
   std::vector<AuditResult> out;
-  for (const auto name : audit_backend_names()) {
+  for (const auto name : mult::multiplier_names()) {
     out.push_back(audit_kem_roundtrip(name, params));
   }
   return out;

@@ -14,9 +14,11 @@
 //     SaberKemScheme over the same backend and seeds — the audited code path
 //     IS the production code path.
 //
-// One audit per software multiplier backend: the polynomial products run
-// through the same generic schoolbook/Karatsuba/Toom-Cook/NTT kernels
-// production uses, instantiated over tainted words.
+// One audit per registered software multiplier (mult::multiplier_names()):
+// the polynomial products run through the stage templates the production
+// class runs over i64 (lift, accumulate, interpolate or inverse-transform,
+// reduce), instantiated over tainted words. A backend the audit cannot
+// compose throws "unknown audit backend".
 #pragma once
 
 #include <string>
@@ -38,9 +40,6 @@ struct AuditResult {
   bool ok() const { return violations.empty() && outputs_tainted && conforms; }
 };
 
-/// The software backends the audit covers (valid mult::make_multiplier names).
-std::vector<std::string_view> audit_backend_names();
-
 /// The reviewed declassification allowlist; every site is justified in
 /// docs/static_analysis.md. The audit fails if any other site appears.
 std::vector<std::string_view> declassify_allowlist();
@@ -51,7 +50,7 @@ std::vector<std::string_view> declassify_allowlist();
 AuditResult audit_kem_roundtrip(std::string_view backend,
                                 const kem::SaberParams& params);
 
-/// audit_kem_roundtrip over every backend in audit_backend_names().
+/// audit_kem_roundtrip over every backend in mult::multiplier_names().
 std::vector<AuditResult> audit_backends(const kem::SaberParams& params);
 
 /// Deliberately variable-time kernels (early-exit compare, secret table

@@ -6,25 +6,15 @@ namespace saber::mult {
 
 void karatsuba_conv(std::span<const i64> a, std::span<const i64> b, std::span<i64> out,
                     unsigned levels, OpCounts& ops) {
-  karatsuba_conv_g(a, b, out, levels, ops);
+  std::ranges::fill(out, 0);
+  karatsuba_acc_g(a, b, out, levels, ops);
 }
 
 KaratsubaMultiplier::KaratsubaMultiplier(unsigned levels)
     : levels_(levels), name_("karatsuba-" + std::to_string(levels)) {}
 
-ring::Poly KaratsubaMultiplier::multiply(const ring::Poly& a, const ring::Poly& b,
-                                         unsigned qbits) const {
-  const auto av = centered_lift(a, qbits);
-  const auto bv = centered_lift(b, qbits);
-  std::vector<i64> conv(2 * ring::kN - 1);
-  karatsuba_conv(av, bv, conv, levels_, ops_);
-  return fold_negacyclic<ring::kN>(conv, qbits);
-}
-
 void KaratsubaMultiplier::conv_accumulate(std::span<const i64> a, std::span<const i64> s,
                                           std::span<i64> acc) const {
-  // karatsuba_rec_g accumulates into a zeroed buffer, so it can add straight
-  // into the batch accumulator with no scratch product buffer.
   karatsuba_acc_g(a, s, acc, levels_, ops_);
 }
 

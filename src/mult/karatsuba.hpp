@@ -61,21 +61,13 @@ void karatsuba_rec_g(std::span<const W> a, std::span<const W> b, std::span<W> ou
 
 }  // namespace detail
 
-/// Word-generic Karatsuba linear convolution, splitting `levels` times (or
-/// until operands shrink to a single coefficient).
-template <typename W>
-void karatsuba_conv_g(std::span<const W> a, std::span<const W> b, std::span<W> out,
-                      unsigned levels, OpCounts& ops) {
-  SABER_REQUIRE(out.size() == a.size() + b.size() - 1, "output length mismatch");
-  std::ranges::fill(out, W{0});
-  detail::karatsuba_rec_g<W>(a, b, out, levels, ops);
-}
-
-/// Word-generic accumulating form: adds the convolution into `acc` (which
-/// must already hold the running sum).
+/// Word-generic accumulating Karatsuba linear convolution, acc += a * b,
+/// splitting `levels` times (or until operands shrink to a single
+/// coefficient).
 template <typename W>
 void karatsuba_acc_g(std::span<const W> a, std::span<const W> b, std::span<W> acc,
                      unsigned levels, OpCounts& ops) {
+  SABER_REQUIRE(acc.size() == a.size() + b.size() - 1, "output length mismatch");
   detail::karatsuba_rec_g<W>(a, b, acc, levels, ops);
 }
 
@@ -87,12 +79,9 @@ class KaratsubaMultiplier final : public PolyMultiplier {
   std::string_view name() const override { return name_; }
   unsigned levels() const { return levels_; }
 
-  ring::Poly multiply(const ring::Poly& a, const ring::Poly& b,
-                      unsigned qbits) const override;
-
  protected:
-  /// Split-transform hook: Karatsuba sub-multiplication into a scratch
-  /// buffer, then flat i64 accumulation (keeps the batched path subquadratic).
+  /// Split-transform hook: karatsuba_acc_g straight into the accumulator
+  /// (keeps the batched path subquadratic).
   void conv_accumulate(std::span<const i64> a, std::span<const i64> s,
                        std::span<i64> acc) const override;
 

@@ -1,6 +1,7 @@
 #include "mult/multiplier.hpp"
 
 #include "common/check.hpp"
+#include "mult/schoolbook.hpp"
 
 namespace saber::mult {
 
@@ -11,16 +12,20 @@ namespace saber::mult {
 // the naive per-product loop; Toom-Cook and NTT override the whole API to
 // cache their genuinely expensive transforms as well.
 
+ring::Poly PolyMultiplier::multiply(const ring::Poly& a, const ring::Poly& b,
+                                    unsigned qbits) const {
+  auto acc = make_accumulator();
+  pointwise_accumulate(acc, prepare_public(a, qbits), prepare_public(b, qbits));
+  return finalize(acc, qbits);
+}
+
 Transformed PolyMultiplier::prepare_public(const ring::Poly& a, unsigned qbits) const {
   return centered_lift(a, qbits);
 }
 
-Transformed PolyMultiplier::prepare_secret(const ring::SecretPoly& s,
-                                           unsigned qbits) const {
-  (void)qbits;  // small signed secrets embed into Z directly
-  Transformed v(ring::kN);
-  for (std::size_t i = 0; i < ring::kN; ++i) v[i] = s[i];
-  return v;
+// Small signed secrets embed into Z directly: qbits is unused.
+Transformed PolyMultiplier::prepare_secret(const ring::SecretPoly& s, unsigned) const {
+  return lift_secret(s);
 }
 
 Transformed PolyMultiplier::make_accumulator() const {
@@ -29,8 +34,6 @@ Transformed PolyMultiplier::make_accumulator() const {
 
 void PolyMultiplier::pointwise_accumulate(Transformed& acc, const Transformed& a,
                                           const Transformed& s) const {
-  SABER_REQUIRE(acc.size() == a.size() + s.size() - 1,
-                "accumulator/operand length mismatch");
   conv_accumulate(a, s, acc);
 }
 
@@ -56,13 +59,7 @@ std::size_t PolyMultiplier::max_accumulated_terms() const {
 
 void PolyMultiplier::conv_accumulate(std::span<const i64> a, std::span<const i64> s,
                                      std::span<i64> acc) const {
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    for (std::size_t j = 0; j < s.size(); ++j) {
-      acc[i + j] += a[i] * s[j];
-    }
-  }
-  ops_.coeff_mults += a.size() * s.size();
-  ops_.coeff_adds += a.size() * s.size();
+  schoolbook_acc_g(a, s, acc, ops_);
 }
 
 }  // namespace saber::mult

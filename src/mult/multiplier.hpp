@@ -46,8 +46,11 @@ class PolyMultiplier {
   virtual std::string_view name() const = 0;
 
   /// Negacyclic product of two general ring elements, reduced mod 2^qbits.
+  /// The default is the split pipeline below with both operands prepared as
+  /// public, so a backend implements only its stages. Decorators override it
+  /// to intercept whole products.
   virtual ring::Poly multiply(const ring::Poly& a, const ring::Poly& b,
-                              unsigned qbits) const = 0;
+                              unsigned qbits) const;
 
   /// Product with a small signed secret (Saber's case). The two's-complement
   /// embedding makes this exact for any algorithm working modulo 2^qbits.
@@ -124,9 +127,9 @@ class PolyMultiplier {
  protected:
   /// Hook for the default (convolution-domain) split-transform path:
   /// accumulate the signed linear convolution a * s into `acc`
-  /// (acc.size() == a.size() + s.size() - 1). Schoolbook by default;
-  /// Karatsuba overrides it. Algorithms with a genuine transform domain
-  /// (Toom-Cook, NTT) override the five public methods instead.
+  /// (acc.size() == a.size() + s.size() - 1). schoolbook_acc_g by default;
+  /// Karatsuba overrides it with karatsuba_acc_g. Algorithms with a genuine
+  /// transform domain (Toom-Cook, NTT) override the five stages instead.
   virtual void conv_accumulate(std::span<const i64> a, std::span<const i64> s,
                                std::span<i64> acc) const;
 
@@ -159,13 +162,15 @@ ring::PolyT<N> fold_negacyclic(std::span<const i64> conv, unsigned qbits) {
 /// fold for the length-2N-1 convolution form, plain two's-complement masking
 /// for the length-N exact-remainder form. `reduce_witness(finalize_witness(acc))
 /// == finalize(acc)` for every backend (asserted in tests/mult_test.cpp).
-template <std::size_t N>
-ring::PolyT<N> reduce_witness(std::span<const i64> w, unsigned qbits) {
-  if (w.size() == 2 * N - 1) return fold_negacyclic<N>(w, qbits);
+/// Word-generic like fold_negacyclic_g.
+template <std::size_t N, typename W = i64>
+ring::PolyT<N, ct::rebind_t<W, u16>> reduce_witness(std::span<const W> w,
+                                                    unsigned qbits) {
+  if (w.size() == 2 * N - 1) return fold_negacyclic_g<N, W>(w, qbits);
   SABER_REQUIRE(w.size() == N, "witness length is neither 2N-1 nor N");
-  ring::PolyT<N> r;
+  ring::PolyT<N, ct::rebind_t<W, u16>> r;
   for (std::size_t i = 0; i < N; ++i) {
-    r[i] = static_cast<u16>(to_twos_complement(w[i], qbits) & mask64(qbits));
+    r[i] = ct::cast<u16>(ct::to_twos_complement_g(w[i], qbits));
   }
   return r;
 }
@@ -179,6 +184,15 @@ std::vector<ct::rebind_t<C, i64>> centered_lift(const ring::PolyT<N, C>& p,
                                                 unsigned qbits) {
   std::vector<ct::rebind_t<C, i64>> v(N);
   for (std::size_t i = 0; i < N; ++i) v[i] = ct::centered_g(p[i], qbits);
+  return v;
+}
+
+/// Convolution-domain image of a small signed secret: its coefficients
+/// sign-extended into the i64 analog (no centering, so no qbits).
+template <std::size_t N, typename S>
+std::vector<ct::rebind_t<S, i64>> lift_secret(const ring::SecretPolyT<N, S>& s) {
+  std::vector<ct::rebind_t<S, i64>> v(N);
+  for (std::size_t i = 0; i < N; ++i) v[i] = ct::cast<i64>(s[i]);
   return v;
 }
 

@@ -101,18 +101,7 @@ std::vector<i64> NttMultiplier::finalize_witness(const Transformed& acc) const {
 
 ring::Poly NttMultiplier::finalize(const Transformed& acc, unsigned qbits) const {
   auto img = unpack_image(acc);
-  return reduce_witness<ring::kN>(ntt_lift_g(img, ntt_tables(), ops_), qbits);
-}
-
-ring::Poly NttMultiplier::multiply(const ring::Poly& a, const ring::Poly& b,
-                                   unsigned qbits) const {
-  // Centered lift keeps the true integer product coefficients below
-  // N * (q/2)^2 = 2^38 in magnitude at qbits 16, far inside (-P/2, P/2).
-  const auto& t = ntt_tables();
-  NttImage<u32> acc{};
-  ntt_pointwise_acc_g(acc, ntt_prepare_g(centered_lift(a, qbits), t, ops_),
-                      ntt_prepare_g(centered_lift(b, qbits), t, ops_), t, ops_);
-  return reduce_witness<ring::kN>(ntt_lift_g(acc, t, ops_), qbits);
+  return reduce_witness<ring::kN, i64>(ntt_lift_g(img, ntt_tables(), ops_), qbits);
 }
 
 }  // namespace saber::mult

@@ -179,9 +179,6 @@ class NttMultiplier final : public PolyMultiplier {
 
   std::string_view name() const override { return "ntt"; }
 
-  ring::Poly multiply(const ring::Poly& a, const ring::Poly& b,
-                      unsigned qbits) const override;
-
   // Split-transform API: a transform holds the forward spectra mod p1 and p2
   // (256 i64 words); finalize runs the inverse NTTs and the CRT lift, exact
   // while the accumulated coefficients stay below P/2 (max_accumulated_terms).

@@ -9,13 +9,4 @@ void schoolbook_conv(std::span<const i64> a, std::span<const i64> b, std::span<i
   schoolbook_conv_g(a, b, out, ops);
 }
 
-ring::Poly SchoolbookMultiplier::multiply(const ring::Poly& a, const ring::Poly& b,
-                                          unsigned qbits) const {
-  const auto av = centered_lift(a, qbits);
-  const auto bv = centered_lift(b, qbits);
-  std::vector<i64> conv(2 * ring::kN - 1);
-  schoolbook_conv(av, bv, conv, ops_);
-  return fold_negacyclic<ring::kN>(conv, qbits);
-}
-
 }  // namespace saber::mult

@@ -9,29 +9,34 @@
 
 namespace saber::mult {
 
-/// Word-generic signed integer linear convolution,
-/// out.size() == a.size() + b.size() - 1. Purely multiply-accumulate with
-/// loop-counter indexing — constant-time in the data by construction.
+/// Word-generic accumulating signed integer linear convolution,
+/// acc += a * b with acc.size() == a.size() + b.size() - 1. Purely
+/// multiply-accumulate with loop-counter indexing — constant-time in the data
+/// by construction.
 template <typename W>
-void schoolbook_conv_g(std::span<const W> a, std::span<const W> b, std::span<W> out,
-                       OpCounts& ops) {
-  SABER_REQUIRE(out.size() == a.size() + b.size() - 1, "output length mismatch");
-  std::ranges::fill(out, W{0});
+void schoolbook_acc_g(std::span<const W> a, std::span<const W> b, std::span<W> acc,
+                      OpCounts& ops) {
+  SABER_REQUIRE(acc.size() == a.size() + b.size() - 1, "output length mismatch");
   for (std::size_t i = 0; i < a.size(); ++i) {
     for (std::size_t j = 0; j < b.size(); ++j) {
-      out[i + j] += a[i] * b[j];
+      acc[i + j] += a[i] * b[j];
     }
   }
   ops.coeff_mults += a.size() * b.size();
   ops.coeff_adds += a.size() * b.size();
 }
 
+/// Non-accumulating form: out = a * b.
+template <typename W>
+void schoolbook_conv_g(std::span<const W> a, std::span<const W> b, std::span<W> out,
+                       OpCounts& ops) {
+  std::ranges::fill(out, W{0});
+  schoolbook_acc_g(a, b, out, ops);
+}
+
 class SchoolbookMultiplier final : public PolyMultiplier {
  public:
   std::string_view name() const override { return "schoolbook"; }
-
-  ring::Poly multiply(const ring::Poly& a, const ring::Poly& b,
-                      unsigned qbits) const override;
 };
 
 /// Signed integer linear convolution, out.size() == a.size() + b.size() - 1.

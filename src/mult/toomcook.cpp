@@ -168,110 +168,33 @@ const ToomTables& toom_tables(unsigned parts) {
 ToomCookMultiplier::ToomCookMultiplier(unsigned parts)
     : tables_(toom_tables(parts)), name_("toom" + std::to_string(parts)) {}
 
-void ToomCookMultiplier::conv(std::span<const i64> a, std::span<const i64> b,
-                              std::span<i64> out) const {
-  const std::size_t n = a.size();
-  SABER_REQUIRE(b.size() == n && n % tables_.parts == 0,
-                "Toom-Cook needs equal lengths divisible by the order");
-  SABER_REQUIRE(out.size() == 2 * n - 1, "output length mismatch");
-  const std::size_t part = n / tables_.parts;
-
-  // Evaluate the limbs of each operand at every point (Horner).
-  const auto ea = toom_evaluate_g(a, tables_, ops_);
-  const auto eb = toom_evaluate_g(b, tables_, ops_);
-
-  // Pairwise products at each point; Karatsuba on the sub-multiplications,
-  // as in the layered software multipliers [6].
-  std::vector<i64> prods(static_cast<std::size_t>(tables_.points) * (2 * part - 1), 0);
-  for (unsigned i = 0; i < tables_.points; ++i) {
-    karatsuba_conv(std::span<const i64>(ea).subspan(i * part, part),
-                   std::span<const i64>(eb).subspan(i * part, part),
-                   std::span<i64>(prods).subspan(
-                       static_cast<std::size_t>(i) * (2 * part - 1), 2 * part - 1),
-                   /*levels=*/32, ops_);
-  }
-
-  // Interpolate the limb products W_0..W_{2k-2} and recombine at x^part.
-  std::ranges::fill(out, 0);
-  toom_interpolate_acc_g(std::span<const i64>(prods), part, tables_, out, ops_);
-}
-
 Transformed ToomCookMultiplier::prepare_public(const ring::Poly& a,
                                                unsigned qbits) const {
-  auto av = centered_lift(a, qbits);
-  av.resize(padded_len(), 0);
-  return toom_evaluate_g(std::span<const i64>(av), tables_, ops_);
+  return toom_evaluate_g(centered_lift(a, qbits), tables_, ops_);
 }
 
+// Small signed secrets embed into Z directly: qbits is unused.
 Transformed ToomCookMultiplier::prepare_secret(const ring::SecretPoly& s,
-                                               unsigned qbits) const {
-  (void)qbits;
-  std::vector<i64> sv(padded_len(), 0);
-  for (std::size_t i = 0; i < ring::kN; ++i) sv[i] = s[i];
-  return toom_evaluate_g(std::span<const i64>(sv), tables_, ops_);
+                                               unsigned) const {
+  return toom_evaluate_g(lift_secret(s), tables_, ops_);
 }
 
 Transformed ToomCookMultiplier::make_accumulator() const {
-  return Transformed(static_cast<std::size_t>(tables_.points) * (2 * part_len() - 1),
-                     0);
+  return toom_accumulator_g<i64>(tables_);
 }
 
 void ToomCookMultiplier::pointwise_accumulate(Transformed& acc, const Transformed& a,
                                               const Transformed& s) const {
-  const std::size_t part = part_len();
-  SABER_REQUIRE(a.size() == static_cast<std::size_t>(tables_.points) * part &&
-                    s.size() == a.size(),
-                "operand not in this Toom-Cook transform domain");
-  SABER_REQUIRE(acc.size() == static_cast<std::size_t>(tables_.points) * (2 * part - 1),
-                "accumulator not in this Toom-Cook transform domain");
-  for (unsigned i = 0; i < tables_.points; ++i) {
-    karatsuba_acc_g(std::span<const i64>(a).subspan(i * part, part),
-                    std::span<const i64>(s).subspan(i * part, part),
-                    std::span<i64>(acc).subspan(
-                        static_cast<std::size_t>(i) * (2 * part - 1), 2 * part - 1),
-                    /*levels=*/32, ops_);
-  }
-  ops_.coeff_adds += static_cast<u64>(tables_.points) * (2 * part - 1);
+  toom_pointwise_acc_g<i64>(acc, a, s, tables_, ops_);
 }
 
 std::vector<i64> ToomCookMultiplier::finalize_witness(const Transformed& acc) const {
-  const std::size_t part = part_len();
-  const std::size_t padded = padded_len();
-  SABER_REQUIRE(acc.size() == static_cast<std::size_t>(tables_.points) * (2 * part - 1),
-                "accumulator not in this Toom-Cook transform domain");
-  // Interpolation is linear, so interpolating the accumulated point products
-  // recovers the accumulated convolution with the same exact divisions.
-  std::vector<i64> out(2 * padded - 1, 0);
-  toom_interpolate_acc_g(std::span<const i64>(acc), part, tables_,
-                         std::span<i64>(out), ops_);
-  for (std::size_t i = 2 * ring::kN - 1; i < out.size(); ++i) {
-    SABER_ENSURE(out[i] == 0, "padded convolution tail must vanish");
-  }
-  out.resize(2 * ring::kN - 1);
-  return out;
+  return toom_interpolate_g<i64>(acc, tables_, ops_);
 }
 
 ring::Poly ToomCookMultiplier::finalize(const Transformed& acc, unsigned qbits) const {
   return fold_negacyclic<ring::kN>(std::span<const i64>(finalize_witness(acc)),
                                    qbits);
-}
-
-ring::Poly ToomCookMultiplier::multiply(const ring::Poly& a, const ring::Poly& b,
-                                        unsigned qbits) const {
-  auto av = centered_lift(a, qbits);
-  auto bv = centered_lift(b, qbits);
-  // Zero-pad to a multiple of the order (Toom-3 on 256 coefficients works on
-  // 258); the padded convolution tail is zero and is dropped before folding.
-  const std::size_t padded = padded_len();
-  av.resize(padded, 0);
-  bv.resize(padded, 0);
-  std::vector<i64> conv_out(2 * padded - 1);
-  conv(av, bv, conv_out);
-  for (std::size_t i = 2 * ring::kN - 1; i < conv_out.size(); ++i) {
-    SABER_ENSURE(conv_out[i] == 0, "padded convolution tail must vanish");
-  }
-  return fold_negacyclic<ring::kN>(
-      std::span<const i64>(conv_out.data(), 2 * ring::kN - 1), qbits);
 }
 
 }  // namespace saber::mult

@@ -65,15 +65,14 @@ struct ToomTables {
 /// Build (and cache) the tables for order 3 or 4.
 const ToomTables& toom_tables(unsigned parts);
 
-/// Evaluate the `parts` limbs of p (length t.padded_len * (len/padded_len);
-/// any length divisible by parts) at every point; returns the flattened
-/// points x part matrix. Horner over public points — constant-time in the
-/// data for any word type.
+/// Pad a lifted operand (public or secret, length N) with zeros to
+/// t.padded_len and evaluate its `parts` limbs at every point; returns the
+/// flattened points x part matrix. Horner over public points — constant-time
+/// in the data for any word type.
 template <typename W>
-std::vector<W> toom_evaluate_g(std::span<const W> p, const ToomTables& t,
-                               OpCounts& ops) {
-  const std::size_t part = p.size() / t.parts;
-  SABER_REQUIRE(p.size() % t.parts == 0, "operand length not divisible by order");
+std::vector<W> toom_evaluate_g(std::vector<W> p, const ToomTables& t, OpCounts& ops) {
+  p.resize(t.padded_len, W{0});
+  const std::size_t part = t.part_len;
   std::vector<W> evals(static_cast<std::size_t>(t.points) * part, W{0});
   for (std::size_t k = 0; k < part; ++k) {
     std::vector<W> limbs(t.parts);
@@ -94,27 +93,58 @@ std::vector<W> toom_evaluate_g(std::span<const W> p, const ToomTables& t,
   return evals;
 }
 
-/// Interpolate the accumulated per-point limb products (points segments of
-/// length 2*part-1 each) and add the recombination at x^part into `out`
-/// (length >= (points-1)*part + 2*part-1).
+/// Fresh zero accumulator: points segments of length 2*part-1.
 template <typename W>
-void toom_interpolate_acc_g(std::span<const W> prods, std::size_t part,
-                            const ToomTables& t, std::span<W> out, OpCounts& ops) {
-  SABER_REQUIRE(prods.size() == static_cast<std::size_t>(t.points) * (2 * part - 1),
+std::vector<W> toom_accumulator_g(const ToomTables& t) {
+  return std::vector<W>(static_cast<std::size_t>(t.points) * (2 * t.part_len - 1), W{0});
+}
+
+/// acc += a * s point-wise: one Karatsuba limb product per evaluation point,
+/// as in the layered software multipliers [6].
+template <typename W>
+void toom_pointwise_acc_g(std::span<W> acc, std::span<const W> a, std::span<const W> s,
+                          const ToomTables& t, OpCounts& ops) {
+  const std::size_t part = t.part_len;
+  SABER_REQUIRE(a.size() == t.points * part && s.size() == a.size(),
+                "operand not in this Toom-Cook transform domain");
+  SABER_REQUIRE(acc.size() == t.points * (2 * part - 1),
                 "accumulator not in this Toom-Cook transform domain");
+  for (unsigned i = 0; i < t.points; ++i) {
+    karatsuba_acc_g(a.subspan(i * part, part), s.subspan(i * part, part),
+                    acc.subspan(i * (2 * part - 1), 2 * part - 1), /*levels=*/32, ops);
+  }
+}
+
+/// Interpolate the accumulated per-point limb products, recombine at x^part
+/// and drop the padded tail: the signed linear convolution, length 2N-1.
+/// Interpolation is linear, so a sum of products interpolates with the same
+/// exact divisions. The tail is provably zero; plain words assert it, while
+/// tainted words skip the check, which would branch on secret data.
+template <typename W>
+std::vector<W> toom_interpolate_g(std::span<const W> acc, const ToomTables& t,
+                                  OpCounts& ops) {
+  const std::size_t part = t.part_len;
+  SABER_REQUIRE(acc.size() == t.points * (2 * part - 1),
+                "accumulator not in this Toom-Cook transform domain");
+  std::vector<W> out(2 * t.padded_len - 1, W{0});
   for (unsigned j = 0; j < t.points; ++j) {
     for (std::size_t k = 0; k < 2 * part - 1; ++k) {
-      W acc{0};
+      W sum{0};
       for (unsigned i = 0; i < t.points; ++i) {
-        acc += t.interp_num[j][i] *
-               prods[static_cast<std::size_t>(i) * (2 * part - 1) + k];
+        sum += t.interp_num[j][i] * acc[i * (2 * part - 1) + k];
       }
-      out[static_cast<std::size_t>(j) * part + k] +=
-          exact_div_g(acc, t.interp_div[j]);
+      out[j * part + k] += exact_div_g(sum, t.interp_div[j]);
     }
   }
   ops.coeff_mults += static_cast<u64>(t.points) * t.points * (2 * part - 1);
   ops.coeff_adds += static_cast<u64>(t.points) * t.points * (2 * part - 1);
+  if constexpr (!ct::is_tainted_v<W>) {
+    for (std::size_t i = 2 * ring::kN - 1; i < out.size(); ++i) {
+      SABER_ENSURE(out[i] == 0, "padded convolution tail must vanish");
+    }
+  }
+  out.resize(2 * ring::kN - 1);
+  return out;
 }
 
 class ToomCookMultiplier : public PolyMultiplier {
@@ -125,12 +155,6 @@ class ToomCookMultiplier : public PolyMultiplier {
 
   std::string_view name() const override { return name_; }
   unsigned parts() const { return tables_.parts; }
-
-  ring::Poly multiply(const ring::Poly& a, const ring::Poly& b,
-                      unsigned qbits) const override;
-
-  /// Signed integer linear convolution; length divisible by `parts`.
-  void conv(std::span<const i64> a, std::span<const i64> b, std::span<i64> out) const;
 
   // Split-transform API: the cached transform is the per-point limb
   // evaluation (the E step of E-M-I); pointwise products and accumulation
@@ -154,9 +178,6 @@ class ToomCookMultiplier : public PolyMultiplier {
   std::size_t max_accumulated_terms() const override { return tables_.max_terms; }
 
  private:
-  std::size_t padded_len() const { return tables_.padded_len; }
-  std::size_t part_len() const { return tables_.part_len; }
-
   const ToomTables& tables_;
   std::string name_;
 };

@@ -1,8 +1,8 @@
 // Differential harness: every implementation of negacyclic multiplication in
-// the repository — four software algorithms and seven hardware architecture
-// models — must agree pairwise on randomized and structured inputs. A single
-// run exercises tens of thousands of coefficient cross-checks; any divergence
-// pinpoints the odd implementation out.
+// the repository — every registered software algorithm and hardware
+// architecture model — must agree pairwise on randomized and structured
+// inputs. A single run exercises tens of thousands of coefficient
+// cross-checks; any divergence pinpoints the odd implementation out.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -22,8 +22,7 @@ struct Implementations {
     for (const auto name : mult::multiplier_names()) {
       sw.push_back(mult::make_multiplier(name));
     }
-    for (const char* name : {"lw4", "hs1-256", "hs1-512", "hs2", "hs2-wide",
-                             "baseline-256", "karatsuba-hw", "ntt-hw"}) {
+    for (const auto name : arch::architecture_names()) {
       hw.push_back(arch::make_architecture(name));
     }
   }

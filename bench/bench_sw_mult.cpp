@@ -42,24 +42,26 @@ BENCHMARK_CAPTURE(BM_SoftwareMultiply, ntt, "ntt");
 
 enum class Stage { kPreparePublic, kPrepareSecret, kPointwiseAccumulate, kFinalize };
 
-void BM_SplitStage(benchmark::State& state, const char* name, Stage stage) {
+void BM_SplitStage(benchmark::State& state, const char* name, Stage stage,
+                   unsigned qbits) {
   // One stage of the split-transform pipeline on Saber-shaped operands
-  // (qbits 13, |s| <= 4): the per-stage cost behind each product.
+  // (|s| <= 4): the per-stage cost behind each product. qbits 13 is Saber's
+  // q; the ntt_q16 rows measure the NTT's two-prime images (ntt_lanes).
   const auto algo = mult::make_multiplier(name);
   Xoshiro256StarStar rng(13);
-  const auto a = ring::Poly::random(rng, 13);
+  const auto a = ring::Poly::random(rng, qbits);
   const auto s = ring::SecretPoly::random(rng, 4);
-  const auto ta = algo->prepare_public(a, 13);
-  const auto ts = algo->prepare_secret(s, 13);
+  const auto ta = algo->prepare_public(a, qbits);
+  const auto ts = algo->prepare_secret(s, qbits);
   auto acc = algo->make_accumulator();
   algo->pointwise_accumulate(acc, ta, ts);
   for (auto _ : state) {
     switch (stage) {
       case Stage::kPreparePublic:
-        benchmark::DoNotOptimize(algo->prepare_public(a, 13));
+        benchmark::DoNotOptimize(algo->prepare_public(a, qbits));
         break;
       case Stage::kPrepareSecret:
-        benchmark::DoNotOptimize(algo->prepare_secret(s, 13));
+        benchmark::DoNotOptimize(algo->prepare_secret(s, qbits));
         break;
       case Stage::kPointwiseAccumulate:
         algo->pointwise_accumulate(acc, ta, ts);
@@ -67,22 +69,23 @@ void BM_SplitStage(benchmark::State& state, const char* name, Stage stage) {
         benchmark::ClobberMemory();
         break;
       case Stage::kFinalize:
-        benchmark::DoNotOptimize(algo->finalize(acc, 13));
+        benchmark::DoNotOptimize(algo->finalize(acc, qbits));
         break;
     }
   }
 }
-#define SPLIT_STAGE_ROWS(tag, name)                                               \
+#define SPLIT_STAGE_ROWS(tag, name, qbits)                                        \
   BENCHMARK_CAPTURE(BM_SplitStage, tag##_prepare_public, name,                    \
-                    Stage::kPreparePublic);                                       \
+                    Stage::kPreparePublic, qbits);                                \
   BENCHMARK_CAPTURE(BM_SplitStage, tag##_prepare_secret, name,                    \
-                    Stage::kPrepareSecret);                                       \
+                    Stage::kPrepareSecret, qbits);                                \
   BENCHMARK_CAPTURE(BM_SplitStage, tag##_pointwise_accumulate, name,              \
-                    Stage::kPointwiseAccumulate);                                 \
-  BENCHMARK_CAPTURE(BM_SplitStage, tag##_finalize, name, Stage::kFinalize)
-SPLIT_STAGE_ROWS(ntt, "ntt");
-SPLIT_STAGE_ROWS(toom3, "toom3");
-SPLIT_STAGE_ROWS(schoolbook, "schoolbook");
+                    Stage::kPointwiseAccumulate, qbits);                          \
+  BENCHMARK_CAPTURE(BM_SplitStage, tag##_finalize, name, Stage::kFinalize, qbits)
+SPLIT_STAGE_ROWS(ntt, "ntt", 13);
+SPLIT_STAGE_ROWS(ntt_q16, "ntt", 16);
+SPLIT_STAGE_ROWS(toom3, "toom3", 13);
+SPLIT_STAGE_ROWS(schoolbook, "schoolbook", 13);
 #undef SPLIT_STAGE_ROWS
 
 // Shared 3x3 Saber fixture for the matrix-vector benchmarks.

@@ -86,12 +86,13 @@ TaintedMul toom_mul(const mult::ToomTables& t) {
   };
 }
 
+template <std::size_t K>
 TPoly ntt_mul(const TPoly& a, const TSecretPoly& s, unsigned qbits) {
   mult::OpCounts ops;
   const auto& t = mult::ntt_tables();
-  auto acc = mult::NttImage<Tainted<u32>>{};
-  const auto ta = mult::ntt_prepare_g(mult::centered_lift(a, qbits), t, ops);
-  mult::ntt_pointwise_acc_g(acc, ta, mult::ntt_prepare_g(s.c, t, ops), t, ops);
+  auto acc = mult::NttImage<Tainted<u32>, K>{};
+  const auto ta = mult::ntt_prepare_g<K>(mult::centered_lift(a, qbits), t, ops);
+  mult::ntt_pointwise_acc_g(acc, ta, mult::ntt_prepare_g<K>(s.c, t, ops), t, ops);
   return mult::reduce_witness<kN, TW>(mult::ntt_lift_g(acc, t, ops), qbits);
 }
 
@@ -109,7 +110,13 @@ TaintedMul make_tainted_mul(std::string_view name) {
   if (const auto* t = dynamic_cast<const mult::ToomCookMultiplier*>(m.get())) {
     return toom_mul(mult::toom_tables(t->parts()));
   }
-  if (dynamic_cast<const mult::NttMultiplier*>(m.get()) != nullptr) return ntt_mul;
+  if (dynamic_cast<const mult::NttMultiplier*>(m.get()) != nullptr) {
+    // The prime count the class would pick: the lane rule on the public qbits.
+    return [](const TPoly& a, const TSecretPoly& s, unsigned qbits) {
+      return mult::ntt_lanes(qbits) == 1 ? ntt_mul<1>(a, s, qbits)
+                                         : ntt_mul<2>(a, s, qbits);
+    };
+  }
   SABER_REQUIRE(false, "unknown audit backend");
   return {};
 }

@@ -71,10 +71,12 @@ class PreparedVector {
   std::vector<Transformed> elems_;
 };
 
-/// Transform every secret of `s` once. The result is valid at any modulus
-/// (prepare_secret does not depend on qbits), so one prepared vector can be
-/// shared across products at different moduli — SaberPke::encrypt feeds the
-/// same transforms to the mod-q matrix product and the mod-p inner product.
+/// Transform every secret of `s` once. The result is valid at `qbits` and at
+/// every smaller modulus (small secrets embed into Z directly; qbits can only
+/// widen the image, e.g. the NTT's prime count), so one prepared vector can be
+/// shared across products at different moduli — SaberPke::encrypt prepares
+/// at q and feeds the same transforms to the mod-q matrix product and the
+/// mod-p inner product.
 std::vector<Transformed> prepare_secrets(const ring::SecretVec& s,
                                          const PolyMultiplier& m, unsigned qbits);
 

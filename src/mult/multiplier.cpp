@@ -14,9 +14,16 @@ namespace saber::mult {
 
 ring::Poly PolyMultiplier::multiply(const ring::Poly& a, const ring::Poly& b,
                                     unsigned qbits) const {
+  return reduce_witness<ring::kN>(std::span<const i64>(multiply_witness(a, b, qbits)),
+                                  qbits);
+}
+
+std::vector<i64> PolyMultiplier::multiply_witness(const ring::Poly& a,
+                                                  const ring::Poly& b,
+                                                  unsigned qbits) const {
   auto acc = make_accumulator();
   pointwise_accumulate(acc, prepare_public(a, qbits), prepare_public(b, qbits));
-  return finalize(acc, qbits);
+  return finalize_witness(acc);
 }
 
 Transformed PolyMultiplier::prepare_public(const ring::Poly& a, unsigned qbits) const {

@@ -45,12 +45,19 @@ class PolyMultiplier {
 
   virtual std::string_view name() const = 0;
 
-  /// Negacyclic product of two general ring elements, reduced mod 2^qbits.
-  /// The default is the split pipeline below with both operands prepared as
-  /// public, so a backend implements only its stages. Decorators override it
-  /// to intercept whole products.
+  /// Negacyclic product of two general ring elements, reduced mod 2^qbits:
+  /// multiply_witness below, reduced. Decorators override it to intercept
+  /// whole products.
   virtual ring::Poly multiply(const ring::Poly& a, const ring::Poly& b,
                               unsigned qbits) const;
+
+  /// Exact-integer witness (see finalize_witness) of the product of two
+  /// general ring elements. The default is the split pipeline below with both
+  /// operands prepared as public, so a backend implements only its stages;
+  /// the NTT overrides it because a public x public product needs more
+  /// headroom than its split images carry.
+  virtual std::vector<i64> multiply_witness(const ring::Poly& a, const ring::Poly& b,
+                                            unsigned qbits) const;
 
   /// Product with a small signed secret (Saber's case). The two's-complement
   /// embedding makes this exact for any algorithm working modulo 2^qbits.
@@ -83,14 +90,17 @@ class PolyMultiplier {
   /// Transform a public (full-width) operand once for reuse across products.
   virtual Transformed prepare_public(const ring::Poly& a, unsigned qbits) const;
 
-  /// Transform a small signed secret once for reuse across products. The
-  /// result must not depend on qbits (small secrets embed into Z directly):
-  /// callers rely on this to share one secret transform across moduli, e.g.
-  /// SaberPke::encrypt reuses it for the mod-q matrix product and the mod-p
-  /// inner product.
+  /// Transform a small signed secret once for reuse across products. Small
+  /// secrets embed into Z directly, so qbits can at most widen the image (the
+  /// NTT picks its prime count from it): a secret prepared at qbits serves
+  /// public operands prepared at qbits or less. Callers rely on this to share
+  /// one secret transform across moduli, e.g. SaberPke::encrypt prepares it
+  /// at q for the mod-q matrix product and reuses it for the mod-p inner
+  /// product.
   virtual Transformed prepare_secret(const ring::SecretPoly& s, unsigned qbits) const;
 
-  /// Fresh zero accumulator in this algorithm's transform domain.
+  /// Fresh zero accumulator in this algorithm's transform domain (the NTT's
+  /// is empty until its first product fixes the prime count).
   virtual Transformed make_accumulator() const;
 
   /// acc += a * s in the transform domain (no inverse transform, no modular
@@ -114,9 +124,10 @@ class PolyMultiplier {
 
   /// Largest number of products one accumulator may safely absorb before
   /// finalize loses exactness, assuming the worst representable inputs
-  /// (qbits <= 16, |s| <= 127). Each backend derives its own bound: the
-  /// convolution default from i64 range, the NTT backend from the P/2 CRT lift
-  /// headroom, Toom-Cook from its evaluation/interpolation constants.
+  /// (qbits <= 16, |s| <= 128). Each backend derives its own bound: the
+  /// convolution default from i64 range, the NTT backend from its one-prime
+  /// lift at qbits <= 13 (p1/2), Toom-Cook from its evaluation/interpolation
+  /// constants.
   /// Saber needs l <= 4.
   virtual std::size_t max_accumulated_terms() const;
 

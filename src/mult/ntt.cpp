@@ -49,21 +49,57 @@ NttTables make_ntt_tables() {
   return t;
 }
 
-// A Transformed holds the bytes of an NttImage<u32>: 256 i64 words carry the
-// 256 residues mod p1 followed by the 256 residues mod p2.
-static_assert(sizeof(NttImage<u32>) == ring::kN * sizeof(i64));
+// A Transformed holds the bytes of an NttImage<u32, K>: K * N/2 i64 words,
+// the N residues mod p1 first, then (K = 2) the N residues mod p2. Its length
+// is how an image records K.
+constexpr std::size_t kPrimeWords = ring::kN / 2;
+static_assert(sizeof(NttImage<u32, 1>) == kPrimeWords * sizeof(i64));
 
-NttImage<u32> unpack_image(const Transformed& v) {
-  SABER_REQUIRE(v.size() == ring::kN, "operand not in the NTT transform domain");
-  NttImage<u32> img;
+std::size_t lanes_of(const Transformed& v) {
+  SABER_REQUIRE(v.size() == kPrimeWords || v.size() == 2 * kPrimeWords,
+                "operand not in the NTT transform domain");
+  return v.size() / kPrimeWords;
+}
+
+/// The first K primes' residues of an image (v.size() >= K * kPrimeWords).
+template <std::size_t K>
+NttImage<u32, K> unpack_image(const Transformed& v) {
+  NttImage<u32, K> img;
   std::memcpy(img.data(), v.data(), sizeof(img));
   return img;
 }
 
-Transformed pack_image(const NttImage<u32>& img) {
-  Transformed v(ring::kN);
+template <std::size_t K>
+Transformed pack_image(const NttImage<u32, K>& img) {
+  Transformed v(K * kPrimeWords);
   std::memcpy(v.data(), img.data(), sizeof(img));
   return v;
+}
+
+template <typename Coeffs>
+Transformed prepare(const Coeffs& x, unsigned qbits, OpCounts& ops) {
+  const auto& t = ntt_tables();
+  return ntt_lanes(qbits) == 1 ? pack_image(ntt_prepare_g<1>(x, t, ops))
+                               : pack_image(ntt_prepare_g<2>(x, t, ops));
+}
+
+template <std::size_t K>
+void accumulate(Transformed& acc, const Transformed& a, const Transformed& s,
+                OpCounts& ops) {
+  auto img = unpack_image<K>(acc);
+  ntt_pointwise_acc_g(img, unpack_image<K>(a), unpack_image<K>(s), ntt_tables(), ops);
+  std::memcpy(acc.data(), img.data(), sizeof(img));
+}
+
+template <std::size_t K>
+std::array<i64, ring::kN> lift(const Transformed& acc, OpCounts& ops) {
+  auto img = unpack_image<K>(acc);
+  return ntt_lift_g(img, ntt_tables(), ops);
+}
+
+std::array<i64, ring::kN> witness(const Transformed& acc, OpCounts& ops) {
+  if (acc.empty()) return {};  // absorbed no product
+  return lanes_of(acc) == 1 ? lift<1>(acc, ops) : lift<2>(acc, ops);
 }
 
 }  // namespace
@@ -75,33 +111,47 @@ const NttTables& ntt_tables() {
 
 NttMultiplier::NttMultiplier() { (void)ntt_tables(); }
 
+std::vector<i64> NttMultiplier::multiply_witness(const ring::Poly& a, const ring::Poly& b,
+                                                 unsigned qbits) const {
+  const auto& t = ntt_tables();
+  NttImage<u32, 2> acc{};
+  ntt_pointwise_acc_g(acc, ntt_prepare_g<2>(centered_lift(a, qbits), t, ops_),
+                      ntt_prepare_g<2>(centered_lift(b, qbits), t, ops_), t, ops_);
+  const auto w = ntt_lift_g(acc, t, ops_);
+  return {w.begin(), w.end()};
+}
+
 Transformed NttMultiplier::prepare_public(const ring::Poly& a, unsigned qbits) const {
-  return pack_image(ntt_prepare_g(centered_lift(a, qbits), ntt_tables(), ops_));
+  return prepare(centered_lift(a, qbits), qbits, ops_);
 }
 
-// Small signed secrets embed directly: no centering, so qbits is unused.
-Transformed NttMultiplier::prepare_secret(const ring::SecretPoly& s, unsigned) const {
-  return pack_image(ntt_prepare_g(s.c, ntt_tables(), ops_));
+// Small signed secrets embed directly, without centering: qbits only picks
+// the prime count.
+Transformed NttMultiplier::prepare_secret(const ring::SecretPoly& s,
+                                          unsigned qbits) const {
+  return prepare(s.c, qbits, ops_);
 }
-
-Transformed NttMultiplier::make_accumulator() const { return Transformed(ring::kN, 0); }
 
 void NttMultiplier::pointwise_accumulate(Transformed& acc, const Transformed& a,
                                          const Transformed& s) const {
-  auto img = unpack_image(acc);
-  ntt_pointwise_acc_g(img, unpack_image(a), unpack_image(s), ntt_tables(), ops_);
-  std::memcpy(acc.data(), img.data(), sizeof(img));  // acc.size() == N: checked above
+  const std::size_t k = lanes_of(a);
+  SABER_REQUIRE(lanes_of(s) >= k, "secret image has fewer NTT primes than the public one");
+  if (acc.empty()) acc.assign(a.size(), 0);
+  SABER_REQUIRE(acc.size() == a.size(), "accumulator holds another NTT prime count");
+  if (k == 1) {
+    accumulate<1>(acc, a, s, ops_);
+  } else {
+    accumulate<2>(acc, a, s, ops_);
+  }
 }
 
 std::vector<i64> NttMultiplier::finalize_witness(const Transformed& acc) const {
-  auto img = unpack_image(acc);
-  const auto w = ntt_lift_g(img, ntt_tables(), ops_);
+  const auto w = witness(acc, ops_);
   return std::vector<i64>(w.begin(), w.end());
 }
 
 ring::Poly NttMultiplier::finalize(const Transformed& acc, unsigned qbits) const {
-  auto img = unpack_image(acc);
-  return reduce_witness<ring::kN, i64>(ntt_lift_g(img, ntt_tables(), ops_), qbits);
+  return reduce_witness<ring::kN, i64>(witness(acc, ops_), qbits);
 }
 
 }  // namespace saber::mult

@@ -1,12 +1,21 @@
-// NTT-based negacyclic multiplication over two NTT-friendly primes with CRT.
+// NTT-based negacyclic multiplication over one or two NTT-friendly primes.
 //
 // Saber's power-of-two moduli rule out a direct NTT; the workaround used by
 // Chung et al. [14] (the paper's §5.1 software comparison) multiplies over
 // primes large enough to recover the integer product exactly, then reduces
 // mod 2^qbits. We use the 31-bit primes p1 = 2^31 - 511 and p2 = 2^31 - 6143
-// (each ≡ 1 mod 512, so each has 512th roots of unity), one psi-twisted
-// negacyclic NTT per prime, and a CRT to Z/P, P = p1*p2 ≈ 2^62: the centered
-// lift is exact while every true coefficient stays below P/2 ≈ 2^61.
+// (each ≡ 1 mod 512, so each has 512th roots of unity) and one psi-twisted
+// negacyclic NTT per prime. The prime count K is a compile-time parameter of
+// every kernel, picked per operand from the PUBLIC modulus by ntt_lanes():
+//
+//  * K = 1 for qbits <= 13, i.e. every Saber product. A public coefficient
+//    centered mod 2^13 is at most 2^12 in magnitude and any i8 secret at most
+//    2^7 (-128 included), so one product coefficient is at most
+//    N * 2^12 * 2^7 = 2^27, and 7 of them stay inside (p1 - 1)/2: the lift is
+//    a centered reduce mod p1.
+//  * K = 2 above that, and for every public x public multiply (N * 2^24 =
+//    2^32 at qbits 13 already exceeds p1/2): a CRT to Z/P, P = p1*p2 ≈ 2^62,
+//    exact while every true coefficient stays below P/2 ≈ 2^61.
 //
 // Lanes are u32 residues and each stage is instantiated for its compile-time
 // length, so the butterflies vectorize. The kernels are word-generic (only
@@ -17,6 +26,7 @@
 #pragma once
 
 #include <array>
+#include <limits>
 #include <type_traits>
 #include <utility>
 
@@ -28,9 +38,42 @@ namespace saber::mult {
 inline constexpr std::array<u32, 2> kNttPrimes = {2147483137u,   // 0x7ffffe01
                                                   2147478017u};  // 0x7fffea01
 
-/// Residue images of one polynomial (or accumulator), one array per prime.
-template <typename W>
-using NttImage = std::array<std::array<W, ring::kN>, kNttPrimes.size()>;
+/// Residue images of one polynomial (or accumulator) over the first K primes,
+/// one array per prime.
+template <typename W, std::size_t K>
+using NttImage = std::array<std::array<W, ring::kN>, K>;
+
+/// Bound on one negacyclic product coefficient of a public operand centered
+/// mod 2^qbits (|a| <= 2^(qbits-1)) and any i8 secret (|s| <= 2^7 = 128, as
+/// i8 includes -128): N * 2^(qbits-1) * 2^7.
+constexpr u64 ntt_product_bound(unsigned qbits) {
+  return u64{ring::kN} << (qbits - 1) << std::numeric_limits<i8>::digits;
+}
+
+/// Products one one-prime accumulator absorbs exactly at public modulus
+/// 2^qbits: the centered reduce mod p1 is exact on |x| <= (p1 - 1)/2.
+constexpr u64 ntt_one_prime_terms(unsigned qbits) {
+  return (kNttPrimes[0] - 1) / 2 / ntt_product_bound(qbits);
+}
+
+/// Largest public modulus whose products run over p1 alone.
+inline constexpr unsigned kOnePrimeMaxQbits = 13;
+
+// p1 alone serves exactly the moduli at which it still holds Saber's largest
+// rank (FireSaber, l = 4) of accumulated products: 7 * 2^27 = 939,524,096 <
+// (p1 - 1)/2 = 1,073,741,568 at qbits 13, but only 3 * 2^28 at qbits 14.
+static_assert(ntt_one_prime_terms(kOnePrimeMaxQbits) == 7);
+static_assert(ntt_one_prime_terms(kOnePrimeMaxQbits + 1) < 4);
+// The two-prime lift holds as many terms at the widest modulus (qbits 16).
+static_assert(ntt_one_prime_terms(kOnePrimeMaxQbits) * ntt_product_bound(16) <
+              u64{kNttPrimes[0]} * kNttPrimes[1] / 2);
+
+/// The lane rule: how many primes an operand prepared at public modulus
+/// 2^qbits is transformed over. Public data only; NttMultiplier and the ct
+/// audit both pick K with it.
+constexpr std::size_t ntt_lanes(unsigned qbits) {
+  return qbits <= kOnePrimeMaxQbits ? 1 : 2;
+}
 
 /// Tables of one prime. zetas are the powers of psi in bit-reversed order, as
 /// consumed by the butterflies; the Shoup companions sit in separate arrays
@@ -124,12 +167,21 @@ constexpr ct::rebind_t<W, i64> ntt_crt_lift_g(const W& r1, const W& r2,
   return ct::cast<i64>(x - (m & P));
 }
 
-/// Forward images of N centered integer coefficients x[i] (|x[i]| < p),
-/// given as any signed word analog.
-template <typename Coeffs>
+/// Centered lift of a residue r mod p into [-(p-1)/2, (p-1)/2]: r - p when
+/// r > (p-1)/2. Branch-free on i32 lanes (r < p < 2^31).
+template <typename W>
+constexpr ct::rebind_t<W, i64> ntt_center_g(const W& r, u32 p) {
+  const auto x = ct::cast<i32>(r);
+  const auto m = (static_cast<i32>((p - 1) / 2) - x) >> 31;
+  return ct::cast<i64>(x - (m & static_cast<i32>(p)));
+}
+
+/// Forward images mod the first K primes of N centered integer coefficients
+/// x[i] (|x[i]| < p), given as any signed word analog.
+template <std::size_t K, typename Coeffs>
 auto ntt_prepare_g(const Coeffs& x, const NttTables& t, OpCounts& ops) {
-  NttImage<ct::rebind_t<std::remove_cvref_t<decltype(x[0])>, u32>> img;
-  for (std::size_t k = 0; k < img.size(); ++k) {
+  NttImage<ct::rebind_t<std::remove_cvref_t<decltype(x[0])>, u32>, K> img;
+  for (std::size_t k = 0; k < K; ++k) {
     for (std::size_t i = 0; i < ring::kN; ++i) {
       img[k][i] = ntt_to_residue_g(x[i], t.primes[k].p);
     }
@@ -139,10 +191,10 @@ auto ntt_prepare_g(const Coeffs& x, const NttTables& t, OpCounts& ops) {
 }
 
 /// acc += a * s per prime (Montgomery: each term carries 2^-32 until the lift).
-template <typename W>
-void ntt_pointwise_acc_g(NttImage<W>& acc, const NttImage<W>& a, const NttImage<W>& s,
-                         const NttTables& t, OpCounts& ops) {
-  for (std::size_t k = 0; k < acc.size(); ++k) {
+template <typename W, std::size_t K>
+void ntt_pointwise_acc_g(NttImage<W, K>& acc, const NttImage<W, K>& a,
+                         const NttImage<W, K>& s, const NttTables& t, OpCounts& ops) {
+  for (std::size_t k = 0; k < K; ++k) {
     const u32 p = t.primes[k].p;
     const u32 p_neg_inv = t.primes[k].p_neg_inv;
     for (std::size_t i = 0; i < ring::kN; ++i) {
@@ -150,23 +202,29 @@ void ntt_pointwise_acc_g(NttImage<W>& acc, const NttImage<W>& a, const NttImage<
           ntt_addmod_g(acc[k][i], ntt_mulmod_mont_g(a[k][i], s[k][i], p, p_neg_inv), p);
     }
   }
-  ops.coeff_mults += acc.size() * ring::kN;
-  ops.coeff_adds += acc.size() * ring::kN;
+  ops.coeff_mults += K * ring::kN;
+  ops.coeff_adds += K * ring::kN;
 }
 
 /// Exact integer negacyclic remainder of an accumulator (consumed): one
-/// inverse NTT per prime, then the CRT lift. Exact while the true accumulated
-/// coefficients stay inside (-P/2, P/2).
-template <typename W>
-auto ntt_lift_g(NttImage<W>& acc, const NttTables& t, OpCounts& ops) {
-  for (std::size_t k = 0; k < acc.size(); ++k) {
+/// inverse NTT per prime, then the centered reduce mod p1 (K = 1) or the CRT
+/// lift (K = 2). Exact while the true accumulated coefficients stay inside
+/// (-p1/2, p1/2), respectively (-P/2, P/2).
+template <typename W, std::size_t K>
+auto ntt_lift_g(NttImage<W, K>& acc, const NttTables& t, OpCounts& ops) {
+  static_assert(K == 1 || K == 2);
+  for (std::size_t k = 0; k < K; ++k) {
     ntt_inverse_g(acc[k], t.primes[k], ops);
   }
   std::array<ct::rebind_t<W, i64>, ring::kN> w;
   for (std::size_t i = 0; i < ring::kN; ++i) {
-    w[i] = ntt_crt_lift_g(acc[0][i], acc[1][i], t);
+    if constexpr (K == 1) {
+      w[i] = ntt_center_g(acc[0][i], t.primes[0].p);
+    } else {
+      w[i] = ntt_crt_lift_g(acc[0][i], acc[1][i], t);
+    }
   }
-  ops.coeff_mults += ring::kN;
+  ops.coeff_mults += (K - 1) * ring::kN;
   ops.coeff_adds += ring::kN;
   return w;
 }
@@ -179,25 +237,33 @@ class NttMultiplier final : public PolyMultiplier {
 
   std::string_view name() const override { return "ntt"; }
 
-  // Split-transform API: a transform holds the forward spectra mod p1 and p2
-  // (256 i64 words); finalize runs the inverse NTTs and the CRT lift, exact
-  // while the accumulated coefficients stay below P/2 (max_accumulated_terms).
+  /// Public x public products: always over both primes, since N * 2^24 =
+  /// 2^32 at qbits 13 already exceeds p1/2. multiply() reduces this witness.
+  std::vector<i64> multiply_witness(const ring::Poly& a, const ring::Poly& b,
+                                    unsigned qbits) const override;
+
+  // Split-transform API: a transform holds the forward spectra mod the first
+  // ntt_lanes(qbits) primes, N/2 i64 words per prime, so its length records
+  // its prime count. The accumulator starts empty and takes the prime count
+  // of the first public operand it absorbs; a secret image with more primes
+  // contributes only its p1 half, so a secret prepared at qbits serves
+  // publics prepared at qbits or less. finalize runs the inverse NTTs and the
+  // centered reduce mod p1 or the CRT lift.
   Transformed prepare_public(const ring::Poly& a, unsigned qbits) const override;
   Transformed prepare_secret(const ring::SecretPoly& s, unsigned qbits) const override;
-  Transformed make_accumulator() const override;
+  Transformed make_accumulator() const override { return {}; }
   void pointwise_accumulate(Transformed& acc, const Transformed& a,
                             const Transformed& s) const override;
   ring::Poly finalize(const Transformed& acc, unsigned qbits) const override;
 
-  /// Exact integer negacyclic remainder (no modular mask), length N.
+  /// Exact integer negacyclic remainder (no modular mask), length N; zero for
+  /// an accumulator that absorbed nothing.
   std::vector<i64> finalize_witness(const Transformed& acc) const override;
 
-  /// One negacyclic product coefficient is bounded by N * (q/2) * |s|_max
-  /// <= 2^8 * 2^15 * 2^7 = 2^30 at qbits <= 16, so 2^10 accumulated products
-  /// stay below 2^40, far inside the P/2 ≈ 2^61 centered-lift headroom even
-  /// for worst-case i8 secrets (Saber's |s| <= 5 leaves far more room).
+  /// The one-prime cap, 7 (ntt_one_prime_terms at qbits 13); the two-prime
+  /// images hold far more. Saber needs l <= 4.
   std::size_t max_accumulated_terms() const override {
-    return std::size_t{1} << 10;
+    return ntt_one_prime_terms(kOnePrimeMaxQbits);
   }
 };
 

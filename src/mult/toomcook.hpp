@@ -173,7 +173,7 @@ class ToomCookMultiplier : public PolyMultiplier {
 
   /// Derived from the actual evaluation amplification and interpolation
   /// constants: the largest T for which the interpolation dot product over T
-  /// accumulated worst-case point products (qbits <= 16, |s| <= 127)
+  /// accumulated worst-case point products (qbits <= 16, |s| <= 128)
   /// provably stays inside i64.
   std::size_t max_accumulated_terms() const override { return tables_.max_terms; }
 

@@ -192,13 +192,10 @@ bool CheckedMultiplier::algebraic_multiply(const ring::Poly& a, const ring::Poly
   // evaluation point does not know which root this check lands on.
   const std::size_t root = pc.draw_root();
   try {
-    // The split pipeline instead of multiply(): same work, but it ends on the
-    // exact-integer witness the point check needs. The verified witness then
-    // folds to the product, so nothing is computed twice.
-    auto acc = inner_->make_accumulator();
-    inner_->pointwise_accumulate(acc, inner_->prepare_public(a, qbits),
-                                 inner_->prepare_public(b, qbits));
-    const auto w = inner_->finalize_witness(acc);
+    // The witness instead of multiply(): same work, but it ends on the
+    // exact integers the point check needs. The verified witness then folds
+    // to the product, so nothing is computed twice.
+    const auto w = inner_->multiply_witness(a, b, qbits);
     if (!pc.verify(pc.eval_public(a, qbits, root), pc.eval_public(b, qbits, root),
                    pc.eval_witness(w, root))) {
       return false;

@@ -76,8 +76,8 @@ struct FaultRecord {
 };
 
 /// One product a checked accumulator absorbed: its raw operands and the
-/// public operand's modulus (a prepared secret is modulus-independent, so
-/// one is shared across moduli; see mult::prepare_secrets).
+/// public operand's modulus (one prepared secret serves publics at its
+/// modulus or below; see mult::prepare_secrets).
 struct RawPair {
   ring::Poly a;
   ring::SecretPoly s;

@@ -20,6 +20,14 @@ ring::Poly FaultyPolyMultiplier::multiply(const ring::Poly& a, const ring::Poly&
   return p;
 }
 
+std::vector<i64> FaultyPolyMultiplier::multiply_witness(const ring::Poly& a,
+                                                        const ring::Poly& b,
+                                                        unsigned qbits) const {
+  auto w = inner_->multiply_witness(a, b, qbits);
+  injector_->corrupt_witness(w);
+  return w;
+}
+
 mult::Transformed FaultyPolyMultiplier::prepare_public(const ring::Poly& a,
                                                        unsigned qbits) const {
   return inner_->prepare_public(a, qbits);

@@ -30,6 +30,8 @@ class FaultyPolyMultiplier final : public mult::PolyMultiplier {
 
   ring::Poly multiply(const ring::Poly& a, const ring::Poly& b,
                       unsigned qbits) const override;
+  std::vector<i64> multiply_witness(const ring::Poly& a, const ring::Poly& b,
+                                    unsigned qbits) const override;
 
   mult::Transformed prepare_public(const ring::Poly& a, unsigned qbits) const override;
   mult::Transformed prepare_secret(const ring::SecretPoly& s,

@@ -77,8 +77,9 @@ std::vector<u8> SaberPke::encrypt(const Message& m, const Seed& seed_sp,
                                   const PreparedPublicKey& pk) const {
   return flows::encrypt_flow(
       m, std::span<const u8>(seed_sp), params_, [&](const ring::SecretVec& sp) {
-        // One secret transform serves both the mod-q matrix product and the
-        // mod-p inner product (prepare_secret is qbits-independent).
+        // One secret transform, prepared at q, serves both the mod-q matrix
+        // product and the mod-p inner product (a secret prepared at qbits
+        // serves publics prepared at qbits or less).
         const auto tsp = mult::prepare_secrets(sp, *mult_, kEq);
         auto bp = mult::matrix_vector_mul(pk.a, tsp, *mult_, /*transpose=*/false);
         auto vp = mult::inner_product(pk.b, tsp, *mult_);

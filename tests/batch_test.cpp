@@ -105,8 +105,8 @@ TEST_P(BatchDifferential, InnerProductMatchesScalarReference) {
 }
 
 TEST_P(BatchDifferential, SecretTransformSharedAcrossModuli) {
-  // prepare_secret is qbits-independent, so one prepare_secrets() result must
-  // serve products at different moduli — SaberPke::encrypt relies on this to
+  // One prepare_secrets() result at qbits must serve products at qbits and at
+  // smaller moduli — SaberPke::encrypt relies on this to
   // share the ephemeral secret transform between the mod-q matrix product
   // and the mod-p inner product.
   Xoshiro256StarStar rng(910);

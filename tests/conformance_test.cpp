@@ -18,6 +18,7 @@
 // silently.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -27,6 +28,7 @@
 #include "conformance_env.hpp"
 #include "mult/strategy.hpp"
 #include "multipliers/hw_multiplier.hpp"
+#include "saber/params.hpp"
 
 namespace saber {
 namespace {
@@ -126,6 +128,55 @@ TEST(Conformance, SplitTransformPipelineAndWitnessMatchSchoolbook) {
                 product)
           << m->name() << " witness is not exact (l=" << l << " qbits=" << qbits
           << " seed 0x" << std::hex << seed << ")";
+    }
+  }
+}
+
+TEST(Conformance, NttSplitPipelineIsExactAtSaberExtremes) {
+  // Each parameter set's extreme accumulated row: l products of a public
+  // operand whose every coefficient is -2^(q-1) with a secret whose every
+  // coefficient is -mu/2 (or +mu/2), so the l * N terms of output coefficient
+  // N-1 all add up. The secret is prepared at the public modulus (decrypt) and
+  // at q for a mod-p public (encrypt's shared transform). Exact against
+  // schoolbook, witness and product.
+  const auto ntt = mult::make_multiplier("ntt");
+  const auto ref = mult::make_multiplier("schoolbook");
+  constexpr unsigned kEq = kem::SaberParams::eq;
+  for (const auto& params : kem::kAllParams) {
+    const auto half_mu = static_cast<i8>(params.mu / 2);
+    for (const unsigned qbits : {kEq, kem::SaberParams::ep}) {
+      ring::Poly a;
+      for (auto& c : a.c) c = static_cast<u16>(1u << (qbits - 1));  // -2^(q-1)
+      for (const i8 sign : {i8{-1}, i8{1}}) {
+        ring::SecretPoly s;
+        for (auto& c : s.c) c = static_cast<i8>(sign * half_mu);
+        auto ref_acc = ref->make_accumulator();
+        for (std::size_t k = 0; k < params.l; ++k) {
+          ref->pointwise_accumulate(ref_acc, ref->prepare_public(a, qbits),
+                                    ref->prepare_secret(s, qbits));
+        }
+        const auto conv = ref->finalize_witness(ref_acc);
+        std::vector<i64> want(ring::kN);
+        for (std::size_t i = 0; i < ring::kN; ++i) {
+          want[i] = conv[i] - (i + ring::kN < conv.size() ? conv[i + ring::kN] : 0);
+        }
+        ASSERT_EQ(std::abs(want[ring::kN - 1]),
+                  static_cast<i64>(params.l * ring::kN * (u64{1} << (qbits - 1)) *
+                                   static_cast<u64>(half_mu)));
+        for (const unsigned secret_qbits : {qbits, kEq}) {
+          const auto ts = ntt->prepare_secret(s, secret_qbits);
+          auto acc = ntt->make_accumulator();
+          for (std::size_t k = 0; k < params.l; ++k) {
+            ntt->pointwise_accumulate(acc, ntt->prepare_public(a, qbits), ts);
+          }
+          EXPECT_EQ(ntt->finalize_witness(acc), want)
+              << params.name << " qbits=" << qbits << " secret qbits=" << secret_qbits
+              << " sign=" << int{sign};
+          EXPECT_EQ(ntt->finalize(acc, qbits), ref->finalize(ref_acc, qbits))
+              << params.name << " qbits=" << qbits << " secret qbits=" << secret_qbits
+              << " sign=" << int{sign};
+        }
+      }
     }
   }
 }

@@ -10,11 +10,12 @@
 //    value count 0..2N is swept on buffers exactly bytes_for() long, so a
 //    tail over-read lands outside the allocation (the asan-ubsan leg of
 //    scripts/run_all.sh turns that into a failure).
-//  * The NTT works on u32 residues mod two 31-bit primes: butterflies
+//  * The NTT works on u32 residues mod one or two 31-bit primes: butterflies
 //    multiply by public twiddles with Shoup's method, the pointwise product
-//    is Montgomery's, and a CRT lifts the two residues back to Z. Each is
-//    checked against plain u64/u128 arithmetic per prime, and the transforms
-//    against a direct O(N^2) evaluation of the negacyclic NTT definition.
+//    is Montgomery's, and a centered reduce mod p1 (one prime) or a CRT (two
+//    primes) lifts the residues back to Z. Each is checked against plain
+//    u64/u128 arithmetic per prime, and the transforms against a direct
+//    O(N^2) evaluation of the negacyclic NTT definition.
 //  * The high-speed cores apply one broadcast coefficient to a whole row of
 //    MACs at once (hw::mac_row) and read their secret shift register as a
 //    window into [-s, s] (hw::SecretWindow). Both are checked against the
@@ -232,6 +233,26 @@ TEST(KernelEquivalence, CrtLiftMatchesInt128Reference) {
       r[k] = static_cast<u32>(((i128{v} % p) + p) % p);
     }
     ASSERT_EQ(mult::ntt_crt_lift_g(r[0], r[1], t), v) << v;
+  }
+}
+
+TEST(KernelEquivalence, CenteredReduceMatchesInt128Reference) {
+  // The one-prime lift: a residue mod p1 back to [-(p1-1)/2, (p1-1)/2].
+  __extension__ using i128 = __int128;
+  const u32 p = mult::kNttPrimes[0];
+  const i64 half = (p - 1) / 2;
+  std::vector<i64> values = {0, 1, -1, half, -half, half - 1, -(half - 1)};
+  const u64 base = base_seed();
+  for (std::size_t iter = 0; iter < iterations(); ++iter) {
+    Xoshiro256StarStar rng(iter_seed(base, iter) ^ 0xCE7ULL);
+    for (int k = 0; k < 256; ++k) {
+      values.push_back(static_cast<i64>(rng.uniform(2 * static_cast<u64>(half) + 1)) -
+                       half);
+    }
+  }
+  for (const i64 v : values) {
+    const auto r = static_cast<u32>(((i128{v} % p) + p) % p);
+    ASSERT_EQ(mult::ntt_center_g(r, p), v) << v;
   }
 }
 

@@ -278,6 +278,10 @@ TEST(ToomCook, SubMultiplicationCount) {
   EXPECT_EQ(t.ops().coeff_adds, 61853u);
 }
 
+// Products the two-prime worst case accumulates: far past the one-prime cap
+// max_accumulated_terms() reports, and still inside the CRT headroom.
+constexpr std::size_t kTwoPrimeTerms = std::size_t{1} << 10;
+
 TEST(Ntt, PrimeAndRootAreValid) {
   const auto& tables = ntt_tables();
   for (std::size_t k = 0; k < kNttPrimes.size(); ++k) {
@@ -291,10 +295,18 @@ TEST(Ntt, PrimeAndRootAreValid) {
     EXPECT_EQ(powmod(psi, 256, p), p - 1);
   }
   // The CRT modulus P = p1 * p2 leaves P/2 > 2^40 of centered-lift headroom,
-  // the bound max_accumulated_terms() products of <= 2^30 each must stay in.
+  // the bound kTwoPrimeTerms products of <= 2^30 each must stay in.
   const u64 half = u64{kNttPrimes[0]} * kNttPrimes[1] / 2;
   EXPECT_GT(half, u64{1} << 40);
-  EXPECT_GT(half, NttMultiplier().max_accumulated_terms() * (u64{1} << 30));
+  EXPECT_GT(half, kTwoPrimeTerms * (u64{1} << 30));
+  // p1 alone: max_accumulated_terms() products of <= N * 2^12 * 2^7 = 2^27
+  // each (qbits <= 13, any i8 secret) stay inside the centered reduce's
+  // (p1 - 1)/2.
+  const u64 half1 = u64{kNttPrimes[0]} / 2;
+  EXPECT_GT(half1, NttMultiplier().max_accumulated_terms() * (u64{1} << 27));
+  EXPECT_EQ(ntt_product_bound(kOnePrimeMaxQbits), u64{1} << 27);
+  EXPECT_EQ(ntt_lanes(kOnePrimeMaxQbits), 1u);
+  EXPECT_EQ(ntt_lanes(kOnePrimeMaxQbits + 1), 2u);
 }
 
 TEST(Ntt, ForwardInverseRoundTrip) {
@@ -314,6 +326,19 @@ TEST(Ntt, ForwardInverseRoundTrip) {
   }
 }
 
+/// Exact negacyclic remainder of a * s from schoolbook's linear convolution.
+std::vector<i64> schoolbook_remainder(const Poly& a, const SecretPoly& s, unsigned qbits) {
+  SchoolbookMultiplier sb;
+  auto acc = sb.make_accumulator();
+  sb.pointwise_accumulate(acc, sb.prepare_public(a, qbits), sb.prepare_secret(s, qbits));
+  const auto conv = sb.finalize_witness(acc);
+  std::vector<i64> r(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    r[i] = conv[i] - (i + kN < conv.size() ? conv[i + kN] : 0);
+  }
+  return r;
+}
+
 TEST(Ntt, WorstCaseAccumulationIsExact) {
   // The documented worst case at qbits 16: every public coefficient is
   // -2^15 and |s| = 127, signed so that output coefficient 0 of a * s,
@@ -327,26 +352,124 @@ TEST(Ntt, WorstCaseAccumulationIsExact) {
 
   NttMultiplier ntt;
   const auto sb = make_multiplier("schoolbook");
-  const std::size_t terms = ntt.max_accumulated_terms();
+  const std::size_t terms = kTwoPrimeTerms;
   const auto ta = ntt.prepare_public(a, kQ);
   const auto ts = ntt.prepare_secret(s, kQ);
   auto acc = ntt.make_accumulator();
   for (std::size_t k = 0; k < terms; ++k) ntt.pointwise_accumulate(acc, ta, ts);
 
-  auto sb_acc = sb->make_accumulator();
-  sb->pointwise_accumulate(sb_acc, sb->prepare_public(a, kQ), sb->prepare_secret(s, kQ));
-  // Schoolbook's witness is the linear convolution; fold it negacyclically.
-  const auto conv = sb->finalize_witness(sb_acc);
-  std::vector<i64> want(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    want[i] = conv[i] - (i + kN < conv.size() ? conv[i + kN] : 0);
-  }
+  auto want = schoolbook_remainder(a, s, kQ);
   ASSERT_EQ(want[0], i64{256} * (1 << 15) * 127);
   for (auto& w : want) w *= static_cast<i64>(terms);
   EXPECT_EQ(ntt.finalize_witness(acc), want);
 
   // Public x public at the same extreme: N * (2^15)^2 = 2^38.
   EXPECT_EQ(ntt.multiply(a, a, kQ), sb->multiply(a, a, kQ));
+}
+
+TEST(Ntt, OnePrimeWorstCaseAccumulationIsExact) {
+  // The one-prime worst case at qbits 13: every public coefficient is -2^12
+  // and every secret coefficient -128, so output coefficient N-1 of a * s,
+  // sum_j a_j s_{N-1-j}, reaches N * 2^12 * 2^7 = 2^27.
+  constexpr unsigned kQ = 13;
+  Poly a;
+  for (auto& c : a.c) c = static_cast<u16>(1u << 12);  // centered: -2^12
+  SecretPoly s;
+  for (auto& c : s.c) c = -128;
+
+  NttMultiplier ntt;
+  const std::size_t terms = ntt.max_accumulated_terms();
+  EXPECT_EQ(terms, 7u);
+  // The cap is tight: one more term could leave (p1 - 1)/2.
+  const u64 half1 = u64{kNttPrimes[0]} / 2;
+  EXPECT_LT(terms * (u64{1} << 27), half1);
+  EXPECT_LE(half1, (terms + 1) * (u64{1} << 27));
+
+  const auto ta = ntt.prepare_public(a, kQ);
+  const auto ts = ntt.prepare_secret(s, kQ);
+  ASSERT_EQ(ta.size(), kN / 2);  // one prime
+  ASSERT_EQ(ts.size(), kN / 2);
+  auto acc = ntt.make_accumulator();
+  for (std::size_t k = 0; k < terms; ++k) ntt.pointwise_accumulate(acc, ta, ts);
+
+  auto want = schoolbook_remainder(a, s, kQ);
+  ASSERT_EQ(want[kN - 1], i64{1} << 27);
+  for (auto& w : want) w *= static_cast<i64>(terms);
+  EXPECT_EQ(ntt.finalize_witness(acc), want);
+  EXPECT_EQ(ntt.finalize(acc, kQ), reduce_witness<kN>(std::span<const i64>(want), kQ));
+
+  // Public x public at the same modulus reaches N * 2^24 = 2^32, past p1:
+  // multiply runs over both primes and stays exact.
+  const auto sb = make_multiplier("schoolbook");
+  EXPECT_EQ(ntt.multiply(a, a, kQ), sb->multiply(a, a, kQ));
+  const auto w = ntt.multiply_witness(a, a, kQ);
+  EXPECT_EQ(w[kN - 1], i64{1} << 32);
+}
+
+TEST(Ntt, SecretServesPublicsAtItsModulusOrBelow) {
+  Xoshiro256StarStar rng(4242);
+  NttMultiplier ntt;
+  SchoolbookMultiplier sb;
+  const auto s = SecretPoly::random(rng, 5);
+  const auto a13 = Poly::random(rng, 13);
+  const auto a10 = Poly::random(rng, 10);
+  const auto a16 = Poly::random(rng, 16);
+  const auto product = [&](const Poly& a, unsigned qbits, const Transformed& ts) {
+    auto acc = ntt.make_accumulator();
+    ntt.pointwise_accumulate(acc, ntt.prepare_public(a, qbits), ts);
+    return ntt.finalize(acc, qbits);
+  };
+
+  // The prime count follows the public modulus: one up to qbits 13, two above.
+  EXPECT_EQ(ntt.prepare_public(a10, 10).size(), kN / 2);
+  EXPECT_EQ(ntt.prepare_public(a13, 13).size(), kN / 2);
+  EXPECT_EQ(ntt.prepare_public(a16, 16).size(), kN);
+
+  // A secret prepared at 13 serves publics at 13 and 10 (SaberPke::encrypt).
+  const auto s13 = ntt.prepare_secret(s, 13);
+  EXPECT_EQ(product(a13, 13, s13), sb.multiply_secret(a13, s, 13));
+  EXPECT_EQ(product(a10, 10, s13), sb.multiply_secret(a10, s, 10));
+  // A secret prepared at 16 serves a public at 10 with its p1 half.
+  const auto s16 = ntt.prepare_secret(s, 16);
+  ASSERT_EQ(s16.size(), kN);
+  EXPECT_EQ(product(a10, 10, s16), sb.multiply_secret(a10, s, 10));
+  EXPECT_EQ(product(a16, 16, s16), sb.multiply_secret(a16, s, 16));
+  // A one-prime secret cannot serve a two-prime public.
+  EXPECT_THROW(product(a16, 16, s13), ContractViolation);
+}
+
+TEST(Ntt, AccumulatorKeepsItsFirstPrimeCount) {
+  Xoshiro256StarStar rng(4243);
+  NttMultiplier ntt;
+  const auto s = SecretPoly::random(rng, 4);
+  const auto p13 = ntt.prepare_public(Poly::random(rng, 13), 13);
+  const auto p16 = ntt.prepare_public(Poly::random(rng, 16), 16);
+  const auto s16 = ntt.prepare_secret(s, 16);
+
+  auto one = ntt.make_accumulator();
+  ntt.pointwise_accumulate(one, p13, s16);
+  EXPECT_EQ(one.size(), kN / 2);
+  EXPECT_THROW(ntt.pointwise_accumulate(one, p16, s16), ContractViolation);
+
+  auto two = ntt.make_accumulator();
+  ntt.pointwise_accumulate(two, p16, s16);
+  EXPECT_EQ(two.size(), kN);
+  EXPECT_THROW(ntt.pointwise_accumulate(two, p13, s16), ContractViolation);
+
+  // Images of any other length are rejected.
+  auto bad = p13;
+  bad.pop_back();
+  auto acc = ntt.make_accumulator();
+  EXPECT_THROW(ntt.pointwise_accumulate(acc, bad, s16), ContractViolation);
+  EXPECT_THROW(ntt.finalize(bad, 13), ContractViolation);
+}
+
+TEST(Ntt, EmptyAccumulatorFinalizesToZero) {
+  NttMultiplier ntt;
+  const auto acc = ntt.make_accumulator();
+  EXPECT_TRUE(acc.empty());
+  EXPECT_EQ(ntt.finalize(acc, 13), Poly{});
+  EXPECT_EQ(ntt.finalize_witness(acc), std::vector<i64>(kN, 0));
 }
 
 TEST(Modmath, PowAndInverse) {

@@ -687,6 +687,25 @@ TEST(CheckedMultiplier, AlgebraicKindsBitIdenticalToRawWhenFaultFree) {
   }
 }
 
+TEST(CheckedMultiplier, AlgebraicMultiplyIsExactOnWidePublicOperands) {
+  // A public x public product at qbits 13 reaches N * 2^24 = 2^32, past the
+  // NTT's one-prime headroom: the witness the point check verifies must still
+  // be exact, with or without a (disarmed) fault decorator in between.
+  ring::Poly a;
+  for (auto& c : a.c) c = static_cast<u16>(1u << 12);  // centered: -2^12
+  const auto want = mult::SchoolbookMultiplier().multiply(a, a, 13);
+  CheckedMultiplier plain(mult::make_multiplier("ntt"), kPointEvalConfig);
+  CheckedMultiplier faulty(std::make_unique<FaultyPolyMultiplier>(
+                               mult::make_multiplier("ntt"),
+                               std::make_shared<FaultInjector>(5)),
+                           kPointEvalConfig);
+  for (const CheckedMultiplier* checked : {&plain, &faulty}) {
+    EXPECT_EQ(checked->multiply(a, a, 13), want);
+    EXPECT_EQ(checked->fault_counters().checks, 1u);
+    EXPECT_EQ(checked->fault_counters().mismatches, 0u);
+  }
+}
+
 TEST(CheckedMultiplier, AlgebraicSplitPathMatchesRawMatvec) {
   Xoshiro256StarStar rng(921);
   const std::size_t l = 3;

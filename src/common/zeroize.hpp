@@ -23,10 +23,20 @@ inline void secure_zeroize(void* p, std::size_t n) {
 #endif
 }
 
+/// Overwrite a span. Arithmetic elements take one volatile store each
+/// (a transformed secret is i64 words: an eighth of the byte loop's stores).
 template <typename T>
   requires std::is_trivially_copyable_v<T>
 void secure_zeroize(std::span<T> s) {
-  secure_zeroize(s.data(), s.size_bytes());
+  if constexpr (std::is_arithmetic_v<T>) {
+    volatile T* vp = s.data();
+    for (std::size_t i = 0; i < s.size(); ++i) vp[i] = T{};
+#if defined(__GNUC__) || defined(__clang__)
+    __asm__ __volatile__("" : : "r"(s.data()) : "memory");
+#endif
+  } else {
+    secure_zeroize(s.data(), s.size_bytes());
+  }
 }
 
 /// Zeroize a trivially-copyable object in place.

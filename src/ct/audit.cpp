@@ -189,10 +189,6 @@ AuditResult audit_kem_roundtrip(std::string_view backend,
     return ring::matrix_vector_mul(promote_matrix(a), s, mul,
                                    kem::SaberParams::eq, transpose);
   };
-  auto inner = [&](const ring::PolyVec& bp, const ring::SecretVecOf<TS>& s,
-                   unsigned qbits) {
-    return ring::inner_product(promote_vec(bp), s, mul, qbits);
-  };
   auto encrypt = [&](const kem::MessageT<TB>& m, const kem::SeedT<TB>& r,
                      std::span<const u8> pk) {
     // The pk and A are public: unpack and expand them in plain words.
@@ -207,9 +203,6 @@ AuditResult audit_kem_roundtrip(std::string_view backend,
           auto vp = ring::inner_product(promote_vec(b), sp, mul, kem::SaberParams::ep);
           return std::pair{std::move(bp), std::move(vp)};
         });
-  };
-  auto decrypt = [&](std::span<const u8> c, std::span<const TB> pke_sk) {
-    return kem::flows::decrypt_flow(c, pke_sk, params, inner);
   };
 
   // KeyGen; the packed pk is declassified at publication.
@@ -229,15 +222,26 @@ AuditResult audit_kem_roundtrip(std::string_view backend,
   const auto ct_pub =
       declassify_bytes(std::span<const TB>(enc.ct), "encaps-ct-publish");
 
-  // Decaps of the honest ciphertext and of a tampered one: the second run
-  // drives the implicit-rejection select with fail = 0xff and must be exactly
-  // as silent as the first (the FO mask never escapes).
-  const auto key = kem::flows::decaps_flow(std::span<const u8>(ct_pub),
-                                           std::span<const TB>(kp.sk), params,
-                                           decrypt, encrypt);
-  const auto rejected = kem::flows::decaps_flow(std::span<const u8>(tampered_ct),
-                                                std::span<const TB>(kp.sk), params,
-                                                decrypt, encrypt);
+  // Decaps of the honest ciphertext and of a tampered one under one split
+  // key and one unpacked s, shared as SaberKemScheme::prepare_sk shares
+  // them. The second run drives the implicit-rejection select with
+  // fail = 0xff and must be exactly as silent as the first (the FO mask
+  // never escapes).
+  const auto parts = kem::flows::split_kem_sk_g(std::span<const TB>(kp.sk), params);
+  const auto s = kem::flows::unpack_secret_g(parts.pke_sk, params);
+  auto decrypt = [&](std::span<const u8> c) {
+    return kem::flows::decrypt_flow(c, params, [&](const ring::PolyVec& bp) {
+      return ring::inner_product(promote_vec(bp), s, mul, kem::SaberParams::ep);
+    });
+  };
+  auto reencrypt = [&](const kem::MessageT<TB>& m, const kem::SeedT<TB>& r) {
+    return encrypt(m, r, parts.pk);
+  };
+  const auto pk_hash = std::span<const u8, kem::SaberParams::hash_bytes>(parts.pk_hash);
+  const auto key = kem::flows::decaps_flow(std::span<const u8>(ct_pub), pk_hash, parts.z,
+                                           decrypt, reencrypt);
+  const auto rejected = kem::flows::decaps_flow(std::span<const u8>(tampered_ct), pk_hash,
+                                                parts.z, decrypt, reencrypt);
 
   res.violations = Analysis::instance().violations();
   res.declassifications = Analysis::instance().declassifications();

@@ -47,6 +47,8 @@ std::vector<std::string_view> declassify_allowlist();
 /// Run keygen -> encaps -> decaps (plus a tampered-ciphertext decaps
 /// exercising the implicit-rejection path) with tainted secrets over one
 /// backend, and check the audit invariants against the production scheme.
+/// Both decaps runs share one split secret key and one unpacked s, as a
+/// production kem::PreparedSecretKey does.
 AuditResult audit_kem_roundtrip(std::string_view backend,
                                 const kem::SaberParams& params);
 

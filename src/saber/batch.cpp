@@ -1,5 +1,7 @@
 #include "saber/batch.hpp"
 
+#include <optional>
+
 #include "common/check.hpp"
 #include "common/zeroize.hpp"
 #include "mult/strategy.hpp"
@@ -122,9 +124,26 @@ std::vector<Outcome<kem::EncapsResult>> KemBatch::encaps_many(
 
 std::vector<Outcome<kem::SharedSecret>> KemBatch::decaps_many(
     std::span<const u8> sk, std::span<const std::vector<u8>> cts) {
+  // Per-key work once per batch, the decaps counterpart of encaps_many's
+  // `prep`: split sk, prepare the embedded pk (A expanded and transformed, b
+  // transformed) and transform s. Workers share it read-only; under a
+  // supervised multiplier a worker routed to a failover backend re-prepares
+  // its own images from the raw operands the shared ones retain.
+  std::optional<kem::PreparedSecretKey> prep;
+  try {
+    prep.emplace(schemes_[0]->prepare_sk(sk));
+  } catch (const std::exception& e) {
+    // Every item would have parsed this sk on its own and failed alike.
+    std::vector<Outcome<kem::SharedSecret>> out(cts.size());
+    for (auto& o : out) {
+      o.status = ItemStatus::kFailed;
+      o.error = e.what();
+    }
+    return out;
+  }
   return run_items<kem::SharedSecret>(
       cts.size(), [&](unsigned worker, std::size_t i, kem::SharedSecret& out) {
-        out = scheme(worker).decaps(cts[i], sk);
+        out = scheme(worker).decaps(cts[i], *prep);
       });
 }
 

@@ -4,19 +4,23 @@
 // time: it drains queues of independent keygen / encaps / decaps requests.
 // KemBatch models that workload. Each worker thread owns a private
 // SaberKemScheme (and therefore a private multiplier instance, so the
-// mutable op counters never race), and per-key work — SHAKE-expanding A and
-// forward-transforming A and b — is done once per batch and shared read-only
-// across workers via the split-transform cache (mult/batch.hpp).
+// mutable op counters never race), and per-key work is done once per batch
+// and shared read-only across workers via the split-transform cache
+// (mult/batch.hpp): encaps_many prepares the public key (SHAKE-expanding A,
+// forward-transforming A and b), decaps_many the secret key (the same for
+// its embedded pk, plus unpacking and transforming s).
 //
 // Failure isolation: every operation returns a per-item Outcome instead of a
 // bare value. A poisoned request (malformed ciphertext, unrecoverable
 // computational fault) fails only its own slot — the exception is captured
 // by ThreadPool::run_capture, recorded as ItemStatus::kFailed, and every
-// other item completes normally. When the workers run fault-checking
-// multipliers (robust::CheckedMultiplier, injected via the factory
-// constructor), items whose faults were detected and repaired by
-// retry/failover are reported as ItemStatus::kRecovered — the value is
-// correct, but the operator should know the hardware misbehaved.
+// other item completes normally. A malformed secret key is shared by every
+// slot of its decaps_many batch, so it fails every slot alike. When the
+// workers run fault-checking multipliers (robust::CheckedMultiplier,
+// injected via the factory constructor), items whose faults were detected
+// and repaired by retry/failover are reported as ItemStatus::kRecovered —
+// the value is correct, but the operator should know the hardware
+// misbehaved.
 //
 // Determinism: requests map to output slots by index and every request is a
 // pure function of its inputs, so results are bit-identical for any thread
@@ -92,7 +96,11 @@ class KemBatch {
   std::vector<Outcome<kem::EncapsResult>> encaps_many(
       std::span<const u8> pk, std::span<const kem::Message> messages);
 
-  /// Decapsulate cts[i] under one KEM secret key.
+  /// Decapsulate cts[i] under one KEM secret key. The per-key work (see
+  /// SaberKemScheme::prepare_sk) is done once per batch and shared by the
+  /// workers. A malformed sk (wrong length, out-of-bound s) fails every slot
+  /// with kFailed, its error and a zeroed key; the call itself does not
+  /// throw.
   std::vector<Outcome<kem::SharedSecret>> decaps_many(
       std::span<const u8> sk, std::span<const std::vector<u8>> cts);
 

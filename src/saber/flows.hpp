@@ -9,22 +9,27 @@
 // The polynomial products are injected as callables, because the product
 // backend is the one genuinely polymorphic piece. Production has one
 // pipeline: the split-transform batch backend over one PolyMultiplier, with
-// the public operands prepared before Enc runs (SaberPke::prepare_pk). The
-// audit injects the tainted software kernels and does the public pk
-// unpacking and A expansion itself.
+// the public operands prepared before Enc runs (SaberPke::prepare_pk) and
+// the secret before Dec runs (SaberPke::prepare_secret). The audit injects
+// the tainted software kernels, does the public pk unpacking and A
+// expansion itself, and unpacks the tainted s once per key as production
+// does.
 //
 // Declassification policy (audited in docs/static_analysis.md):
 //  * the packed pk and ciphertext are declassified by the CALLER at
 //    publication, never inside a flow — decaps re-encrypts with the same
 //    encrypt flow and its ciphertext must stay tainted for the FO compare;
-//  * decaps declassifies the pk and pk-hash bytes embedded in the KEM
-//    secret-key blob (public by construction: they are published at keygen);
+//  * split_kem_sk_g declassifies the pk and pk-hash bytes embedded in the
+//    KEM secret-key blob (public by construction: they are published at
+//    keygen), once per key: SaberKemScheme::prepare_sk and the audit split
+//    the key before any decapsulation, and decaps_flow takes the parts;
 //  * the FO comparison mask is NEVER declassified — implicit rejection
 //    selects between khat' and z with a constant-time cmov.
 #pragma once
 
 #include <array>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -214,14 +219,11 @@ std::vector<B> encrypt_flow(const MessageT<B>& m, std::span<const B> seed_sp,
   return encrypt_seal_g(m, std::move(bp), vp, params);
 }
 
-/// Saber.PKE.Dec. `inner(bp, s, qbits)` returns <b', s> mod p.
-template <typename B, typename Inner>
-MessageT<B> decrypt_flow(std::span<const u8> ct, std::span<const B> sk,
-                         const SaberParams& params, Inner&& inner) {
+/// Saber.PKE.Dec. `inner(bp)` returns <b', s> mod p under the caller's
+/// secret s (unpacked and transformed by the caller, once per key).
+template <typename Inner>
+auto decrypt_flow(std::span<const u8> ct, const SaberParams& params, Inner&& inner) {
   SABER_REQUIRE(ct.size() == params.ct_bytes(), "bad ciphertext length");
-  auto s = unpack_secret_g(sk, params);
-  SecretVecGuardT<ct::rebind_t<B, i8>> guard_s{s};
-
   ring::PolyVec bp(params.l);
   for (std::size_t i = 0; i < params.l; ++i) {
     bp[i] = ring::unpack_poly<ring::kN>(
@@ -233,8 +235,8 @@ MessageT<B> decrypt_flow(std::span<const u8> ct, std::span<const B> sk,
       params.et);
 
   // m' = (v + h2 - 2^(ep-et) cm  mod p) >> (ep - 1), with v = b'^T s mod p.
-  const auto v = inner(bp, s, SaberParams::ep);
-  ring::PolyT<ring::kN, ct::rebind_t<B, u16>> mp;
+  const auto v = inner(bp);
+  std::remove_const_t<decltype(v)> mp;
   for (std::size_t i = 0; i < ring::kN; ++i) {
     const auto val = ct::cast<u32>(v[i]) + params.h2() +
                      (u32{1} << SaberParams::ep) -
@@ -313,30 +315,48 @@ EncapsBytes<B> encaps_flow(std::span<const u8> pk, const MessageT<B>& m_raw,
   return res;
 }
 
-/// Saber.KEM.Decaps with implicit rejection. `decrypt(ct, pke_sk)` and
-/// `encrypt(m, r, pk)` run Saber.PKE under the same backend as encaps. The
-/// FO re-encryption compare uses the constant-time ct_differ_g/ct_cmov_g
-/// kernels; the comparison mask is never declassified — on mismatch the
-/// returned key silently derives from z instead.
+/// The parts of a KEM secret-key blob (pke_sk || pk || SHA3-256(pk) || z).
+/// The embedded pk and its hash are public by construction (both are
+/// published at keygen), so they come back as plain bytes; pke_sk and z stay
+/// views into the blob, in its word type.
+template <typename B>
+struct KemSkParts {
+  std::span<const B> pke_sk;
+  std::vector<u8> pk;
+  std::vector<u8> pk_hash;
+  std::span<const B, SaberParams::key_bytes> z;
+};
+
+/// Split a KEM secret key, once per key (SaberKemScheme::prepare_sk, the
+/// audit). Lifting pk and pk_hash out of the secret blob is one of
+/// decapsulation's audited declassifications each, not a leak.
+template <typename B>
+KemSkParts<B> split_kem_sk_g(std::span<const B> sk, const SaberParams& params) {
+  SABER_REQUIRE(sk.size() == params.kem_sk_bytes(), "bad KEM secret key length");
+  return KemSkParts<B>{
+      sk.first(params.pke_sk_bytes()),
+      declassify_bytes(sk.subspan(params.pke_sk_bytes(), params.pk_bytes()),
+                       "decaps-embedded-pk"),
+      declassify_bytes(sk.subspan(params.pke_sk_bytes() + params.pk_bytes(),
+                                  SaberParams::hash_bytes),
+                       "decaps-embedded-pk-hash"),
+      sk.template last<SaberParams::key_bytes>()};
+}
+
+/// Saber.KEM.Decaps with implicit rejection, under a key already split
+/// (split_kem_sk_g) and prepared by the caller. `decrypt(ct)` runs
+/// Saber.PKE.Dec under s and `encrypt(m, r)` Saber.PKE.Enc under the
+/// embedded pk, on the same backend as encaps. The FO re-encryption compare
+/// uses the constant-time ct_differ_g/ct_cmov_g kernels; the comparison mask
+/// is never declassified — on mismatch the returned key silently derives
+/// from z instead.
 template <typename B, typename Decrypt, typename Encrypt>
-MessageT<B> decaps_flow(std::span<const u8> ct, std::span<const B> sk,
-                        const SaberParams& params, Decrypt&& decrypt,
+MessageT<B> decaps_flow(std::span<const u8> ct,
+                        std::span<const u8, SaberParams::hash_bytes> pk_hash,
+                        std::span<const B, SaberParams::key_bytes> z, Decrypt&& decrypt,
                         Encrypt&& encrypt) {
   constexpr std::size_t kHash = SaberParams::hash_bytes;
-  SABER_REQUIRE(sk.size() == params.kem_sk_bytes(), "bad KEM secret key length");
-  const auto pke_sk = sk.first(params.pke_sk_bytes());
-  // The embedded public key and its hash are public by construction (both
-  // are published at keygen); lifting them out of the secret-key blob is an
-  // audited declassification, not a leak.
-  const auto pk =
-      declassify_bytes(sk.subspan(params.pke_sk_bytes(), params.pk_bytes()),
-                       "decaps-embedded-pk");
-  const auto pk_hash = declassify_bytes(
-      sk.subspan(params.pke_sk_bytes() + params.pk_bytes(), kHash),
-      "decaps-embedded-pk-hash");
-  const auto z = sk.last(SaberParams::key_bytes);  // stays secret
-
-  MessageT<B> m = decrypt(ct, pke_sk);
+  MessageT<B> m = decrypt(ct);
   ZeroizeGuard guard_msg(m);
 
   // Re-derive (khat', r') and re-encrypt. Every intermediate that depends on
@@ -353,7 +373,7 @@ MessageT<B> decaps_flow(std::span<const u8> ct, std::span<const B> sk,
   SeedT<B> r{};
   ZeroizeGuard guard_r(r);
   std::copy_n(kr.begin() + static_cast<std::ptrdiff_t>(kHash), kHash, r.begin());
-  const auto ct2 = encrypt(m, r, std::span<const u8>(pk));
+  const auto ct2 = encrypt(m, r);
 
   const auto fail = ct_differ_g(ct, std::span<const B>(ct2));
 
@@ -361,7 +381,7 @@ MessageT<B> decaps_flow(std::span<const u8> ct, std::span<const B> sk,
   std::copy(ct_hash.begin(), ct_hash.end(),
             kr.begin() + static_cast<std::ptrdiff_t>(kHash));
   // Implicit rejection: replace khat' with z on mismatch.
-  ct_cmov_g(std::span<B>(kr).first(kHash), z, fail);
+  ct_cmov_g(std::span<B>(kr).first(kHash), std::span<const B>(z), fail);
   return sha3::Sha3<32, B>::hash(std::span<const B>(kr));
 }
 

@@ -1,6 +1,9 @@
 #include "saber/kem.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
+#include "common/zeroize.hpp"
 #include "saber/flows.hpp"
 
 namespace saber::kem {
@@ -59,15 +62,34 @@ EncapsResult SaberKemScheme::encaps(std::span<const u8> pk, RandomSource& rng) c
   return encaps_deterministic(pk, m_raw);
 }
 
+PreparedSecretKey::PreparedSecretKey(PreparedPublicKey pk_in, PreparedSecret s_in,
+                                     std::span<const u8, SaberParams::hash_bytes> hash,
+                                     std::span<const u8, SaberParams::key_bytes> z_in)
+    : pk(std::move(pk_in)), s(std::move(s_in)) {
+  std::copy(hash.begin(), hash.end(), pk_hash.begin());
+  std::copy(z_in.begin(), z_in.end(), z.begin());
+}
+
+PreparedSecretKey::~PreparedSecretKey() { secure_zeroize_object(z); }
+
+PreparedSecretKey SaberKemScheme::prepare_sk(std::span<const u8> sk) const {
+  const auto parts = flows::split_kem_sk_g(sk, params());
+  auto pk = pke_.prepare_pk(parts.pk);
+  return PreparedSecretKey(std::move(pk), pke_.prepare_secret(parts.pke_sk),
+                           std::span<const u8, SaberParams::hash_bytes>(parts.pk_hash),
+                           parts.z);
+}
+
 SharedSecret SaberKemScheme::decaps(std::span<const u8> ct, std::span<const u8> sk) const {
+  return decaps(ct, prepare_sk(sk));
+}
+
+SharedSecret SaberKemScheme::decaps(std::span<const u8> ct,
+                                    const PreparedSecretKey& sk) const {
   return flows::decaps_flow(
-      ct, sk, params(),
-      [this](std::span<const u8> c, std::span<const u8> pke_sk) {
-        return pke_.decrypt(c, pke_sk);
-      },
-      [this](const Message& m, const Seed& r, std::span<const u8> pk) {
-        return pke_.encrypt(m, r, pk);
-      });
+      ct, sk.pk_hash, std::span<const u8, SaberParams::key_bytes>(sk.z),
+      [&](std::span<const u8> c) { return pke_.decrypt(c, sk.s); },
+      [&](const Message& m, const Seed& r) { return pke_.encrypt(m, r, sk.pk); });
 }
 
 }  // namespace saber::kem

@@ -22,10 +22,34 @@ struct EncapsResult {
   SharedSecret key;
 };
 
+/// A KEM secret key with the per-key work of decapsulation done once: the
+/// embedded pk prepared (A expanded and transformed, b transformed), s
+/// prepared at ep (carrying the preparing multiplier's name), and the pk
+/// hash and z lifted out of the blob. Reusable read-only by any number of
+/// decaps() calls, from any thread, on schemes whose multiplier has the
+/// same name(); another multiplier is rejected with ContractViolation.
+/// Move-only, so the secret images are never duplicated silently; the
+/// destructor wipes s (PreparedSecret) and z.
+struct PreparedSecretKey {
+  PreparedPublicKey pk;
+  PreparedSecret s;
+  std::array<u8, SaberParams::hash_bytes> pk_hash{};  ///< SHA3-256(pk), public
+  SharedSecret z{};                                     ///< implicit-rejection secret
+
+  PreparedSecretKey(PreparedPublicKey pk, PreparedSecret s,
+                    std::span<const u8, SaberParams::hash_bytes> pk_hash,
+                    std::span<const u8, SaberParams::key_bytes> z);
+  ~PreparedSecretKey();
+  PreparedSecretKey(PreparedSecretKey&&) noexcept = default;
+  // Assignment would drop the target's z without wiping it.
+  PreparedSecretKey& operator=(PreparedSecretKey&&) = delete;
+};
+
 /// Thread safety: concurrent const calls on one scheme share its multiplier,
 /// which is not safe (PolyMultiplier's OpCounts tally is mutable, and the
 /// hardware cores are stateful). Give each thread its own scheme and share
-/// prepared keys, as saber::batch::KemBatch does.
+/// prepared keys (PreparedPublicKey, PreparedSecretKey), as
+/// saber::batch::KemBatch does.
 class SaberKemScheme {
  public:
   /// A per-product fn (hardware models, custom closures), wrapped once by
@@ -63,8 +87,16 @@ class SaberKemScheme {
                                     const Message& m_raw) const;
 
   /// Decapsulation with implicit rejection: always returns a key; on a
-  /// tampered ciphertext the key is derived from the secret z instead.
+  /// tampered ciphertext the key is derived from the secret z instead. The
+  /// same as decaps(ct, prepare_sk(sk)).
   SharedSecret decaps(std::span<const u8> ct, std::span<const u8> sk) const;
+
+  /// One-time per-key preparation for repeated decapsulation. Throws
+  /// ContractViolation on a malformed sk (wrong length, out-of-bound s).
+  PreparedSecretKey prepare_sk(std::span<const u8> sk) const;
+
+  /// Decapsulation under a prepared secret key.
+  SharedSecret decaps(std::span<const u8> ct, const PreparedSecretKey& sk) const;
 
  private:
   SaberPke pke_;

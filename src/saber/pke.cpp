@@ -87,12 +87,30 @@ std::vector<u8> SaberPke::encrypt(const Message& m, const Seed& seed_sp,
       });
 }
 
+PreparedSecret::PreparedSecret(std::vector<mult::Transformed> images,
+                               std::string_view algorithm)
+    : images_(std::move(images)), algorithm_(algorithm) {}
+
+PreparedSecret::~PreparedSecret() {
+  for (auto& t : images_) secure_zeroize(std::span<i64>(t));
+}
+
 Message SaberPke::decrypt(std::span<const u8> ct, std::span<const u8> sk) const {
-  return flows::decrypt_flow(
-      ct, sk, params_,
-      [this](const ring::PolyVec& bp, const ring::SecretVec& s, unsigned qbits) {
-        return mult::inner_product(bp, s, *mult_, qbits);
-      });
+  return decrypt(ct, prepare_secret(sk));
+}
+
+PreparedSecret SaberPke::prepare_secret(std::span<const u8> sk) const {
+  auto s = unpack_secret(sk);
+  flows::SecretVecGuardT<i8> guard_s{s};
+  return PreparedSecret(mult::prepare_secrets(s, *mult_, kEp), mult_->name());
+}
+
+Message SaberPke::decrypt(std::span<const u8> ct, const PreparedSecret& sk) const {
+  SABER_REQUIRE(sk.algorithm() == mult_->name(),
+                "prepared secret was transformed by another multiplier");
+  return flows::decrypt_flow(ct, params_, [&](const ring::PolyVec& bp) {
+    return mult::inner_product(bp, sk.images(), *mult_, kEp);
+  });
 }
 
 }  // namespace saber::kem

@@ -7,15 +7,18 @@
 // `mult::PolyMultiplier` and its split-transform batch backend
 // (mult/batch.hpp). A per-product `ring::PolyMulFn` (the cycle-accurate
 // hardware models, custom closures) is wrapped once by mult::from_poly_mul
-// into an identity-transform multiplier. Encryption has one body: the
-// unprepared form prepares the public key and calls the prepared form, and
-// prepare_pk() lets a caller amortize A-expansion and the public transforms
-// across many encryptions under one key.
+// into an identity-transform multiplier. Encryption and decryption have one
+// body each: the unprepared form prepares the key and calls the prepared
+// form. prepare_pk() lets a caller amortize A-expansion and the public
+// transforms across many encryptions under one key, prepare_secret() the
+// unpacking and transform of s across many decryptions.
 #pragma once
 
 #include <array>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -42,6 +45,29 @@ using Seed = std::array<u8, SaberParams::seed_bytes>;
 struct PreparedPublicKey {
   mult::PreparedMatrix a;   ///< transforms of A, mod q
   mult::PreparedVector b;   ///< transforms of b, mod p
+};
+
+/// A PKE secret key with the per-key work of decryption done once: s
+/// unpacked and forward-transformed at ep, the modulus of decrypt's
+/// <b', s> (a secret prepared at qbits serves publics at qbits or below).
+/// The images are secret: the type is move-only, so they are never copied
+/// silently, and its destructor wipes them. The preparing multiplier's name
+/// is recorded, and decrypt() rejects a SaberPke whose multiplier reports
+/// another one (the PreparedPublicKey rule).
+class PreparedSecret {
+ public:
+  PreparedSecret(std::vector<mult::Transformed> images, std::string_view algorithm);
+  ~PreparedSecret();
+  PreparedSecret(PreparedSecret&&) noexcept = default;
+  // Assignment would free the target's images without wiping them.
+  PreparedSecret& operator=(PreparedSecret&&) = delete;
+
+  std::span<const mult::Transformed> images() const { return images_; }
+  std::string_view algorithm() const { return algorithm_; }
+
+ private:
+  std::vector<mult::Transformed> images_;
+  std::string algorithm_;
 };
 
 class SaberPke {
@@ -79,8 +105,14 @@ class SaberPke {
   std::vector<u8> encrypt(const Message& m, const Seed& seed_sp,
                           const PreparedPublicKey& pk) const;
 
-  /// Decrypt.
+  /// Decrypt; the same as decrypt(ct, prepare_secret(sk)).
   Message decrypt(std::span<const u8> ct, std::span<const u8> sk) const;
+
+  /// One-time per-key preparation for repeated decryption.
+  PreparedSecret prepare_secret(std::span<const u8> sk) const;
+
+  /// Decrypt under a prepared secret key.
+  Message decrypt(std::span<const u8> ct, const PreparedSecret& sk) const;
 
   // --- encoding helpers (exposed for tests and the hardware-backed KEM) ---
   std::vector<u8> pack_secret(const ring::SecretVec& s) const;

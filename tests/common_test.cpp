@@ -15,6 +15,7 @@
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "common/zeroize.hpp"
 
 namespace saber {
 namespace {
@@ -133,6 +134,26 @@ TEST(Check, ThrowsWithLocation) {
     EXPECT_NE(std::string(e.what()).find("the message"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("common_test.cpp"), std::string::npos);
   }
+}
+
+TEST(Zeroize, SpanWipesEveryElement) {
+  // Word elements take the per-element store, structs the byte loop; both
+  // must clear the whole span and nothing past it.
+  std::vector<i64> words(130, -1);
+  secure_zeroize(std::span<i64>(words).first(129));
+  for (std::size_t i = 0; i < 129; ++i) EXPECT_EQ(words[i], 0) << i;
+  EXPECT_EQ(words[129], -1);
+
+  struct Pair {
+    u8 a;
+    u16 b;
+  };
+  std::vector<Pair> pairs(3, Pair{0xAA, 0xBBBB});
+  secure_zeroize(std::span<Pair>(pairs).first(2));
+  EXPECT_EQ(pairs[0].a, 0);
+  EXPECT_EQ(pairs[1].b, 0);
+  EXPECT_EQ(pairs[2].a, 0xAA);
+  EXPECT_EQ(pairs[2].b, 0xBBBB);
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {

@@ -86,16 +86,17 @@ TEST(AuditTrace, DeclassificationSitesAreExactlyThePinnedSequence) {
   std::vector<std::string> sites;
   for (const auto& d : res.declassifications) sites.push_back(d.site);
 
-  // Expected trace: one pk publication, one ct publication, then per decaps
-  // run (honest + tampered) the embedded pk and pk-hash lifts plus the l
-  // secret-bound checks from unpack_secret inside decrypt.
+  // Expected trace: one pk publication, one ct publication, then once per
+  // key (both decaps runs share the split and the unpacked s, as a prepared
+  // secret key does) the embedded pk and pk-hash lifts of split_kem_sk_g plus
+  // the l secret-bound checks of unpack_secret.
   EXPECT_EQ(std::count(sites.begin(), sites.end(), "keygen-pk-publish"), 1);
   EXPECT_EQ(std::count(sites.begin(), sites.end(), "encaps-ct-publish"), 1);
-  EXPECT_EQ(std::count(sites.begin(), sites.end(), "decaps-embedded-pk"), 2);
-  EXPECT_EQ(std::count(sites.begin(), sites.end(), "decaps-embedded-pk-hash"), 2);
+  EXPECT_EQ(std::count(sites.begin(), sites.end(), "decaps-embedded-pk"), 1);
+  EXPECT_EQ(std::count(sites.begin(), sites.end(), "decaps-embedded-pk-hash"), 1);
   EXPECT_EQ(std::count(sites.begin(), sites.end(), "secret-bound-check"),
-            2 * static_cast<long>(kem::kLightSaber.l));
-  EXPECT_EQ(sites.size(), 6 + 2 * kem::kLightSaber.l);
+            static_cast<long>(kem::kLightSaber.l));
+  EXPECT_EQ(sites.size(), 4 + kem::kLightSaber.l);
 }
 
 // ------------------------------------------------------------------- canary

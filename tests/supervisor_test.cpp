@@ -396,7 +396,10 @@ TEST(BackendSupervisor, KemBatchSurvivesStuckBackendThenReadmitsIt) {
 
   // Backend 0 develops a stuck-at product fault: every item must still come
   // back ok or recovered, bit-identical to the clean batch, and the backend
-  // must end up quarantined.
+  // must end up quarantined. decaps_many prepares the secret key once, on
+  // backend 0, and shares it: after the quarantine the workers re-prepare
+  // backend 1's images of it lazily from the raw operands.
+  const u64 lazy_before = rig.sup.status()[1].lazy_prepares;
   rig.inj->arm(FaultSpec::permanent_flip(FaultSite::kProduct, 4, 21));
   const auto got = b.decaps_many(keys[0].value.sk, cts);
   ASSERT_EQ(got.size(), expect.size());
@@ -407,6 +410,7 @@ TEST(BackendSupervisor, KemBatchSurvivesStuckBackendThenReadmitsIt) {
   auto st = rig.sup.status();
   EXPECT_GE(st[0].quarantines, 1u);
   EXPECT_GT(st[1].calls, 0u);  // the clean backend carried the tail traffic
+  EXPECT_GT(st[1].lazy_prepares, lazy_before);
 
   // The fault clears; subsequent batches re-probe and readmit backend 0.
   rig.inj->disarm_all();

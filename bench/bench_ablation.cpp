@@ -8,8 +8,8 @@
 //      trades base multiplications against additions).
 #include <iostream>
 
+#include "analysis/comparisons.hpp"
 #include "analysis/table.hpp"
-#include "common/rng.hpp"
 #include "mult/karatsuba.hpp"
 #include "multipliers/dsp_packed.hpp"
 #include "multipliers/high_speed.hpp"
@@ -61,15 +61,10 @@ void ablation_dsp_generation() {
 }
 
 void ablation_karatsuba_depth() {
-  Xoshiro256StarStar rng(41);
-  const auto a = ring::Poly::random(rng, 13);
-  const auto b = ring::Poly::random(rng, 13);
   analysis::TextTable t({"Levels", "coeff mults", "coeff adds", "mults saved vs depth-0"});
   u64 base_mults = 0;
   for (unsigned levels : {0u, 1u, 2u, 4u, 6u, 8u}) {
-    mult::KaratsubaMultiplier k(levels);
-    k.multiply(a, b, 13);
-    const auto ops = k.ops();
+    const auto ops = analysis::product_ops(mult::KaratsubaMultiplier(levels));
     if (levels == 0) base_mults = ops.coeff_mults;
     t.add_row({std::to_string(levels), analysis::TextTable::num(ops.coeff_mults),
                analysis::TextTable::num(ops.coeff_adds),

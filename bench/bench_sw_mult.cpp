@@ -31,7 +31,7 @@ void BM_SoftwareMultiply(benchmark::State& state, const char* name) {
     benchmark::DoNotOptimize(algo->multiply(a, b, 13));
   }
   state.counters["coeff_mults"] =
-      static_cast<double>(algo->ops().coeff_mults) / static_cast<double>(state.iterations());
+      static_cast<double>(analysis::product_ops(*algo).coeff_mults);
 }
 BENCHMARK_CAPTURE(BM_SoftwareMultiply, schoolbook, "schoolbook");
 BENCHMARK_CAPTURE(BM_SoftwareMultiply, karatsuba1, "karatsuba-1");

@@ -67,33 +67,30 @@ using TSpan = std::span<const TW>;
 template <typename AccKernel>
 TaintedMul conv_mul(AccKernel acc_kernel) {
   return [acc_kernel](const TPoly& a, const TSecretPoly& s, unsigned qbits) {
-    mult::OpCounts ops;
     std::vector<TW> acc(2 * kN - 1, TW{0});
     acc_kernel(TSpan(mult::centered_lift(a, qbits)), TSpan(mult::lift_secret(s)),
-               std::span<TW>(acc), ops);
+               std::span<TW>(acc));
     return mult::reduce_witness<kN, TW>(acc, qbits);
   };
 }
 
 TaintedMul toom_mul(const mult::ToomTables& t) {
   return [&t](const TPoly& a, const TSecretPoly& s, unsigned qbits) {
-    mult::OpCounts ops;
     auto acc = mult::toom_accumulator_g<TW>(t);
-    mult::toom_pointwise_acc_g<TW>(
-        acc, mult::toom_evaluate_g(mult::centered_lift(a, qbits), t, ops),
-        mult::toom_evaluate_g(mult::lift_secret(s), t, ops), t, ops);
-    return mult::reduce_witness<kN, TW>(mult::toom_interpolate_g<TW>(acc, t, ops), qbits);
+    mult::toom_pointwise_acc_g<TW>(acc,
+                                   mult::toom_evaluate_g(mult::centered_lift(a, qbits), t),
+                                   mult::toom_evaluate_g(mult::lift_secret(s), t), t);
+    return mult::reduce_witness<kN, TW>(mult::toom_interpolate_g<TW>(acc, t), qbits);
   };
 }
 
 template <std::size_t K>
 TPoly ntt_mul(const TPoly& a, const TSecretPoly& s, unsigned qbits) {
-  mult::OpCounts ops;
   const auto& t = mult::ntt_tables();
   auto acc = mult::NttImage<Tainted<u32>, K>{};
-  const auto ta = mult::ntt_prepare_g<K>(mult::centered_lift(a, qbits), t, ops);
-  mult::ntt_pointwise_acc_g(acc, ta, mult::ntt_prepare_g<K>(s.c, t, ops), t, ops);
-  return mult::reduce_witness<kN, TW>(mult::ntt_lift_g(acc, t, ops), qbits);
+  const auto ta = mult::ntt_prepare_g<K>(mult::centered_lift(a, qbits), t);
+  mult::ntt_pointwise_acc_g(acc, ta, mult::ntt_prepare_g<K>(s.c, t), t);
+  return mult::reduce_witness<kN, TW>(mult::ntt_lift_g(acc, t), qbits);
 }
 
 TaintedMul make_tainted_mul(std::string_view name) {
@@ -102,9 +99,8 @@ TaintedMul make_tainted_mul(std::string_view name) {
     return conv_mul(&mult::schoolbook_acc_g<TW>);
   }
   if (const auto* k = dynamic_cast<const mult::KaratsubaMultiplier*>(m.get())) {
-    return conv_mul([levels = k->levels()](TSpan a, TSpan s, std::span<TW> acc,
-                                           mult::OpCounts& ops) {
-      mult::karatsuba_acc_g(a, s, acc, levels, ops);
+    return conv_mul([levels = k->levels()](TSpan a, TSpan s, std::span<TW> acc) {
+      mult::karatsuba_acc_g(a, s, acc, levels);
     });
   }
   if (const auto* t = dynamic_cast<const mult::ToomCookMultiplier*>(m.get())) {

@@ -21,15 +21,13 @@ namespace detail {
 // values — so the kernel is constant-time in the data for any word type.
 template <typename W>
 void karatsuba_rec_g(std::span<const W> a, std::span<const W> b, std::span<W> out,
-                     unsigned levels, OpCounts& ops) {
+                     unsigned levels) {
   const std::size_t n = a.size();
   SABER_REQUIRE(b.size() == n, "operands must have equal length");
   if (levels == 0 || n == 1 || n % 2 != 0) {
     std::vector<W> tmp(2 * n - 1);
-    schoolbook_conv_g(std::span<const W>(a), std::span<const W>(b), std::span<W>(tmp),
-                      ops);
+    schoolbook_conv_g(std::span<const W>(a), std::span<const W>(b), std::span<W>(tmp));
     for (std::size_t i = 0; i < tmp.size(); ++i) out[i] += tmp[i];
-    ops.coeff_adds += tmp.size();
     return;
   }
 
@@ -39,16 +37,15 @@ void karatsuba_rec_g(std::span<const W> a, std::span<const W> b, std::span<W> ou
 
   // z0 = a0*b0, z2 = a1*b1, z1 = (a0+a1)(b0+b1) - z0 - z2.
   std::vector<W> z0(2 * h - 1, W{0}), z2(2 * h - 1, W{0}), zm(2 * h - 1, W{0});
-  karatsuba_rec_g<W>(a0, b0, z0, levels - 1, ops);
-  karatsuba_rec_g<W>(a1, b1, z2, levels - 1, ops);
+  karatsuba_rec_g<W>(a0, b0, z0, levels - 1);
+  karatsuba_rec_g<W>(a1, b1, z2, levels - 1);
 
   std::vector<W> as(h), bs(h);
   for (std::size_t i = 0; i < h; ++i) {
     as[i] = a0[i] + a1[i];
     bs[i] = b0[i] + b1[i];
   }
-  ops.coeff_adds += 2 * h;
-  karatsuba_rec_g<W>(as, bs, zm, levels - 1, ops);
+  karatsuba_rec_g<W>(as, bs, zm, levels - 1);
 
   for (std::size_t i = 0; i < 2 * h - 1; ++i) {
     const W z1 = zm[i] - z0[i] - z2[i];
@@ -56,7 +53,6 @@ void karatsuba_rec_g(std::span<const W> a, std::span<const W> b, std::span<W> ou
     out[i + h] += z1;
     out[i + 2 * h] += z2[i];
   }
-  ops.coeff_adds += 5 * (2 * h - 1);
 }
 
 }  // namespace detail
@@ -66,9 +62,9 @@ void karatsuba_rec_g(std::span<const W> a, std::span<const W> b, std::span<W> ou
 /// coefficient).
 template <typename W>
 void karatsuba_acc_g(std::span<const W> a, std::span<const W> b, std::span<W> acc,
-                     unsigned levels, OpCounts& ops) {
+                     unsigned levels) {
   SABER_REQUIRE(acc.size() == a.size() + b.size() - 1, "output length mismatch");
-  detail::karatsuba_rec_g<W>(a, b, acc, levels, ops);
+  detail::karatsuba_rec_g<W>(a, b, acc, levels);
 }
 
 class KaratsubaMultiplier final : public PolyMultiplier {
@@ -89,10 +85,5 @@ class KaratsubaMultiplier final : public PolyMultiplier {
   unsigned levels_;
   std::string name_;
 };
-
-/// Signed integer linear convolution by Karatsuba, splitting `levels` times
-/// (or until operands shrink to a single coefficient).
-void karatsuba_conv(std::span<const i64> a, std::span<const i64> b, std::span<i64> out,
-                    unsigned levels, OpCounts& ops);
 
 }  // namespace saber::mult

@@ -66,7 +66,7 @@ std::size_t PolyMultiplier::max_accumulated_terms() const {
 
 void PolyMultiplier::conv_accumulate(std::span<const i64> a, std::span<const i64> s,
                                      std::span<i64> acc) const {
-  schoolbook_acc_g(a, s, acc, ops_);
+  schoolbook_acc_g(a, s, acc);
 }
 
 }  // namespace saber::mult

@@ -2,8 +2,9 @@
 //
 // Every algorithm computes the negacyclic product in R_q with q = 2^qbits.
 // They form the functional ground truth for the cycle-accurate hardware
-// models and the §5.1 software-comparison benchmarks; per-call operation
-// counts back the paper's algorithm-level cost discussion.
+// models and the §5.1 software-comparison benchmarks; their operation counts,
+// behind the paper's algorithm-level cost discussion, are closed forms in the
+// public lengths (analysis::product_ops).
 #pragma once
 
 #include <memory>
@@ -16,18 +17,6 @@
 
 namespace saber::mult {
 
-/// Coefficient-level operation tally for one or more multiplications.
-struct OpCounts {
-  u64 coeff_mults = 0;  ///< word x word multiplications
-  u64 coeff_adds = 0;   ///< word additions/subtractions
-
-  OpCounts& operator+=(const OpCounts& o) {
-    coeff_mults += o.coeff_mults;
-    coeff_adds += o.coeff_adds;
-    return *this;
-  }
-};
-
 /// Transform-domain image of one operand (or one accumulator) under a
 /// particular algorithm's split-transform API. The layout is private to the
 /// algorithm that produced it: a centered-lift coefficient vector for the
@@ -35,10 +24,12 @@ struct OpCounts {
 /// NTT spectra for the NTT backend. Values always fit i64.
 using Transformed = std::vector<i64>;
 
-/// Thread safety: const calls are not safe to make concurrently on one
-/// instance, because they update the mutable OpCounts tally. Give each
-/// thread its own instance; Transformed images are plain data and may be
-/// shared between instances of the same name().
+/// Thread safety: the software backends hold no mutable state, so
+/// concurrent const calls on one instance are safe. Decorators state their
+/// own contract: CheckedMultiplier may be shared, a from_poly_mul adapter
+/// over a cycle-accurate core may not (the core is stateful). Transformed
+/// images are plain data and may be shared between instances of the same
+/// name().
 class PolyMultiplier {
  public:
   virtual ~PolyMultiplier() = default;
@@ -131,10 +122,6 @@ class PolyMultiplier {
   /// Saber needs l <= 4.
   virtual std::size_t max_accumulated_terms() const;
 
-  /// Operations accumulated since construction / last reset.
-  OpCounts ops() const { return ops_; }
-  void reset_ops() { ops_ = {}; }
-
  protected:
   /// Hook for the default (convolution-domain) split-transform path:
   /// accumulate the signed linear convolution a * s into `acc`
@@ -143,8 +130,6 @@ class PolyMultiplier {
   /// transform domain (Toom-Cook, NTT) override the five stages instead.
   virtual void conv_accumulate(std::span<const i64> a, std::span<const i64> s,
                                std::span<i64> acc) const;
-
-  mutable OpCounts ops_{};
 };
 
 /// Negacyclic fold of a signed linear convolution (length 2N-1) followed by

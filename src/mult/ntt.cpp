@@ -77,29 +77,28 @@ Transformed pack_image(const NttImage<u32, K>& img) {
 }
 
 template <typename Coeffs>
-Transformed prepare(const Coeffs& x, unsigned qbits, OpCounts& ops) {
+Transformed prepare(const Coeffs& x, unsigned qbits) {
   const auto& t = ntt_tables();
-  return ntt_lanes(qbits) == 1 ? pack_image(ntt_prepare_g<1>(x, t, ops))
-                               : pack_image(ntt_prepare_g<2>(x, t, ops));
+  return ntt_lanes(qbits) == 1 ? pack_image(ntt_prepare_g<1>(x, t))
+                               : pack_image(ntt_prepare_g<2>(x, t));
 }
 
 template <std::size_t K>
-void accumulate(Transformed& acc, const Transformed& a, const Transformed& s,
-                OpCounts& ops) {
+void accumulate(Transformed& acc, const Transformed& a, const Transformed& s) {
   auto img = unpack_image<K>(acc);
-  ntt_pointwise_acc_g(img, unpack_image<K>(a), unpack_image<K>(s), ntt_tables(), ops);
+  ntt_pointwise_acc_g(img, unpack_image<K>(a), unpack_image<K>(s), ntt_tables());
   std::memcpy(acc.data(), img.data(), sizeof(img));
 }
 
 template <std::size_t K>
-std::array<i64, ring::kN> lift(const Transformed& acc, OpCounts& ops) {
+std::array<i64, ring::kN> lift(const Transformed& acc) {
   auto img = unpack_image<K>(acc);
-  return ntt_lift_g(img, ntt_tables(), ops);
+  return ntt_lift_g(img, ntt_tables());
 }
 
-std::array<i64, ring::kN> witness(const Transformed& acc, OpCounts& ops) {
+std::array<i64, ring::kN> witness(const Transformed& acc) {
   if (acc.empty()) return {};  // absorbed no product
-  return lanes_of(acc) == 1 ? lift<1>(acc, ops) : lift<2>(acc, ops);
+  return lanes_of(acc) == 1 ? lift<1>(acc) : lift<2>(acc);
 }
 
 }  // namespace
@@ -115,21 +114,21 @@ std::vector<i64> NttMultiplier::multiply_witness(const ring::Poly& a, const ring
                                                  unsigned qbits) const {
   const auto& t = ntt_tables();
   NttImage<u32, 2> acc{};
-  ntt_pointwise_acc_g(acc, ntt_prepare_g<2>(centered_lift(a, qbits), t, ops_),
-                      ntt_prepare_g<2>(centered_lift(b, qbits), t, ops_), t, ops_);
-  const auto w = ntt_lift_g(acc, t, ops_);
+  ntt_pointwise_acc_g(acc, ntt_prepare_g<2>(centered_lift(a, qbits), t),
+                      ntt_prepare_g<2>(centered_lift(b, qbits), t), t);
+  const auto w = ntt_lift_g(acc, t);
   return {w.begin(), w.end()};
 }
 
 Transformed NttMultiplier::prepare_public(const ring::Poly& a, unsigned qbits) const {
-  return prepare(centered_lift(a, qbits), qbits, ops_);
+  return prepare(centered_lift(a, qbits), qbits);
 }
 
 // Small signed secrets embed directly, without centering: qbits only picks
 // the prime count.
 Transformed NttMultiplier::prepare_secret(const ring::SecretPoly& s,
                                           unsigned qbits) const {
-  return prepare(s.c, qbits, ops_);
+  return prepare(s.c, qbits);
 }
 
 void NttMultiplier::pointwise_accumulate(Transformed& acc, const Transformed& a,
@@ -139,19 +138,19 @@ void NttMultiplier::pointwise_accumulate(Transformed& acc, const Transformed& a,
   if (acc.empty()) acc.assign(a.size(), 0);
   SABER_REQUIRE(acc.size() == a.size(), "accumulator holds another NTT prime count");
   if (k == 1) {
-    accumulate<1>(acc, a, s, ops_);
+    accumulate<1>(acc, a, s);
   } else {
-    accumulate<2>(acc, a, s, ops_);
+    accumulate<2>(acc, a, s);
   }
 }
 
 std::vector<i64> NttMultiplier::finalize_witness(const Transformed& acc) const {
-  const auto w = witness(acc, ops_);
+  const auto w = witness(acc);
   return std::vector<i64>(w.begin(), w.end());
 }
 
 ring::Poly NttMultiplier::finalize(const Transformed& acc, unsigned qbits) const {
-  return reduce_witness<ring::kN, i64>(witness(acc, ops_), qbits);
+  return reduce_witness<ring::kN, i64>(witness(acc), qbits);
 }
 
 }  // namespace saber::mult

@@ -130,25 +130,21 @@ void ntt_inverse_stage_g(std::array<W, ring::kN>& v, const NttPrimeTables& t) {
 
 /// Forward negacyclic NTT mod t.p (psi-twisted, bit-reversed output) in place.
 template <typename W>
-void ntt_forward_g(std::array<W, ring::kN>& v, const NttPrimeTables& t, OpCounts& ops) {
+void ntt_forward_g(std::array<W, ring::kN>& v, const NttPrimeTables& t) {
   [&]<std::size_t... S>(std::index_sequence<S...>) {
     (ntt_forward_stage_g<(ring::kN / 2 >> S)>(v, t), ...);
   }(std::make_index_sequence<8>{});
-  ops.coeff_mults += ring::kN / 2 * 8;
-  ops.coeff_adds += ring::kN * 8;
 }
 
 /// Inverse negacyclic NTT mod t.p (bit-reversed input) in place, scaled by
 /// N^-1 * 2^32: that cancels the 2^-32 every Montgomery pointwise product
 /// leaves, so inverse(forward(x)) alone is x * 2^32.
 template <typename W>
-void ntt_inverse_g(std::array<W, ring::kN>& v, const NttPrimeTables& t, OpCounts& ops) {
+void ntt_inverse_g(std::array<W, ring::kN>& v, const NttPrimeTables& t) {
   [&]<std::size_t... S>(std::index_sequence<S...>) {
     (ntt_inverse_stage_g<(std::size_t{1} << S)>(v, t), ...);
   }(std::make_index_sequence<8>{});
   for (auto& x : v) x = ntt_mulmod_shoup_g(x, t.n_inv_mont, t.p);
-  ops.coeff_mults += ring::kN / 2 * 8 + ring::kN;
-  ops.coeff_adds += ring::kN * 8;
 }
 
 /// CRT of (r1 mod p1, r2 mod p2) and centered lift into (-P/2, P/2):
@@ -179,13 +175,13 @@ constexpr ct::rebind_t<W, i64> ntt_center_g(const W& r, u32 p) {
 /// Forward images mod the first K primes of N centered integer coefficients
 /// x[i] (|x[i]| < p), given as any signed word analog.
 template <std::size_t K, typename Coeffs>
-auto ntt_prepare_g(const Coeffs& x, const NttTables& t, OpCounts& ops) {
+auto ntt_prepare_g(const Coeffs& x, const NttTables& t) {
   NttImage<ct::rebind_t<std::remove_cvref_t<decltype(x[0])>, u32>, K> img;
   for (std::size_t k = 0; k < K; ++k) {
     for (std::size_t i = 0; i < ring::kN; ++i) {
       img[k][i] = ntt_to_residue_g(x[i], t.primes[k].p);
     }
-    ntt_forward_g(img[k], t.primes[k], ops);
+    ntt_forward_g(img[k], t.primes[k]);
   }
   return img;
 }
@@ -193,7 +189,7 @@ auto ntt_prepare_g(const Coeffs& x, const NttTables& t, OpCounts& ops) {
 /// acc += a * s per prime (Montgomery: each term carries 2^-32 until the lift).
 template <typename W, std::size_t K>
 void ntt_pointwise_acc_g(NttImage<W, K>& acc, const NttImage<W, K>& a,
-                         const NttImage<W, K>& s, const NttTables& t, OpCounts& ops) {
+                         const NttImage<W, K>& s, const NttTables& t) {
   for (std::size_t k = 0; k < K; ++k) {
     const u32 p = t.primes[k].p;
     const u32 p_neg_inv = t.primes[k].p_neg_inv;
@@ -202,8 +198,6 @@ void ntt_pointwise_acc_g(NttImage<W, K>& acc, const NttImage<W, K>& a,
           ntt_addmod_g(acc[k][i], ntt_mulmod_mont_g(a[k][i], s[k][i], p, p_neg_inv), p);
     }
   }
-  ops.coeff_mults += K * ring::kN;
-  ops.coeff_adds += K * ring::kN;
 }
 
 /// Exact integer negacyclic remainder of an accumulator (consumed): one
@@ -211,10 +205,10 @@ void ntt_pointwise_acc_g(NttImage<W, K>& acc, const NttImage<W, K>& a,
 /// lift (K = 2). Exact while the true accumulated coefficients stay inside
 /// (-p1/2, p1/2), respectively (-P/2, P/2).
 template <typename W, std::size_t K>
-auto ntt_lift_g(NttImage<W, K>& acc, const NttTables& t, OpCounts& ops) {
+auto ntt_lift_g(NttImage<W, K>& acc, const NttTables& t) {
   static_assert(K == 1 || K == 2);
   for (std::size_t k = 0; k < K; ++k) {
-    ntt_inverse_g(acc[k], t.primes[k], ops);
+    ntt_inverse_g(acc[k], t.primes[k]);
   }
   std::array<ct::rebind_t<W, i64>, ring::kN> w;
   for (std::size_t i = 0; i < ring::kN; ++i) {
@@ -224,8 +218,6 @@ auto ntt_lift_g(NttImage<W, K>& acc, const NttTables& t, OpCounts& ops) {
       w[i] = ntt_crt_lift_g(acc[0][i], acc[1][i], t);
     }
   }
-  ops.coeff_mults += (K - 1) * ring::kN;
-  ops.coeff_adds += ring::kN;
   return w;
 }
 

@@ -14,34 +14,25 @@ namespace saber::mult {
 /// multiply-accumulate with loop-counter indexing — constant-time in the data
 /// by construction.
 template <typename W>
-void schoolbook_acc_g(std::span<const W> a, std::span<const W> b, std::span<W> acc,
-                      OpCounts& ops) {
+void schoolbook_acc_g(std::span<const W> a, std::span<const W> b, std::span<W> acc) {
   SABER_REQUIRE(acc.size() == a.size() + b.size() - 1, "output length mismatch");
   for (std::size_t i = 0; i < a.size(); ++i) {
     for (std::size_t j = 0; j < b.size(); ++j) {
       acc[i + j] += a[i] * b[j];
     }
   }
-  ops.coeff_mults += a.size() * b.size();
-  ops.coeff_adds += a.size() * b.size();
 }
 
 /// Non-accumulating form: out = a * b.
 template <typename W>
-void schoolbook_conv_g(std::span<const W> a, std::span<const W> b, std::span<W> out,
-                       OpCounts& ops) {
+void schoolbook_conv_g(std::span<const W> a, std::span<const W> b, std::span<W> out) {
   std::ranges::fill(out, W{0});
-  schoolbook_acc_g(a, b, out, ops);
+  schoolbook_acc_g(a, b, out);
 }
 
 class SchoolbookMultiplier final : public PolyMultiplier {
  public:
   std::string_view name() const override { return "schoolbook"; }
 };
-
-/// Signed integer linear convolution, out.size() == a.size() + b.size() - 1.
-/// Exposed for reuse as the base case of Karatsuba / Toom-Cook.
-void schoolbook_conv(std::span<const i64> a, std::span<const i64> b, std::span<i64> out,
-                     OpCounts& ops);
 
 }  // namespace saber::mult

@@ -170,13 +170,13 @@ ToomCookMultiplier::ToomCookMultiplier(unsigned parts)
 
 Transformed ToomCookMultiplier::prepare_public(const ring::Poly& a,
                                                unsigned qbits) const {
-  return toom_evaluate_g(centered_lift(a, qbits), tables_, ops_);
+  return toom_evaluate_g(centered_lift(a, qbits), tables_);
 }
 
 // Small signed secrets embed into Z directly: qbits is unused.
 Transformed ToomCookMultiplier::prepare_secret(const ring::SecretPoly& s,
                                                unsigned) const {
-  return toom_evaluate_g(lift_secret(s), tables_, ops_);
+  return toom_evaluate_g(lift_secret(s), tables_);
 }
 
 Transformed ToomCookMultiplier::make_accumulator() const {
@@ -185,11 +185,11 @@ Transformed ToomCookMultiplier::make_accumulator() const {
 
 void ToomCookMultiplier::pointwise_accumulate(Transformed& acc, const Transformed& a,
                                               const Transformed& s) const {
-  toom_pointwise_acc_g<i64>(acc, a, s, tables_, ops_);
+  toom_pointwise_acc_g<i64>(acc, a, s, tables_);
 }
 
 std::vector<i64> ToomCookMultiplier::finalize_witness(const Transformed& acc) const {
-  return toom_interpolate_g<i64>(acc, tables_, ops_);
+  return toom_interpolate_g<i64>(acc, tables_);
 }
 
 ring::Poly ToomCookMultiplier::finalize(const Transformed& acc, unsigned qbits) const {

@@ -70,7 +70,7 @@ const ToomTables& toom_tables(unsigned parts);
 /// flattened points x part matrix. Horner over public points — constant-time
 /// in the data for any word type.
 template <typename W>
-std::vector<W> toom_evaluate_g(std::vector<W> p, const ToomTables& t, OpCounts& ops) {
+std::vector<W> toom_evaluate_g(std::vector<W> p, const ToomTables& t) {
   p.resize(t.padded_len, W{0});
   const std::size_t part = t.part_len;
   std::vector<W> evals(static_cast<std::size_t>(t.points) * part, W{0});
@@ -88,8 +88,6 @@ std::vector<W> toom_evaluate_g(std::vector<W> p, const ToomTables& t, OpCounts& 
     evals[static_cast<std::size_t>(t.points - 1) * part + k] =
         limbs[t.parts - 1];  // infinity
   }
-  ops.coeff_mults += (t.parts - 1) * t.eval_points.size() * part;
-  ops.coeff_adds += (t.parts - 1) * t.eval_points.size() * part;
   return evals;
 }
 
@@ -103,7 +101,7 @@ std::vector<W> toom_accumulator_g(const ToomTables& t) {
 /// as in the layered software multipliers [6].
 template <typename W>
 void toom_pointwise_acc_g(std::span<W> acc, std::span<const W> a, std::span<const W> s,
-                          const ToomTables& t, OpCounts& ops) {
+                          const ToomTables& t) {
   const std::size_t part = t.part_len;
   SABER_REQUIRE(a.size() == t.points * part && s.size() == a.size(),
                 "operand not in this Toom-Cook transform domain");
@@ -111,7 +109,7 @@ void toom_pointwise_acc_g(std::span<W> acc, std::span<const W> a, std::span<cons
                 "accumulator not in this Toom-Cook transform domain");
   for (unsigned i = 0; i < t.points; ++i) {
     karatsuba_acc_g(a.subspan(i * part, part), s.subspan(i * part, part),
-                    acc.subspan(i * (2 * part - 1), 2 * part - 1), /*levels=*/32, ops);
+                    acc.subspan(i * (2 * part - 1), 2 * part - 1), /*levels=*/32);
   }
 }
 
@@ -121,8 +119,7 @@ void toom_pointwise_acc_g(std::span<W> acc, std::span<const W> a, std::span<cons
 /// exact divisions. The tail is provably zero; plain words assert it, while
 /// tainted words skip the check, which would branch on secret data.
 template <typename W>
-std::vector<W> toom_interpolate_g(std::span<const W> acc, const ToomTables& t,
-                                  OpCounts& ops) {
+std::vector<W> toom_interpolate_g(std::span<const W> acc, const ToomTables& t) {
   const std::size_t part = t.part_len;
   SABER_REQUIRE(acc.size() == t.points * (2 * part - 1),
                 "accumulator not in this Toom-Cook transform domain");
@@ -136,8 +133,6 @@ std::vector<W> toom_interpolate_g(std::span<const W> acc, const ToomTables& t,
       out[j * part + k] += exact_div_g(sum, t.interp_div[j]);
     }
   }
-  ops.coeff_mults += static_cast<u64>(t.points) * t.points * (2 * part - 1);
-  ops.coeff_adds += static_cast<u64>(t.points) * t.points * (2 * part - 1);
   if constexpr (!ct::is_tainted_v<W>) {
     for (std::size_t i = 2 * ring::kN - 1; i < out.size(); ++i) {
       SABER_ENSURE(out[i] == 0, "padded convolution tail must vanish");

@@ -80,11 +80,10 @@ MultiplierResult KaratsubaHwMultiplier::multiply(const ring::Poly& a,
 
   // Functional product via the (verified) software Karatsuba on the same
   // operand decomposition the hardware would use.
-  mult::OpCounts ops;
   const auto av = mult::centered_lift(a, kQ);
   const auto sv = mult::centered_lift(s.to_poly(kQ), kQ);
   std::vector<i64> conv(2 * ring::kN - 1);
-  mult::karatsuba_conv(av, sv, conv, cfg_.levels, ops);
+  mult::karatsuba_acc_g<i64>(av, sv, conv, cfg_.levels);
   auto out = mult::fold_negacyclic<ring::kN>(conv, kQ);
   if (accumulate != nullptr) {
     SABER_REQUIRE(accumulate->reduced(kQ), "accumulator must be reduced mod q");

@@ -26,8 +26,9 @@
 //
 // Thread model: the supervisor hands each KemBatch worker its own
 // SupervisedMultiplier facade via make_worker_multiplier(). Each facade owns
-// private CheckedMultiplier instances (one per backend, so the mutable op
-// counters never race) and shares only the mutex-guarded breaker state.
+// private CheckedMultiplier instances (one per backend, so each worker's
+// fault counters attribute faults to its own items) and shares only the
+// mutex-guarded breaker state.
 // Split-transform caching stays sound across health changes — lazily,
 // copy-on-quarantine: a prepared transform materializes only the active
 // backend's checked image (which keeps the raw polynomial it came from) and

@@ -3,9 +3,10 @@
 // A server terminating many KEM handshakes does not run one operation at a
 // time: it drains queues of independent keygen / encaps / decaps requests.
 // KemBatch models that workload. Each worker thread owns a private
-// SaberKemScheme (and therefore a private multiplier instance, so the
-// mutable op counters never race), and per-key work is done once per batch
-// and shared read-only across workers via the split-transform cache
+// SaberKemScheme, and so a private multiplier instance: a checked
+// multiplier's fault counters then attribute each fault to the item that hit
+// it, and a cycle-accurate core is never shared. Per-key work is done once
+// per batch and shared read-only across workers via the split-transform cache
 // (mult/batch.hpp): encaps_many prepares the public key (SHAKE-expanding A,
 // forward-transforming A and b), decaps_many the secret key (the same for
 // its embedded pk, plus unpacking and transforming s).

@@ -45,11 +45,11 @@ struct PreparedSecretKey {
   PreparedSecretKey& operator=(PreparedSecretKey&&) = delete;
 };
 
-/// Thread safety: concurrent const calls on one scheme share its multiplier,
-/// which is not safe (PolyMultiplier's OpCounts tally is mutable, and the
-/// hardware cores are stateful). Give each thread its own scheme and share
-/// prepared keys (PreparedPublicKey, PreparedSecretKey), as
-/// saber::batch::KemBatch does.
+/// Thread safety: const calls may run concurrently on one scheme whose
+/// multiplier is a software backend or a CheckedMultiplier. A scheme over a
+/// PolyMulFn wrapping a cycle-accurate core may not be shared (the core is
+/// stateful): give each thread its own scheme and share prepared keys
+/// (PreparedPublicKey, PreparedSecretKey), as saber::batch::KemBatch does.
 class SaberKemScheme {
  public:
   /// A per-product fn (hardware models, custom closures), wrapped once by

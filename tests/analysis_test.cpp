@@ -7,6 +7,10 @@
 #include "analysis/profile.hpp"
 #include "analysis/table.hpp"
 #include "analysis/table1.hpp"
+#include "mult/karatsuba.hpp"
+#include "mult/ntt.hpp"
+#include "mult/strategy.hpp"
+#include "mult/toomcook.hpp"
 
 namespace saber::analysis {
 namespace {
@@ -145,6 +149,134 @@ TEST(Comparisons, TablesRender) {
   const auto ops = render_algorithm_ops();
   EXPECT_NE(ops.find("schoolbook"), std::string::npos);
   EXPECT_NE(ops.find("65536"), std::string::npos);      // 256^2 mults
+}
+
+// --- operation counts (E5/A3) ------------------------------------------------
+
+// A word that tallies its own arithmetic, so the shipped kernels instantiated
+// over it report how many mults and adds they actually execute.
+OpCounts g_tally;
+
+struct CountingWord {
+  i64 v = 0;
+  CountingWord() = default;
+  CountingWord(i64 x) : v(x) {}
+
+  friend CountingWord operator*(CountingWord a, CountingWord b) {
+    ++g_tally.coeff_mults;
+    return a.v * b.v;
+  }
+  friend CountingWord operator+(CountingWord a, CountingWord b) {
+    ++g_tally.coeff_adds;
+    return a.v + b.v;
+  }
+  friend CountingWord operator-(CountingWord a, CountingWord b) {
+    ++g_tally.coeff_adds;
+    return a.v - b.v;
+  }
+  CountingWord& operator+=(CountingWord o) { return *this = *this + o; }
+};
+
+using CW = CountingWord;
+
+// Tally of `kernel(a, b, acc)` on two n-coefficient operands (the kernels'
+// loop shapes do not depend on the values).
+template <typename Kernel>
+OpCounts executed_ops(std::size_t n, Kernel kernel) {
+  std::vector<CW> a(n), b(n), acc(2 * n - 1);
+  g_tally = {};
+  kernel(std::span<const CW>(a), std::span<const CW>(b), std::span<CW>(acc));
+  return g_tally;
+}
+
+OpCounts ops_of(std::string_view name) {
+  return product_ops(*mult::make_multiplier(name));
+}
+
+TEST(ProductOps, RecursionMatchesExecutedKernels) {
+  EXPECT_EQ(executed_ops(ring::kN, &mult::schoolbook_acc_g<CW>), ops_of("schoolbook"));
+  for (const unsigned levels : {0u, 1u, 2u, 4u, 6u, 8u}) {
+    const auto run = [levels](auto a, auto b, auto acc) {
+      mult::karatsuba_acc_g<CW>(a, b, acc, levels);
+    };
+    EXPECT_EQ(executed_ops(ring::kN, run), karatsuba_ops(ring::kN, levels))
+        << "levels=" << levels;
+    EXPECT_EQ(karatsuba_ops(ring::kN, levels),
+              product_ops(mult::KaratsubaMultiplier(levels)));
+  }
+  // The Toom limb products: 64 coefficients for Toom-4, 86 for Toom-3.
+  for (const unsigned parts : {3u, 4u}) {
+    const std::size_t part = mult::toom_tables(parts).part_len;
+    const auto run = [](auto a, auto b, auto acc) {
+      mult::karatsuba_acc_g<CW>(a, b, acc, 32);
+    };
+    EXPECT_EQ(executed_ops(part, run), karatsuba_ops(part, 32)) << "part=" << part;
+  }
+  // A 2 x 3 schoolbook convolution: six products, six adds.
+  std::vector<CW> a = {1, 2}, b = {3, 4, 5}, out(4);
+  g_tally = {};
+  mult::schoolbook_conv_g<CW>(a, b, out);
+  EXPECT_EQ(g_tally, (OpCounts{6, 6}));
+}
+
+TEST(ProductOps, E5RowsArePinned) {
+  EXPECT_EQ(ops_of("schoolbook"), (OpCounts{65536, 65536}));
+  EXPECT_EQ(ops_of("karatsuba-8"), (OpCounts{6561, 72382}));
+  EXPECT_EQ(ops_of("toom3"), (OpCounts{33386, 37216}));
+  EXPECT_EQ(ops_of("toom4"), (OpCounts{13630, 61853}));
+  EXPECT_EQ(ops_of("ntt"), (OpCounts{7424, 13056}));
+}
+
+TEST(ProductOps, A3RowsArePinned) {
+  const std::pair<unsigned, OpCounts> rows[] = {
+      {0, {65536, 66047}}, {1, {49152, 51448}}, {2, {36864, 41827}},
+      {4, {20736, 35527}}, {6, {11664, 46867}}, {8, {6561, 72382}}};
+  for (const auto& [levels, ops] : rows) {
+    EXPECT_EQ(product_ops(mult::KaratsubaMultiplier(levels)), ops) << "levels=" << levels;
+  }
+}
+
+TEST(ProductOps, NttRowIsTwoPrimeTransforms) {
+  // Per prime: a forward NTT is 8 stages of N/2 butterflies (one mult, two
+  // adds each); an inverse adds the N^-1 scaling. multiply_witness runs two
+  // forwards and one inverse per prime, 2N pointwise products and the CRT
+  // lift (N mults, N adds).
+  constexpr u64 n = ring::kN;
+  const OpCounts fwd{n / 2 * 8, n * 8}, inv{n / 2 * 8 + n, n * 8};
+  EXPECT_EQ(ops_of("ntt"),
+            (OpCounts{4 * fwd.coeff_mults + 2 * inv.coeff_mults + 2 * n + n,
+                      4 * fwd.coeff_adds + 2 * inv.coeff_adds + 2 * n + n}));
+}
+
+TEST(ProductOps, UnknownBackendThrows) {
+  const auto fn = mult::from_poly_mul([](const ring::Poly& a, const ring::SecretPoly&,
+                                         unsigned) { return a; });
+  EXPECT_THROW(product_ops(*fn), ContractViolation);
+}
+
+TEST(Karatsuba, OpCountShrinksWithDepth) {
+  // Depth 0 is schoolbook's count; every level cuts the multiplications.
+  u64 prev_mults = ops_of("schoolbook").coeff_mults;
+  EXPECT_EQ(product_ops(mult::KaratsubaMultiplier(0)).coeff_mults, prev_mults);
+  for (unsigned levels : {2u, 4u, 8u}) {
+    const auto mults = product_ops(mult::KaratsubaMultiplier(levels)).coeff_mults;
+    EXPECT_LT(mults, prev_mults) << "levels=" << levels;
+    prev_mults = mults;
+  }
+  // Full depth: 3^8 one-coefficient base multiplications.
+  EXPECT_EQ(prev_mults, 6561u);
+}
+
+TEST(ToomCook, SubMultiplicationCount) {
+  // Toom-4 should use 7 size-64 sub-multiplications; with Karatsuba layered
+  // below, the count is 7 * 3^6 = 5103 base multiplications.
+  const auto ops = ops_of("toom4");
+  EXPECT_EQ(ops.coeff_mults - 7u * 7u * 127u -  // interpolation weights
+                2u * 3u * 6u * 64u,             // evaluation Horner steps
+            5103u);
+  // The Karatsuba point products count each add into the accumulator once
+  // (the E5 table's Toom-4 row).
+  EXPECT_EQ(ops.coeff_adds, 61853u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "mult/batch.hpp"
 #include "mult/strategy.hpp"
 #include "multipliers/hw_multiplier.hpp"
@@ -159,6 +160,29 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, BatchDifferential,
                            std::ranges::replace(n, '-', '_');
                            return n + "_q" + std::to_string(std::get<1>(param_info.param));
                          });
+
+TEST(SharedMultiplier, ConcurrentProductsMatchSingleThreaded) {
+  // A software backend holds no mutable state: pool workers may share one
+  // const instance and one PreparedMatrix. ThreadSanitizer runs this binary,
+  // so a write inside any const call shows up as a race here.
+  Xoshiro256StarStar rng(930);
+  const std::size_t l = 3;
+  const auto a = random_matrix(l, rng, 13);
+  std::vector<ring::SecretVec> secrets(8);
+  for (auto& s : secrets) s = random_secrets(l, rng, 4);
+  ThreadPool pool(4);
+  for (const auto name : mult::multiplier_names()) {
+    const std::unique_ptr<const PolyMultiplier> m = mult::make_multiplier(name);
+    const mult::PreparedMatrix prep(a, *m, 13);
+    std::vector<ring::PolyVec> expect;
+    for (const auto& s : secrets) expect.push_back(mult::matrix_vector_mul(prep, s, *m, false));
+    std::vector<ring::PolyVec> got(secrets.size());
+    pool.run(secrets.size(), [&](unsigned, std::size_t i) {
+      got[i] = mult::matrix_vector_mul(prep, secrets[i], *m, false);
+    });
+    EXPECT_EQ(got, expect) << name;
+  }
+}
 
 // --- Saber fast path ------------------------------------------------------
 

@@ -311,26 +311,20 @@ TEST(KernelEquivalence, ShoupNttMatchesDirectEvaluation) {
         inputs[2][rng.uniform(ring::kN)] = p - 2;
       }
       for (const auto& in : inputs) {
-        mult::OpCounts ops;
         auto fwd = in;
-        mult::ntt_forward_g(fwd, t, ops);
+        mult::ntt_forward_g(fwd, t);
         ASSERT_EQ(fwd, ntt_reference(in, p, false))
             << "forward mod " << p << " (seed 0x" << std::hex << seed << ")";
-        EXPECT_EQ(ops.coeff_mults, ring::kN / 2 * 8);
-        EXPECT_EQ(ops.coeff_adds, ring::kN * 8);
 
-        mult::OpCounts inv_ops;
         auto inv = in;
-        mult::ntt_inverse_g(inv, t, inv_ops);
+        mult::ntt_inverse_g(inv, t);
         ASSERT_EQ(inv, ntt_reference(in, p, true))
             << "inverse mod " << p << " (seed 0x" << std::hex << seed << ")";
-        EXPECT_EQ(inv_ops.coeff_mults, ring::kN / 2 * 8 + ring::kN);
-        EXPECT_EQ(inv_ops.coeff_adds, ring::kN * 8);
 
         // Through the Montgomery domain (times the image of 1, which is 1 in
         // every slot), forward then inverse is the identity.
         for (auto& x : fwd) x = mult::ntt_mulmod_mont_g(x, u32{1}, p, t.p_neg_inv);
-        mult::ntt_inverse_g(fwd, t, inv_ops);
+        mult::ntt_inverse_g(fwd, t);
         ASSERT_EQ(fwd, in) << "round trip mod " << p;
       }
     }

@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 
 #include "common/check.hpp"
@@ -17,6 +18,52 @@ using i8 = std::int8_t;
 using i16 = std::int16_t;
 using i32 = std::int32_t;
 using i64 = std::int64_t;
+
+/// Four u64 lanes in one 256-bit GCC vector word: the lane type of the
+/// four-way Keccak (sha3::SpongeX4), element j belonging to stream j. The
+/// vector sits in a struct whose operators take const references, because a
+/// bare vector_size(32) parameter or return value changes the psABI between
+/// AVX and non-AVX builds (GCC's -Wpsabi).
+struct u64x4 {
+  u64 __attribute__((vector_size(32))) v;
+
+  friend u64x4 operator^(const u64x4& a, const u64x4& b) { return {a.v ^ b.v}; }
+  friend u64x4 operator&(const u64x4& a, const u64x4& b) { return {a.v & b.v}; }
+  friend u64x4 operator|(const u64x4& a, const u64x4& b) { return {a.v | b.v}; }
+  friend u64x4 operator~(const u64x4& a) { return {~a.v}; }
+  friend u64x4 operator<<(const u64x4& a, unsigned r) { return {a.v << r}; }
+  friend u64x4 operator>>(const u64x4& a, unsigned r) { return {a.v >> r}; }
+  u64x4& operator^=(const u64x4& b) {
+    v ^= b.v;
+    return *this;
+  }
+  /// Xor the same u64 into every lane (Keccak's iota step).
+  u64x4& operator^=(u64 b) {
+    v ^= b;
+    return *this;
+  }
+};
+
+/// The little-endian u64 at p[0..8): one unaligned load on little-endian
+/// hosts.
+inline u64 load_le64(const u8* p) {
+  u64 x = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&x, p, sizeof x);
+  } else {
+    for (unsigned k = 0; k < 8; ++k) x |= u64{p[k]} << (8 * k);
+  }
+  return x;
+}
+
+/// Store x little-endian at p[0..8).
+inline void store_le64(u8* p, u64 x) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &x, sizeof x);
+  } else {
+    for (unsigned k = 0; k < 8; ++k) p[k] = static_cast<u8>(x >> (8 * k));
+  }
+}
 
 /// Mask with the low `bits` bits set. `bits` must be <= 64.
 constexpr u64 mask64(unsigned bits) {

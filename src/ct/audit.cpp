@@ -202,16 +202,18 @@ AuditResult audit_kem_roundtrip(std::string_view backend,
   };
 
   // KeyGen; the packed pk is declassified at publication.
-  auto pke_keys = kem::flows::keygen_flow(seed_a, std::span<const TB>(tseed_s),
-                                          params, mat_vec);
-  auto kp = kem::flows::kem_assemble_flow(std::move(pke_keys),
+  auto pke_keys = kem::flows::keygen_core_g(
+      kem::expand_keygen_g(std::span<const u8>(seed_a), std::span<const TB>(tseed_s), params),
+      params, mat_vec);
+  const auto pk_hash_t = sha3::Sha3<32, TB>::hash(std::span<const TB>(pke_keys.pk));
+  auto kp = kem::flows::kem_assemble_flow(std::move(pke_keys), std::span(pk_hash_t),
                                           std::span<const TB>(tz), params);
   const auto pk_pub =
       declassify_bytes(std::span<const TB>(kp.pk), "keygen-pk-publish");
 
   // Encaps with tainted coins; the ciphertext is declassified at publication.
   auto enc = kem::flows::encaps_flow(
-      std::span<const u8>(pk_pub), tm_raw,
+      sha3::Sha3_256::hash(pk_pub), tm_raw,
       [&](const kem::MessageT<TB>& m, const kem::SeedT<TB>& r) {
         return encrypt(m, r, pk_pub);
       });

@@ -433,10 +433,16 @@ constexpr rebind_t<W, i64> centered_g(const W& v, unsigned qbits) {
 }
 
 /// Rotate-left of the u64 analog (public amount; r == 0 handled without
-/// touching the data).
+/// touching the data). A u64x4 rotates each of its four lanes.
 template <typename W>
-constexpr rebind_t<W, u64> rotl_g(const W& v, unsigned r) {
-  const auto x = cast<u64>(v);
+constexpr auto rotl_g(const W& v, unsigned r) {
+  const auto x = [&] {
+    if constexpr (std::is_same_v<W, u64x4>) {
+      return v;
+    } else {
+      return cast<u64>(v);
+    }
+  }();
   if (r == 0) return x;
   return (x << r) | (x >> (64u - r));
 }

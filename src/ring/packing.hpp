@@ -87,6 +87,11 @@ void unpack_bits_g(std::span<const B> data, unsigned bits, std::span<W> values) 
 std::vector<u8> pack_bits(std::span<const u16> values, unsigned bits);
 void unpack_bits(std::span<const u8> data, unsigned bits, std::span<u16> values);
 
+/// unpack_bits at the fixed width 13 (the public matrix A): 8 values from
+/// each 13-byte group with two u64 loads, bytes 0..7 and 5..12. Plain words
+/// only; `values.size()` must be a multiple of 8.
+void unpack_bits13(std::span<const u8> data, std::span<u16> values);
+
 /// Pack values LSB-first into little-endian 64-bit memory words (the layout
 /// the multiplier architectures stream from BRAM).
 std::vector<u64> pack_words(std::span<const u16> values, unsigned bits);

@@ -1,5 +1,6 @@
 #include "saber/batch.hpp"
 
+#include <algorithm>
 #include <optional>
 
 #include "common/check.hpp"
@@ -24,6 +25,24 @@ void wipe(kem::KemKeyPair& kp) {
 void wipe(kem::EncapsResult& e) {
   wipe(e.ct);
   wipe(e.key);
+}
+
+/// The message of the exception being handled.
+std::string current_error() {
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown error";
+  }
+}
+
+template <typename T>
+void fail(Outcome<T>& out, std::string error) {
+  out.status = ItemStatus::kFailed;
+  out.error = std::move(error);
+  wipe(out.value);
 }
 
 }  // namespace
@@ -68,42 +87,83 @@ KemBatch::KemBatch(const kem::SaberParams& params, MultiplierFactory factory,
 }
 
 template <typename T, typename Fn>
+void KemBatch::run_item(unsigned worker, Outcome<T>& out, Fn&& fn) const {
+  // A worker runs its items one at a time, so a before/after counter
+  // snapshot around one item attributes any detected-and-recovered fault to
+  // exactly that item (counters are per-worker: no cross-thread attribution
+  // noise).
+  const FaultMonitor* mon = monitors_[worker];
+  const u64 mismatches_before = mon ? mon->fault_counters().mismatches : 0;
+  try {
+    fn(out.value);
+  } catch (...) {
+    fail(out, current_error());
+    return;
+  }
+  if (mon && mon->fault_counters().mismatches > mismatches_before) {
+    out.status = ItemStatus::kRecovered;
+  }
+}
+
+template <typename T, typename Fn>
 std::vector<Outcome<T>> KemBatch::run_items(std::size_t n, Fn&& item_fn) {
   std::vector<Outcome<T>> out(n);
-  // Workers run items one at a time, so a before/after counter snapshot
-  // around one item attributes any detected-and-recovered fault to exactly
-  // that item (counters are per-worker: no cross-thread attribution noise).
-  std::vector<std::exception_ptr> errors =
-      pool_.run_capture(n, [&](unsigned worker, std::size_t i) {
-        const FaultMonitor* mon = monitors_[worker];
-        const u64 mismatches_before = mon ? mon->fault_counters().mismatches : 0;
-        item_fn(worker, i, out[i].value);
-        if (mon && mon->fault_counters().mismatches > mismatches_before) {
-          out[i].status = ItemStatus::kRecovered;
-        }
-      });
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!errors[i]) continue;
-    out[i].status = ItemStatus::kFailed;
-    wipe(out[i].value);
-    try {
-      std::rethrow_exception(errors[i]);
-    } catch (const std::exception& e) {
-      out[i].error = e.what();
-    } catch (...) {
-      out[i].error = "unknown error";
-    }
-  }
+  pool_.run(n, [&](unsigned worker, std::size_t i) {
+    run_item(worker, out[i], [&](T& value) { item_fn(worker, i, value); });
+  });
   return out;
 }
 
 std::vector<Outcome<kem::KemKeyPair>> KemBatch::keygen_many(
     std::span<const KeygenRequest> requests) {
-  return run_items<kem::KemKeyPair>(
-      requests.size(), [&](unsigned worker, std::size_t i, kem::KemKeyPair& out) {
-        const auto& r = requests[i];
-        out = scheme(worker).keygen_deterministic(r.seed_a, r.seed_s, r.z);
-      });
+  // Each worker takes a chunk of kKeygenLanes consecutive requests and hashes
+  // them in lockstep on one four-lane Keccak: the seed re-hash, A and s
+  // (expand_keygen_x4), then H(pk). The products and packing in between run
+  // one item at a time, each isolated as run_items isolates it. A tail chunk
+  // fills its unused lanes with copies of its last request and drops their
+  // outputs.
+  constexpr std::size_t kLanes = kem::kKeygenLanes;
+  const std::size_t n = requests.size();
+  std::vector<Outcome<kem::KemKeyPair>> out(n);
+  pool_.run(ceil_div(n, kLanes), [&](unsigned worker, std::size_t chunk) {
+    const std::size_t first = chunk * kLanes;
+    const std::size_t count = std::min(kLanes, n - first);
+    const auto item = [&](std::size_t j) -> Outcome<kem::KemKeyPair>& {
+      return out[first + j];
+    };
+    const auto request = [&](std::size_t j) -> const KeygenRequest& {
+      return requests[first + std::min(j, count - 1)];
+    };
+    try {
+      const auto ex = kem::expand_keygen_x4(
+          {request(0).seed_a, request(1).seed_a, request(2).seed_a, request(3).seed_a},
+          {request(0).seed_s, request(1).seed_s, request(2).seed_s, request(3).seed_s},
+          params_);
+      std::array<kem::PkeKeyPair, kLanes> pke;
+      std::size_t last_ok = kLanes;
+      for (std::size_t j = 0; j < count; ++j) {
+        run_item(worker, item(j), [&](kem::KemKeyPair&) {
+          pke[j] = scheme(worker).pke().keygen(ex[j]);
+        });
+        if (item(j).ok()) last_ok = j;
+      }
+      if (last_ok == kLanes) return;
+      // Failed and padding lanes hash a stand-in of the same length.
+      const auto pk = [&](std::size_t j) -> std::span<const u8> {
+        return pke[j < count && item(j).ok() ? j : last_ok].pk;
+      };
+      const auto hashes = sha3::sha3_256_x4({pk(0), pk(1), pk(2), pk(3)});
+      for (std::size_t j = 0; j < count; ++j) {
+        if (!item(j).ok()) continue;
+        item(j).value = scheme(worker).assemble_keys(std::move(pke[j]), hashes[j],
+                                                     request(j).z);
+      }
+    } catch (...) {
+      // Only a failure of the shared lockstep hashing lands here.
+      for (std::size_t j = 0; j < count; ++j) fail(item(j), current_error());
+    }
+  });
+  return out;
 }
 
 std::vector<Outcome<kem::EncapsResult>> KemBatch::encaps_many(
@@ -118,7 +178,7 @@ std::vector<Outcome<kem::EncapsResult>> KemBatch::encaps_many(
   const kem::PreparedPublicKey prep = schemes_[0]->pke().prepare_pk(pk);
   return run_items<kem::EncapsResult>(
       messages.size(), [&](unsigned worker, std::size_t i, kem::EncapsResult& out) {
-        out = scheme(worker).encaps_deterministic(pk, prep, messages[i]);
+        out = scheme(worker).encaps_deterministic(prep, messages[i]);
       });
 }
 
@@ -135,10 +195,7 @@ std::vector<Outcome<kem::SharedSecret>> KemBatch::decaps_many(
   } catch (const std::exception& e) {
     // Every item would have parsed this sk on its own and failed alike.
     std::vector<Outcome<kem::SharedSecret>> out(cts.size());
-    for (auto& o : out) {
-      o.status = ItemStatus::kFailed;
-      o.error = e.what();
-    }
+    for (auto& o : out) fail(o, e.what());
     return out;
   }
   return run_items<kem::SharedSecret>(

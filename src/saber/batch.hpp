@@ -13,9 +13,9 @@
 //
 // Failure isolation: every operation returns a per-item Outcome instead of a
 // bare value. A poisoned request (malformed ciphertext, unrecoverable
-// computational fault) fails only its own slot — the exception is captured
-// by ThreadPool::run_capture, recorded as ItemStatus::kFailed, and every
-// other item completes normally. A malformed secret key is shared by every
+// computational fault) fails only its own slot — the worker catches the
+// exception, records it as ItemStatus::kFailed, and every other item
+// completes normally. A malformed secret key is shared by every
 // slot of its decaps_many batch, so it fails every slot alike. When the
 // workers run fault-checking multipliers (robust::CheckedMultiplier,
 // injected via the factory constructor), items whose faults were detected
@@ -87,7 +87,10 @@ class KemBatch {
   unsigned threads() const { return pool_.size(); }
   const kem::SaberParams& params() const { return params_; }
 
-  /// Generate keys[i] from requests[i].
+  /// Generate keys[i] from requests[i]. Workers take chunks of
+  /// kem::kKeygenLanes consecutive requests and hash each chunk's keys in
+  /// lockstep (kem::expand_keygen_x4, sha3::sha3_256_x4); items stay
+  /// isolated as in the other batch calls.
   std::vector<Outcome<kem::KemKeyPair>> keygen_many(
       std::span<const KeygenRequest> requests);
 
@@ -108,8 +111,13 @@ class KemBatch {
  private:
   const kem::SaberKemScheme& scheme(unsigned worker) const { return *schemes_[worker]; }
 
-  /// Run item_fn over [0, n), capturing exceptions into kFailed outcomes and
-  /// classifying fault-recovered items via the workers' FaultMonitors.
+  /// Run fn(out.value) as one item on `worker`: an exception becomes a
+  /// kFailed outcome with a wiped value, and a fault the worker's
+  /// FaultMonitor saw meanwhile makes it kRecovered.
+  template <typename T, typename Fn>
+  void run_item(unsigned worker, Outcome<T>& out, Fn&& fn) const;
+
+  /// Run item_fn over [0, n), each index as one run_item.
   template <typename T, typename Fn>
   std::vector<Outcome<T>> run_items(std::size_t n, Fn&& item_fn);
 

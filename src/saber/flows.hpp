@@ -186,25 +186,19 @@ struct PkeKeyBytes {
   std::vector<B> sk;
 };
 
-/// Saber.PKE.KeyGen. `mat_vec(a, s, transpose)` must return A^T s reduced
-/// mod q. Both outputs come back in the flow's word type; the caller
-/// declassifies pk at publication.
-template <typename B, typename MatVec>
-PkeKeyBytes<B> keygen_flow(const SeedT<u8>& seed_a_in, std::span<const B> seed_s,
-                           const SaberParams& params, MatVec&& mat_vec) {
-  // The reference implementation re-hashes the A-seed so the public key does
-  // not expose raw system randomness. seed_a is public either way.
-  SeedT<u8> seed_a{};
-  sha3::Shake128 shake;
-  shake.update(seed_a_in);
-  shake.squeeze(seed_a);
-
-  const auto a = gen_matrix(seed_a, params);
-  auto s = gen_secret_g(seed_s, params);
-  SecretVecGuardT<ct::rebind_t<B, i8>> guard_s{s};
-  // b = round(A^T s + h): KeyGen multiplies by the transpose (round-3 spec).
-  auto b = round_q_to_p_g(mat_vec(a, s, /*transpose=*/true));
-  return PkeKeyBytes<B>{pack_pk_g(b, seed_a, params), pack_secret_g(s, params)};
+/// The core of Saber.PKE.KeyGen, after its hashing (expand_keygen_g or
+/// expand_keygen_x4): b = round(A^T s + h), then pack pk and sk.
+/// `mat_vec(a, s, transpose)` must return A^T s reduced mod q. Both outputs
+/// come back in the flow's word type; the caller declassifies pk at
+/// publication.
+template <typename S, typename MatVec>
+PkeKeyBytes<ct::rebind_t<S, u8>> keygen_core_g(const KeygenExpansionT<S>& ex,
+                                               const SaberParams& params,
+                                               MatVec&& mat_vec) {
+  // KeyGen multiplies by the transpose (round-3 spec).
+  auto b = round_q_to_p_g(mat_vec(ex.a, ex.s, /*transpose=*/true));
+  return PkeKeyBytes<ct::rebind_t<S, u8>>{pack_pk_g(b, ex.seed_a, params),
+                                          pack_secret_g(ex.s, params)};
 }
 
 /// Saber.PKE.Enc. `products(sp)` returns the pair (b' = A s' reduced mod q,
@@ -253,16 +247,17 @@ struct KemKeyBytes {
   std::vector<B> sk;  ///< pke_sk || pk || SHA3-256(pk) || z
 };
 
-/// Assemble the KEM secret-key blob from PKE key bytes and the
-/// implicit-rejection secret z.
+/// Assemble the KEM secret-key blob from PKE key bytes, SHA3-256(pk) and
+/// the implicit-rejection secret z. The caller hashes pk: one key at a time
+/// with Sha3<32, B>, or four in lockstep with sha3::sha3_256_x4.
 template <typename B>
-KemKeyBytes<B> kem_assemble_flow(PkeKeyBytes<B> pke, std::span<const B> z,
-                                 const SaberParams& params) {
+KemKeyBytes<B> kem_assemble_flow(PkeKeyBytes<B> pke,
+                                 std::span<const B, SaberParams::hash_bytes> pk_hash,
+                                 std::span<const B> z, const SaberParams& params) {
   KemKeyBytes<B> kp;
   kp.pk = std::move(pke.pk);
   kp.sk = std::move(pke.sk);
   kp.sk.insert(kp.sk.end(), kp.pk.begin(), kp.pk.end());
-  const auto pk_hash = sha3::Sha3<32, B>::hash(std::span<const B>(kp.pk));
   kp.sk.insert(kp.sk.end(), pk_hash.begin(), pk_hash.end());
   kp.sk.insert(kp.sk.end(), z.begin(), z.end());
   SABER_ENSURE(kp.sk.size() == params.kem_sk_bytes(), "KEM secret key size mismatch");
@@ -275,12 +270,14 @@ struct EncapsBytes {
   MessageT<B> key;
 };
 
-/// Saber.KEM.Encaps from explicit message coins. `encrypt(m, r)` runs
-/// Saber.PKE.Enc under the target public key. Both outputs come back in the
-/// flow's word type; the caller declassifies the ciphertext at publication.
+/// Saber.KEM.Encaps from explicit message coins, under the target public
+/// key's hash SHA3-256(pk) (computed once per key, with its preparation).
+/// `encrypt(m, r)` runs Saber.PKE.Enc under that key. Both outputs come back
+/// in the flow's word type; the caller declassifies the ciphertext at
+/// publication.
 template <typename B, typename Encrypt>
-EncapsBytes<B> encaps_flow(std::span<const u8> pk, const MessageT<B>& m_raw,
-                           Encrypt&& encrypt) {
+EncapsBytes<B> encaps_flow(std::span<const u8, SaberParams::hash_bytes> pk_hash,
+                           const MessageT<B>& m_raw, Encrypt&& encrypt) {
   constexpr std::size_t kHash = SaberParams::hash_bytes;
   // m = SHA3-256(m_raw): the reference hashes the sampled message so no raw
   // RNG output enters the ciphertext.
@@ -291,7 +288,6 @@ EncapsBytes<B> encaps_flow(std::span<const u8> pk, const MessageT<B>& m_raw,
   std::array<B, 2 * kHash> buf{};
   ZeroizeGuard guard_buf(buf);
   std::copy(m_arr.begin(), m_arr.end(), buf.begin());
-  const auto pk_hash = sha3::Sha3_256::hash(pk);
   std::copy(pk_hash.begin(), pk_hash.end(),
             buf.begin() + static_cast<std::ptrdiff_t>(kHash));
   auto kr = sha3::Sha3<64, B>().update(std::span<const B>(buf)).digest();

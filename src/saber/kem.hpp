@@ -23,21 +23,19 @@ struct EncapsResult {
 };
 
 /// A KEM secret key with the per-key work of decapsulation done once: the
-/// embedded pk prepared (A expanded and transformed, b transformed), s
-/// prepared at ep (carrying the preparing multiplier's name), and the pk
-/// hash and z lifted out of the blob. Reusable read-only by any number of
-/// decaps() calls, from any thread, on schemes whose multiplier has the
-/// same name(); another multiplier is rejected with ContractViolation.
-/// Move-only, so the secret images are never duplicated silently; the
-/// destructor wipes s (PreparedSecret) and z.
+/// embedded pk prepared (A expanded and transformed, b transformed, its hash
+/// taken from the blob), s prepared at ep (carrying the preparing
+/// multiplier's name), and z lifted out of the blob. Reusable read-only by
+/// any number of decaps() calls, from any thread, on schemes whose
+/// multiplier has the same name(); another multiplier is rejected with
+/// ContractViolation. Move-only, so the secret images are never duplicated
+/// silently; the destructor wipes s (PreparedSecret) and z.
 struct PreparedSecretKey {
   PreparedPublicKey pk;
   PreparedSecret s;
-  std::array<u8, SaberParams::hash_bytes> pk_hash{};  ///< SHA3-256(pk), public
-  SharedSecret z{};                                     ///< implicit-rejection secret
+  SharedSecret z{};  ///< implicit-rejection secret
 
   PreparedSecretKey(PreparedPublicKey pk, PreparedSecret s,
-                    std::span<const u8, SaberParams::hash_bytes> pk_hash,
                     std::span<const u8, SaberParams::key_bytes> z);
   ~PreparedSecretKey();
   PreparedSecretKey(PreparedSecretKey&&) noexcept = default;
@@ -73,17 +71,22 @@ class SaberKemScheme {
   KemKeyPair keygen_deterministic(const Seed& seed_a, const Seed& seed_s,
                                   const SharedSecret& z) const;
 
+  /// The KEM key pair from PKE keys, SHA3-256(pk) and z: the last step of
+  /// keygen_deterministic, exposed for the batch pipeline, which hashes four
+  /// public keys at a time.
+  KemKeyPair assemble_keys(PkeKeyPair pke_keys,
+                           std::span<const u8, SaberParams::hash_bytes> pk_hash,
+                           const SharedSecret& z) const;
+
   EncapsResult encaps(std::span<const u8> pk, RandomSource& rng) const;
 
   /// Deterministic encapsulation from an explicit pre-hash message seed
   /// (exposed for reproducible tests).
   EncapsResult encaps_deterministic(std::span<const u8> pk, const Message& m_raw) const;
 
-  /// Deterministic encapsulation against a prepared public key.
-  /// `pk` must be the exact byte string the preparation came from: it still
-  /// enters the hash H(pk) binding the shared secret to the key.
-  EncapsResult encaps_deterministic(std::span<const u8> pk,
-                                    const PreparedPublicKey& prep,
+  /// Deterministic encapsulation against a prepared public key, which
+  /// carries the H(pk) binding the shared secret to the key.
+  EncapsResult encaps_deterministic(const PreparedPublicKey& prep,
                                     const Message& m_raw) const;
 
   /// Decapsulation with implicit rejection: always returns a key; on a

@@ -44,8 +44,13 @@ void SaberPke::unpack_pk(std::span<const u8> pk, ring::PolyVec& b, Seed& seed_a)
 }
 
 PkeKeyPair SaberPke::keygen(const Seed& seed_a_in, const Seed& seed_s) const {
-  auto out = flows::keygen_flow(
-      seed_a_in, std::span<const u8>(seed_s), params_,
+  return keygen(expand_keygen_g(std::span<const u8>(seed_a_in), std::span<const u8>(seed_s),
+                                params_));
+}
+
+PkeKeyPair SaberPke::keygen(const KeygenExpansion& ex) const {
+  auto out = flows::keygen_core_g(
+      ex, params_,
       [this](const ring::PolyMatrix& a, const ring::SecretVec& s, bool transpose) {
         return mult::matrix_vector_mul(a, s, *mult_, kEq, transpose);
       });
@@ -65,12 +70,19 @@ std::vector<u8> SaberPke::encrypt(const Message& m, const Seed& seed_sp,
 }
 
 PreparedPublicKey SaberPke::prepare_pk(std::span<const u8> pk) const {
+  return prepare_pk(pk, sha3::Sha3_256::hash(pk));
+}
+
+PreparedPublicKey SaberPke::prepare_pk(
+    std::span<const u8> pk, std::span<const u8, SaberParams::hash_bytes> pk_hash) const {
   ring::PolyVec b;
   Seed seed_a{};
   unpack_pk(pk, b, seed_a);
   const auto a = gen_matrix(seed_a, params_);
-  return PreparedPublicKey{mult::PreparedMatrix(a, *mult_, kEq),
-                           mult::PreparedVector(b, *mult_, kEp)};
+  PreparedPublicKey prep{mult::PreparedMatrix(a, *mult_, kEq),
+                         mult::PreparedVector(b, *mult_, kEp), {}};
+  std::copy(pk_hash.begin(), pk_hash.end(), prep.pk_hash.begin());
+  return prep;
 }
 
 std::vector<u8> SaberPke::encrypt(const Message& m, const Seed& seed_sp,

@@ -25,6 +25,7 @@
 #include "common/rng.hpp"
 #include "mult/batch.hpp"
 #include "ring/polyvec.hpp"
+#include "saber/gen.hpp"
 #include "saber/params.hpp"
 
 namespace saber::kem {
@@ -38,13 +39,15 @@ using Message = std::array<u8, SaberParams::key_bytes>;
 using Seed = std::array<u8, SaberParams::seed_bytes>;
 
 /// A public key with the expensive per-key work done once: A expanded from
-/// its seed and forward-transformed, b forward-transformed. Reusable across
-/// any number of encrypt() calls on the SaberPke that produced it (or any
-/// SaberPke over the same parameters and a multiplier of the same name();
-/// another multiplier is rejected with ContractViolation).
+/// its seed and forward-transformed, b forward-transformed, and the KEM's
+/// H(pk) computed. Reusable across any number of encrypt() calls on the
+/// SaberPke that produced it (or any SaberPke over the same parameters and a
+/// multiplier of the same name(); another multiplier is rejected with
+/// ContractViolation).
 struct PreparedPublicKey {
   mult::PreparedMatrix a;   ///< transforms of A, mod q
   mult::PreparedVector b;   ///< transforms of b, mod p
+  std::array<u8, SaberParams::hash_bytes> pk_hash{};  ///< SHA3-256(pk), public
 };
 
 /// A PKE secret key with the per-key work of decryption done once: s
@@ -93,6 +96,10 @@ class SaberPke {
   /// Randomized key generation.
   PkeKeyPair keygen(RandomSource& rng) const;
 
+  /// Key generation from its hashing done already (expand_keygen_g or, four
+  /// keys at a time, expand_keygen_x4): A^T s, rounding and packing.
+  PkeKeyPair keygen(const KeygenExpansion& ex) const;
+
   /// Encrypt a 256-bit message under randomness seed `seed_sp`; the same as
   /// encrypt(m, seed_sp, prepare_pk(pk)).
   std::vector<u8> encrypt(const Message& m, const Seed& seed_sp,
@@ -100,6 +107,10 @@ class SaberPke {
 
   /// One-time per-key preparation for batched encryption.
   PreparedPublicKey prepare_pk(std::span<const u8> pk) const;
+
+  /// The same with H(pk) given, as the KEM secret key stores it.
+  PreparedPublicKey prepare_pk(std::span<const u8> pk,
+                               std::span<const u8, SaberParams::hash_bytes> pk_hash) const;
 
   /// Encrypt against a prepared public key.
   std::vector<u8> encrypt(const Message& m, const Seed& seed_sp,

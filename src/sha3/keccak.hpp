@@ -7,6 +7,8 @@
 // are public — so the same body runs over plain u64 lanes in production and
 // over ct::Tainted<u64> lanes under the secret-independence audit, where a
 // secret seed taints the entire state and hence everything squeezed from it.
+// Over u64x4 lanes the same body permutes four independent states at once,
+// which SpongeX4 uses to hash four equal-length inputs in lockstep.
 #pragma once
 
 #include <array>
@@ -15,6 +17,7 @@
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
+#include "common/zeroize.hpp"
 #include "ct/tainted.hpp"
 
 namespace saber::sha3 {
@@ -96,6 +99,9 @@ void keccak_f1600_g(KeccakStateT<L>& a) {
 /// Plain-lane entry point (the original API).
 void keccak_f1600(KeccakState& state);
 
+/// Four states in lockstep: element j of every lane word is state j.
+void keccak_f1600_x4(KeccakStateT<u64x4>& state);
+
 /// Generic sponge with byte-granular absorb/squeeze over byte word type B,
 /// moving whole 8-byte lanes whenever the position is lane-aligned.
 ///
@@ -112,6 +118,11 @@ class BasicSponge {
     SABER_REQUIRE(rate_bytes > 0 && rate_bytes < 200 && rate_bytes % 8 == 0,
                   "sponge rate must be a positive multiple of 8 below 200");
   }
+
+  /// The state may derive from secret input (SHA3-512 over m || H(pk), SHAKE
+  /// over a secret seed): it is wiped before the storage is released. The
+  /// positions are public counters.
+  ~BasicSponge() { secure_zeroize(std::span<Lane>(state_)); }
 
   /// Absorb more message bytes. Must not be called after finalize().
   /// Whenever the sponge position is lane-aligned and eight bytes remain,
@@ -198,5 +209,38 @@ class BasicSponge {
 };
 
 using Sponge = BasicSponge<u8>;
+
+/// Four sponges in lockstep over one u64x4 Keccak state, the "times4" layout
+/// of XKCP: lane word w of sponge j is element j of state word w. It absorbs
+/// one whole message per sponge, all four of equal length, padded exactly as
+/// BasicSponge::finalize pads, then squeezes whole blocks: every squeeze call
+/// starts at a block boundary and permutes before each block after the first.
+/// Byte-granular streaming stays BasicSponge's job. Every position is a
+/// public counter, and the state is wiped on destruction.
+class SpongeX4 {
+ public:
+  static constexpr std::size_t kLanes = 4;
+  template <typename T>
+  using Lanes = std::array<T, kLanes>;
+
+  SpongeX4(std::size_t rate_bytes, u8 domain);
+  ~SpongeX4();
+  SpongeX4(const SpongeX4&) = delete;
+  SpongeX4& operator=(const SpongeX4&) = delete;
+
+  /// Absorb and pad in[j] into sponge j. Called once, before any squeeze.
+  void absorb(const Lanes<std::span<const u8>>& in);
+
+  /// Fill out[j] from sponge j, ceil(size / rate) blocks of equal-length
+  /// outputs; the last block is cut to size.
+  void squeeze(const Lanes<std::span<u8>>& out);
+
+ private:
+  KeccakStateT<u64x4> state_{};
+  std::size_t rate_;
+  u8 domain_;
+  bool absorbed_ = false;
+  bool fresh_ = false;  ///< the state holds a block not yet squeezed
+};
 
 }  // namespace saber::sha3

@@ -9,4 +9,20 @@ template class Sha3<64>;
 template class Shake<128>;
 template class Shake<256>;
 
+std::array<Sha3_256::Digest, SpongeX4::kLanes> sha3_256_x4(
+    const SpongeX4::Lanes<std::span<const u8>>& in) {
+  std::array<Sha3_256::Digest, SpongeX4::kLanes> out{};
+  SpongeX4 sponge(200 - 2 * Sha3_256::kDigestBytes, kSha3Domain);
+  sponge.absorb(in);
+  sponge.squeeze({out[0], out[1], out[2], out[3]});
+  return out;
+}
+
+void shake128_x4(const SpongeX4::Lanes<std::span<const u8>>& in,
+                 const SpongeX4::Lanes<std::span<u8>>& out) {
+  SpongeX4 sponge(kShake128Rate, kShakeDomain);
+  sponge.absorb(in);
+  sponge.squeeze(out);
+}
+
 }  // namespace saber::sha3

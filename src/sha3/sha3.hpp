@@ -15,6 +15,13 @@
 
 namespace saber::sha3 {
 
+/// Domain-separation bytes of the padding (FIPS 202 §6).
+inline constexpr u8 kSha3Domain = 0x06;
+inline constexpr u8 kShakeDomain = 0x1f;
+
+/// SHAKE-128's rate: the bytes absorbed or squeezed per permutation.
+inline constexpr std::size_t kShake128Rate = 200 - 2 * (128 / 8);
+
 /// Fixed-output SHA-3 instance. `DigestBytes` in {32, 64}.
 template <std::size_t DigestBytes, typename B = u8>
 class Sha3 {
@@ -22,7 +29,7 @@ class Sha3 {
   static constexpr std::size_t kDigestBytes = DigestBytes;
   using Digest = std::array<B, DigestBytes>;
 
-  Sha3() : sponge_(200 - 2 * DigestBytes, 0x06) {}
+  Sha3() : sponge_(200 - 2 * DigestBytes, kSha3Domain) {}
 
   Sha3& update(std::span<const B> data) {
     sponge_.absorb(data);
@@ -49,7 +56,7 @@ using Sha3_512 = Sha3<64>;
 template <std::size_t SecurityBits, typename B = u8>
 class Shake {
  public:
-  Shake() : sponge_(200 - 2 * (SecurityBits / 8), 0x1f) {}
+  Shake() : sponge_(200 - 2 * (SecurityBits / 8), kShakeDomain) {}
 
   Shake& update(std::span<const B> data) {
     sponge_.absorb(data);
@@ -78,6 +85,15 @@ class Shake {
 
 using Shake128 = Shake<128>;
 using Shake256 = Shake<256>;
+
+/// SHA3-256 of four equal-length messages in lockstep (SpongeX4).
+std::array<Sha3_256::Digest, SpongeX4::kLanes> sha3_256_x4(
+    const SpongeX4::Lanes<std::span<const u8>>& in);
+
+/// SHAKE-128 of four equal-length messages in lockstep (SpongeX4): out[j]
+/// receives the first out[j].size() bytes of SHAKE-128(in[j]).
+void shake128_x4(const SpongeX4::Lanes<std::span<const u8>>& in,
+                 const SpongeX4::Lanes<std::span<u8>>& out);
 
 /// Deterministic RandomSource backed by SHAKE-128 over a seed.
 class ShakeDrbg final : public RandomSource {

@@ -239,7 +239,7 @@ TEST(SaberFastPath, HardwareCoreSupportsPreparedEncaps) {
   EXPECT_EQ(kp.sk, kp_sw.sk);
 
   const auto prep = hw_scheme.pke().prepare_pk(kp.pk);
-  const auto prepared = hw_scheme.encaps_deterministic(kp.pk, prep, m);
+  const auto prepared = hw_scheme.encaps_deterministic(prep, m);
   const auto unprepared = hw_scheme.encaps_deterministic(kp.pk, m);
   const auto reference = sw_scheme.encaps_deterministic(kp.pk, m);
   EXPECT_EQ(prepared.ct, unprepared.ct);
@@ -291,7 +291,7 @@ TEST(SaberFastPath, PreparedKeySharedAcrossSameNamedInstances) {
   m.fill(0x54);
   const auto kp = owner.keygen_deterministic(sa, ss, z);
   const auto prep = owner.pke().prepare_pk(kp.pk);
-  const auto shared = other.encaps_deterministic(kp.pk, prep, m);
+  const auto shared = other.encaps_deterministic(prep, m);
   const auto own = owner.encaps_deterministic(kp.pk, m);
   EXPECT_EQ(shared.ct, own.ct);
   EXPECT_EQ(shared.key, own.key);
@@ -489,6 +489,57 @@ TEST(KemBatch, MatchesSingleOperationScheme) {
     EXPECT_EQ(dec[i].value, scheme.decaps(cts[i], keys[0].value.sk)) << i;
     EXPECT_EQ(dec[i].value == enc[i].value.key, i != 1 && i != 2) << i;
   }
+}
+
+TEST(KemBatch, KeygenChunksMatchSingleKeygenForEveryTail) {
+  // keygen_many hashes chunks of four keys in lockstep; batch sizes around
+  // the chunk width exercise full chunks and 1-3 item tails, whose padding
+  // lanes must not leak into any real item.
+  const kem::SaberKemScheme scheme(kem::kSaber, "ntt");
+  const auto reqs = keygen_requests(17);
+  std::vector<kem::KemKeyPair> ref;
+  for (const auto& r : reqs) ref.push_back(scheme.keygen_deterministic(r.seed_a, r.seed_s, r.z));
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    batch::KemBatch b(kem::kSaber, "ntt", threads);
+    for (const std::size_t n : {1u, 3u, 4u, 5u, 8u, 17u}) {
+      const auto keys = b.keygen_many(std::span(reqs).first(n));
+      ASSERT_EQ(keys.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(keys[i].status, batch::ItemStatus::kOk);
+        EXPECT_EQ(keys[i].value.pk, ref[i].pk) << "threads=" << threads << " n=" << n << " i=" << i;
+        EXPECT_EQ(keys[i].value.sk, ref[i].sk) << "threads=" << threads << " n=" << n << " i=" << i;
+      }
+    }
+  }
+  batch::KemBatch b(kem::kSaber, "ntt", 2);
+  EXPECT_TRUE(b.keygen_many({}).empty());
+}
+
+TEST(SaberFastPath, PreparedKeysCarryPkHash) {
+  // prepare_pk hashes the key once; prepare_sk takes the hash stored in the
+  // secret-key blob, so decaps binds to that hash even when it was altered.
+  const kem::SaberKemScheme scheme(kem::kSaber, "ntt");
+  kem::Seed sa{}, ss{};
+  kem::SharedSecret z{};
+  kem::Message m{};
+  sa.fill(0x91);
+  ss.fill(0x92);
+  z.fill(0x93);
+  m.fill(0x94);
+  const auto kp = scheme.keygen_deterministic(sa, ss, z);
+  const auto pk_hash = sha3::Sha3_256::hash(kp.pk);
+  EXPECT_EQ(scheme.pke().prepare_pk(kp.pk).pk_hash, pk_hash);
+  const auto prep_sk = scheme.prepare_sk(kp.sk);
+  EXPECT_EQ(prep_sk.pk.pk_hash, pk_hash);
+  const auto enc = scheme.encaps_deterministic(scheme.pke().prepare_pk(kp.pk), m);
+  EXPECT_EQ(scheme.decaps(enc.ct, prep_sk), enc.key);
+
+  auto hostile = kp.sk;
+  const std::size_t hash_at = kem::kSaber.pke_sk_bytes() + kem::kSaber.pk_bytes();
+  hostile[hash_at] ^= 0x01;
+  const auto prep_hostile = scheme.prepare_sk(hostile);
+  EXPECT_EQ(prep_hostile.pk.pk_hash[0], pk_hash[0] ^ 0x01);
+  EXPECT_NE(scheme.decaps(enc.ct, prep_hostile), enc.key);
 }
 
 TEST(KemBatch, EndToEndRoundTrip) {

@@ -62,6 +62,24 @@ TEST(Packing, KnownLayout13Bit) {
   EXPECT_EQ(bytes[3], 0x00);
 }
 
+TEST(Packing, FixedWidth13MatchesGeneric) {
+  // A's unpacker (two u64 loads per 13-byte group) against the generic
+  // codec, on random bytes: every bit of every group lands in one value.
+  Xoshiro256StarStar rng(1313);
+  for (int iter = 0; iter < 16; ++iter) {
+    std::vector<u8> bytes(bytes_for(kN, 13));
+    rng.fill(bytes);
+    std::vector<u16> fixed(kN), generic(kN);
+    unpack_bits13(bytes, fixed);
+    unpack_bits(bytes, 13, generic);
+    EXPECT_EQ(fixed, generic) << iter;
+  }
+  std::vector<u16> seven(7);
+  EXPECT_THROW(unpack_bits13(std::vector<u8>(13), seven), ContractViolation);
+  std::vector<u16> eight(8);
+  EXPECT_THROW(unpack_bits13(std::vector<u8>(12), eight), ContractViolation);
+}
+
 TEST(Packing, RejectsOutOfRangeValues) {
   std::vector<u16> vals = {8};  // needs 4 bits
   EXPECT_THROW(pack_bits(vals, 3), ContractViolation);

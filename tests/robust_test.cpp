@@ -907,6 +907,45 @@ TEST(KemBatchIsolation, MixedOutcomesStayIsolatedPerItem) {
   EXPECT_EQ(recoveries, 1u);
 }
 
+TEST(KemBatchIsolation, TransientFaultStrikesOneItemOfAKeygenChunk) {
+  // keygen_many hashes four keys in lockstep, but each item's products run
+  // on their own: a transient fault during item 2 of one 4-item chunk must
+  // recover that item alone, and every value must equal a fault-free batch.
+  std::vector<batch::KeygenRequest> reqs(4);
+  Xoshiro256StarStar rng(6004);
+  for (auto& r : reqs) {
+    rng.fill(r.seed_a);
+    rng.fill(r.seed_s);
+    rng.fill(r.z);
+  }
+  batch::KemBatch clean(kem::kSaber, "ntt", 1);
+  const auto expect = clean.keygen_many(reqs);
+
+  auto inj = std::make_shared<FaultInjector>(66);
+  const auto factory = [&inj] {
+    return std::shared_ptr<const mult::PolyMultiplier>(std::make_shared<CheckedMultiplier>(
+        std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("ntt"), inj)));
+  };
+  batch::KemBatch b(kem::kSaber, factory, 1);
+  // Product events per keygen, counted fault-free, place the fault in item 2.
+  b.keygen_many(std::span(reqs).first(1));
+  const u64 per_item = inj->ordinal(FaultSite::kProduct);
+  ASSERT_GT(per_item, 0u);
+  inj->reset();
+  inj->arm({FaultSite::kProduct, FaultSpec::Kind::kTransient, /*bit=*/5, true,
+            /*fire_at=*/2 * per_item + 1, 1, /*coeff=*/40});
+
+  const auto got = b.keygen_many(reqs);
+  ASSERT_EQ(got.size(), reqs.size());
+  EXPECT_EQ(inj->activations().size(), 1u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].status, i == 2 ? batch::ItemStatus::kRecovered : batch::ItemStatus::kOk)
+        << i;
+    EXPECT_EQ(got[i].value.pk, expect[i].value.pk) << i;
+    EXPECT_EQ(got[i].value.sk, expect[i].value.sk) << i;
+  }
+}
+
 TEST(KemBatchIsolation, FactoryMismatchIsRejected) {
   int calls = 0;
   EXPECT_THROW(batch::KemBatch(kem::kSaber,

@@ -12,6 +12,7 @@
 #include "saber/params.hpp"
 #include "saber/pke.hpp"
 #include "saber/sampler.hpp"
+#include "sha3/sha3.hpp"
 
 namespace saber::kem {
 namespace {
@@ -112,6 +113,54 @@ TEST(Gen, MatrixIsDeterministicAndReduced) {
   Seed other = seed;
   other[1] = 1;
   EXPECT_NE(gen_matrix(other, kSaber).at(0, 0), a1.at(0, 0));
+}
+
+TEST(Gen, MatrixMatchesGenericUnpacker) {
+  // gen_matrix squeezes A onto the stack and unpacks it at the fixed width
+  // 13; the spec's formulation is one SHAKE stream through unpack_bits.
+  Seed seed{};
+  seed[3] = 0x5c;
+  for (const auto& p : kAllParams) {
+    const auto a = gen_matrix(seed, p);
+    const std::size_t poly_bytes = ring::bytes_for(SaberParams::n, SaberParams::eq);
+    const auto stream = sha3::Shake128::hash(seed, p.l * p.l * poly_bytes);
+    for (std::size_t r = 0; r < p.l; ++r) {
+      for (std::size_t c = 0; c < p.l; ++c) {
+        ring::Poly expect;
+        ring::unpack_bits(std::span<const u8>(stream).subspan((r * p.l + c) * poly_bytes,
+                                                              poly_bytes),
+                          SaberParams::eq, expect.c);
+        EXPECT_EQ(a.at(r, c), expect) << p.name << " " << r << "," << c;
+      }
+    }
+  }
+}
+
+TEST(Gen, FourLaneExpansionMatchesScalar) {
+  // expand_keygen_x4 against four expand_keygen_g calls (each the same as
+  // the seed re-hash, gen_matrix and gen_secret), lane by lane.
+  Xoshiro256StarStar rng(1616);
+  for (const auto& p : kAllParams) {
+    std::array<Seed, kKeygenLanes> seed_a{}, seed_s{};
+    for (auto& sd : seed_a) rng.fill(sd);
+    for (auto& sd : seed_s) rng.fill(sd);
+    const auto ex = expand_keygen_x4({seed_a[0], seed_a[1], seed_a[2], seed_a[3]},
+                                     {seed_s[0], seed_s[1], seed_s[2], seed_s[3]}, p);
+    for (std::size_t j = 0; j < kKeygenLanes; ++j) {
+      const auto ref = expand_keygen_g(std::span<const u8>(seed_a[j]),
+                                       std::span<const u8>(seed_s[j]), p);
+      EXPECT_EQ(ex[j].seed_a, ref.seed_a) << p.name << " lane " << j;
+      const auto a = gen_matrix(ex[j].seed_a, p);
+      for (std::size_t r = 0; r < p.l; ++r) {
+        for (std::size_t c = 0; c < p.l; ++c) {
+          EXPECT_EQ(ex[j].a.at(r, c), ref.a.at(r, c)) << p.name << " lane " << j;
+          EXPECT_EQ(ex[j].a.at(r, c), a.at(r, c)) << p.name << " lane " << j;
+        }
+      }
+      EXPECT_EQ(ex[j].s, ref.s) << p.name << " lane " << j;
+      EXPECT_EQ(ex[j].s, gen_secret(seed_s[j], p)) << p.name << " lane " << j;
+    }
+  }
 }
 
 TEST(Gen, SecretVectorLengthAndBound) {

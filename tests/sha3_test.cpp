@@ -3,9 +3,13 @@
 // (CPython's hashlib, which wraps the Keccak reference code).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <new>
 #include <numeric>
+#include <ostream>
 #include <string>
+#include <type_traits>
 
 #include "common/hex.hpp"
 #include "sha3/sha3.hpp"
@@ -187,6 +191,113 @@ TEST(Shake, OutputPrefixProperty) {
   const auto short_out = Shake128::hash(msg, 17);
   const auto long_out = Shake128::hash(msg, 500);
   EXPECT_TRUE(std::equal(short_out.begin(), short_out.end(), long_out.begin()));
+}
+
+// --- four-lane lockstep sponge --------------------------------------------
+
+// Four distinct messages of one length: lane j is a SHAKE stream of its own.
+SpongeX4::Lanes<std::vector<u8>> lane_inputs(std::size_t len) {
+  SpongeX4::Lanes<std::vector<u8>> in;
+  for (std::size_t j = 0; j < SpongeX4::kLanes; ++j) {
+    const u8 tag[2] = {static_cast<u8>(j), static_cast<u8>(len)};
+    in[j] = Shake128::hash(tag, len);
+  }
+  return in;
+}
+
+struct SpongeRate {
+  std::size_t rate;
+  u8 domain;
+};
+
+void PrintTo(const SpongeRate& r, std::ostream* os) {
+  *os << "rate " << r.rate << ", domain " << static_cast<unsigned>(r.domain);
+}
+
+class SpongeX4Lanes : public ::testing::TestWithParam<SpongeRate> {};
+
+TEST_P(SpongeX4Lanes, MatchesBasicSpongeLaneByLane) {
+  const auto [rate, domain] = GetParam();
+  for (const std::size_t len :
+       {std::size_t{0}, std::size_t{1}, std::size_t{31}, std::size_t{32}, rate - 1, rate,
+        rate + 1, 3 * rate + 5}) {
+    const auto in = lane_inputs(len);
+    // Two squeeze calls, the first a whole number of blocks: the second must
+    // continue the stream at the next block.
+    const std::size_t first = 2 * rate;
+    const std::size_t second = rate + 13;
+    SpongeX4 x4(rate, domain);
+    x4.absorb({in[0], in[1], in[2], in[3]});
+    SpongeX4::Lanes<std::vector<u8>> a, b;
+    for (auto& o : a) o.resize(first);
+    for (auto& o : b) o.resize(second);
+    x4.squeeze({a[0], a[1], a[2], a[3]});
+    x4.squeeze({b[0], b[1], b[2], b[3]});
+    for (std::size_t j = 0; j < SpongeX4::kLanes; ++j) {
+      Sponge ref(rate, domain);
+      ref.absorb(in[j]);
+      std::vector<u8> expect(first + second);
+      ref.squeeze(expect);
+      a[j].insert(a[j].end(), b[j].begin(), b[j].end());
+      EXPECT_EQ(a[j], expect) << "rate=" << rate << " len=" << len << " lane=" << j;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shake128Sha3_256Sha3_512, SpongeX4Lanes,
+                         ::testing::Values(SpongeRate{168, 0x1f}, SpongeRate{136, 0x06},
+                                           SpongeRate{72, 0x06}));
+
+TEST_P(Sha3Kat, Sha3_256X4) {
+  const auto& k = kKats[GetParam()];
+  for (const auto& d : sha3_256_x4({k.msg, k.msg, k.msg, k.msg})) {
+    EXPECT_EQ(to_hex(d), k.sha3_256);
+  }
+}
+
+TEST_P(Sha3Kat, Shake128X4) {
+  const auto& k = kKats[GetParam()];
+  SpongeX4::Lanes<std::array<u8, 32>> out{};
+  shake128_x4({k.msg, k.msg, k.msg, k.msg}, {out[0], out[1], out[2], out[3]});
+  for (const auto& o : out) EXPECT_EQ(to_hex(o), k.shake128_32);
+}
+
+TEST(SpongeX4, UnequalLaneLengthsRejected) {
+  const std::vector<u8> a(3), b(4);
+  SpongeX4 x4(168, 0x1f);
+  EXPECT_THROW(x4.absorb({a, a, b, a}), ContractViolation);
+}
+
+TEST(Keccak, FourLanePermutationMatchesScalar) {
+  KeccakStateT<u64x4> st4{};
+  std::array<KeccakState, 4> st{};
+  for (std::size_t w = 0; w < 25; ++w) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      st[j][w] = 0x9E3779B97F4A7C15ULL * (w + 1) ^ (u64{j} << 56);
+      st4[w].v[j] = st[j][w];
+    }
+  }
+  keccak_f1600_x4(st4);
+  for (std::size_t j = 0; j < 4; ++j) {
+    keccak_f1600(st[j]);
+    for (std::size_t w = 0; w < 25; ++w) EXPECT_EQ(st4[w].v[j], st[j][w]) << j << " " << w;
+  }
+}
+
+// A sponge's state derives from its input, which may be secret: destroying
+// it must leave the state's storage zeroed. The state is the first member
+// of a standard-layout class, so it occupies the first 200 bytes.
+TEST(Sponge, DestroyedSpongeStorageIsZero) {
+  static_assert(std::is_standard_layout_v<Sponge>);
+  alignas(Sponge) unsigned char storage[sizeof(Sponge)];
+  auto* sponge = new (storage) Sponge(136, 0x06);
+  const auto msg = bytes_of("secret-derived input");
+  sponge->absorb(msg);
+  u8 out[32];
+  sponge->squeeze(out);
+  sponge->~Sponge();
+  EXPECT_TRUE(std::all_of(storage, storage + sizeof(KeccakState),
+                          [](unsigned char c) { return c == 0; }));
 }
 
 // Permutation sanity: Keccak-f[1600] on the zero state has a known first lane

@@ -1,6 +1,5 @@
 #include "robust/algebraic_check.hpp"
 
-#include <cstdlib>
 #include <random>
 
 #include "common/check.hpp"
@@ -135,18 +134,11 @@ u64 PointChecker::add(u64 a, u64 b) const { return mult::addmod(a, b, prime_); }
 
 const PointChecker& shared_point_checker() {
   static const PointChecker checker = [] {
-    // Draw kNumSharedRoots distinct coset indices once per process. The seed
-    // comes from the environment when set (reproduction / CI triage), from
-    // hardware entropy otherwise — an adversarial defect polynomial crafted
+    // Draw kNumSharedRoots distinct coset indices once per process, seeded
+    // from hardware entropy: an adversarial defect polynomial crafted
     // against any fixed published root set does not know this process's draw.
-    u64 seed;
-    if (const char* env = std::getenv("SABER_CHECK_ROOT_SEED")) {
-      seed = std::strtoull(env, nullptr, 0);
-    } else {
-      std::random_device rd;
-      seed = (static_cast<u64>(rd()) << 32) ^ rd();
-    }
-    Xoshiro256StarStar rng(seed);
+    std::random_device rd;
+    Xoshiro256StarStar rng((static_cast<u64>(rd()) << 32) ^ rd());
     std::array<unsigned, PointChecker::kNumSharedRoots> idx{};
     for (std::size_t i = 0; i < idx.size(); ++i) {
       bool fresh;

@@ -101,9 +101,9 @@ class PointChecker {
 
 /// The process-wide shared checker (thread-safe magic-static initialization;
 /// immutable afterwards). Holds kNumSharedRoots roots whose coset indices
-/// are drawn once per process from a seeded draw (override the seed with
-/// SABER_CHECK_ROOT_SEED for reproduction): an adversary cannot know at
-/// build time which roots a running process will evaluate.
+/// are drawn once per process from an entropy-seeded draw: an adversary
+/// cannot know at build time which roots a running process will evaluate.
+/// Every root accepts every true product, so the draw changes no result.
 const PointChecker& shared_point_checker();
 
 }  // namespace saber::robust

@@ -21,19 +21,22 @@
 // The split-transform path (prepare/accumulate/finalize) is covered too: the
 // decorator's Transformed layout keeps the raw operands once, after the
 // inner backend's image, so finalize() can rebuild an independent reference
-// sum — and, on retry, re-run the whole inner transform pipeline from
+// sum — and, on retry, replay the whole inner transform pipeline from
 // scratch (a fault during prepare/accumulate is caught, not just one during
-// finalize). BackendSupervisor reuses the same raw operands to re-prepare on
-// another backend, through the accessors below; it keeps no copy of its own.
-// Prepared transforms stay instance-independent, so prepared matrices remain
-// shareable across worker threads, as the batch pipeline requires.
+// finalize). Prepared transforms stay instance-independent, so prepared
+// matrices remain shareable across worker threads, as the batch pipeline
+// requires.
+//
+// The same decorator is BackendSupervisor's worker facade (supervisor.hpp):
+// it then holds a priority-ordered list of backends and a shared circuit
+// breaker that routes every operation, and the raw operands let a transform
+// prepared on one backend be re-prepared, or an accumulator replayed, on
+// another after a quarantine.
 #pragma once
 
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/faults.hpp"
@@ -49,10 +52,10 @@ std::string_view to_string(CheckPolicy policy);
 /// How a checked product is verified (the *when* is CheckPolicy's job):
 ///
 ///   kReference  re-derive via the independent reference backend and compare
-///               (~1.12x per multiply; catches anything, bar nothing);
+///               (~1.8-1.9x a toom3 multiply; catches anything, bar nothing);
 ///   kPointEval  run the inner split pipeline, obtain the exact-integer
 ///               witness (PolyMultiplier::finalize_witness) and check
-///               sum_k a_k(x0) * s_k(x0) == w(x0) mod a ~2^60 prime (~1.01x;
+///               sum_k a_k(x0) * s_k(x0) == w(x0) mod a ~2^60 prime (~1.1x;
 ///               the product is then the fold of the verified witness).
 ///
 /// The kinds differ only in that verify step: a failed point check falls
@@ -75,30 +78,10 @@ struct FaultRecord {
   unsigned qbits;
 };
 
-/// One product a checked accumulator absorbed: its raw operands and the
-/// public operand's modulus (one prepared secret serves publics at its
-/// modulus or below; see mult::prepare_secrets).
-struct RawPair {
-  ring::Poly a;
-  ring::SecretPoly s;
-  unsigned qbits;
-};
+class BackendBreaker;  // supervisor.hpp
 
 class CheckedMultiplier final : public mult::PolyMultiplier, public FaultMonitor {
  public:
-  // Layout of a checked transform, private to checked_multiplier.cpp:
-  //
-  //   operand      inner image | raw N coefficients | qbits | magic
-  //   accumulator  inner accumulator | n x (raw a | raw s | qbits) | n | magic
-  //
-  // The accessors read the raw operands back (for BackendSupervisor's lazy
-  // re-prepare and accumulator migration) and throw ContractViolation on
-  // anything that is not the matching checked transform.
-  static std::pair<ring::Poly, unsigned> raw_public(std::span<const i64> t);
-  static std::pair<ring::SecretPoly, unsigned> raw_secret(std::span<const i64> t);
-  /// Every product the accumulator absorbed, in accumulation order.
-  static std::vector<RawPair> raw_pairs(std::span<const i64> acc);
-
   /// `fallback == nullptr` uses an independent schoolbook reference. The
   /// fallback must be a different physical instance from `inner` (and for
   /// real fault isolation, a different algorithm).
@@ -107,14 +90,11 @@ class CheckedMultiplier final : public mult::PolyMultiplier, public FaultMonitor
                              std::unique_ptr<mult::PolyMultiplier> fallback = nullptr);
 
   std::string_view name() const override { return name_; }
-  const CheckedConfig& config() const { return config_; }
-  const mult::PolyMultiplier& inner() const { return *inner_; }
 
   /// Snapshot of the fault statistics. Safe to call from a monitoring thread
   /// while another thread is multiplying through this instance: all stat
   /// mutation and both accessors synchronize on an internal mutex (the
-  /// supervisor polls status from outside the worker, and the batch pipeline
-  /// snapshots counters around every item).
+  /// batch pipeline snapshots counters around every item).
   FaultCounters fault_counters() const override;
   std::vector<FaultRecord> fault_log() const;
 
@@ -131,32 +111,25 @@ class CheckedMultiplier final : public mult::PolyMultiplier, public FaultMonitor
   std::size_t max_accumulated_terms() const override;
 
  private:
-  /// The one recovery ladder of both paths. `run` computes the product on
-  /// the inner backend, `verify` computes and point-checks it (kPointEval),
-  /// `retry` recomputes it on the inner backend and `reference` re-derives
-  /// it on the fallback; only the verify step depends on CheckKind.
-  template <class Run, class Verify, class Retry, class Reference>
-  ring::Poly ladder(FaultRecord::Path path, unsigned qbits, Run run, Verify verify,
-                    Retry retry, Reference reference) const;
-  /// Increment one fault counter under the stats mutex. Every counter
-  /// mutation funnels through here so the monitor accessors never observe a
-  /// torn or racy update.
-  void bump(u64 FaultCounters::* field) const;
-  ring::Poly reference_sum(std::span<const RawPair> pairs, unsigned qbits) const;
-  ring::Poly inner_recompute(std::span<const RawPair> pairs, unsigned qbits) const;
-  void record(FaultRecord::Path path, FaultRecord::Resolution res, unsigned qbits) const;
-  /// Algebraic verification of one product via the inner split pipeline.
-  /// Returns false (leaving `product` untouched) when the point check fails
-  /// or the corrupted state trips a backend invariant.
-  bool algebraic_multiply(const ring::Poly& a, const ring::Poly& b, unsigned qbits,
-                          ring::Poly& product) const;
-  /// Algebraic verification of an accumulated row against its raw pairs.
-  bool algebraic_finalize(const mult::Transformed& inner_acc,
-                          std::span<const RawPair> pairs, unsigned qbits,
-                          ring::Poly& product) const;
+  friend class BackendSupervisor;  // builds the supervised instances
+  friend class BackendBreaker;     // probes a backend through multiply_on
 
-  std::unique_ptr<mult::PolyMultiplier> inner_;
+  /// The supervisor's worker facade: `backends` (at least one) in failover
+  /// priority order, every operation routed by the shared `breaker`.
+  CheckedMultiplier(std::vector<std::unique_ptr<mult::PolyMultiplier>> backends,
+                    CheckedConfig config, std::shared_ptr<BackendBreaker> breaker);
+
+  /// Run `product(k, faults)` on the backend the breaker routes to (backend
+  /// 0 without one) and report the faults it confirmed back to the breaker.
+  template <class Product>
+  ring::Poly routed(Product product) const;
+  /// One checked multiply on backend k; adds its confirmed faults to `faults`.
+  ring::Poly multiply_on(std::size_t k, const ring::Poly& a, const ring::Poly& b,
+                         unsigned qbits, u64& faults) const;
+
+  std::vector<std::unique_ptr<mult::PolyMultiplier>> backends_;
   std::unique_ptr<mult::PolyMultiplier> fallback_;
+  std::shared_ptr<BackendBreaker> breaker_;  ///< null unless supervised
   CheckedConfig config_;
   std::string name_;
   mutable std::mutex stats_mu_;  ///< guards counters_, log_

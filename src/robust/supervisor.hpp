@@ -25,20 +25,19 @@
 // supervisor merely loses the luxury of choice.
 //
 // Thread model: the supervisor hands each KemBatch worker its own
-// SupervisedMultiplier facade via make_worker_multiplier(). Each facade owns
-// private CheckedMultiplier instances (one per backend, so each worker's
-// fault counters attribute faults to its own items) and shares only the
-// mutex-guarded breaker state.
+// CheckedMultiplier via make_worker_multiplier(): one instance over every
+// backend in priority order, with the worker's own fault counters, sharing
+// only the mutex-guarded breaker below.
 // Split-transform caching stays sound across health changes — lazily,
 // copy-on-quarantine: a prepared transform materializes only the active
-// backend's checked image (which keeps the raw polynomial it came from) and
-// a backend tag, so the no-fault path pays exactly 1x a single checked
-// backend's prepare cost and memory. A consumer routed to a different
-// backend (after a quarantine) re-prepares that backend's image on demand
-// from the raw polynomial; checked accumulators keep their raw (a, s) pairs
-// and are migrated across a failover boundary by replay. Shared transforms
-// stay immutable, so a mid-batch failover never invalidates a shared
-// prepared matrix.
+// backend's image, next to the raw operand it came from and the backend's
+// index, so the no-fault path pays exactly a single checked backend's
+// prepare cost and memory. A consumer routed to a different backend (after
+// a quarantine) re-prepares that backend's image on demand from the raw
+// operand; accumulators keep their raw (a, s) pairs and migrate across a
+// failover boundary by replay (checked_multiplier.cpp owns the layout).
+// Shared transforms stay immutable, so a mid-batch failover never
+// invalidates a shared prepared matrix.
 #pragma once
 
 #include <functional>
@@ -85,6 +84,50 @@ struct BackendStatus {
 using BackendFactory =
     std::function<std::unique_ptr<mult::PolyMultiplier>(std::size_t)>;
 
+/// The breaker state one supervisor's worker multipliers share: every
+/// backend's state machine under one mutex. The checked decorator consults
+/// it around every operation of a supervised instance.
+class BackendBreaker {
+ public:
+  BackendBreaker(std::vector<std::string> names, const SupervisorConfig& config);
+
+  const SupervisorConfig& config() const { return config_; }
+  std::string_view name() const { return facade_name_; }
+  std::size_t size() const { return states_.size(); }
+  std::vector<BackendStatus> status() const;
+
+  /// Backend for the next split-path step (no breaker timers advance).
+  std::size_t pick() const;
+  /// Backend for a prepare_* call (counted, so tests and the bench can
+  /// prove the no-fault path materializes exactly one image).
+  std::size_t prepare_backend();
+  void count_lazy(std::size_t k, u64 n);
+  /// Advance breaker timers, run due known-answer probes on the caller's
+  /// instance `m`, and pick the backend for the next operation.
+  std::size_t route(const CheckedMultiplier& m);
+  /// Account a completed operation on backend `k` that confirmed `faults`
+  /// (checker-detected) faults.
+  void note(std::size_t k, u64 faults);
+
+ private:
+  struct State {
+    BackendStatus status;
+    u64 open_skips = 0;    ///< routed-around calls since the breaker opened
+    u64 probe_passes = 0;  ///< consecutive passes while half-open
+  };
+
+  /// First closed backend in priority order, the last one if none is
+  /// healthy. Requires mu_ held.
+  std::size_t pick_locked() const;
+
+  SupervisorConfig config_;
+  std::string facade_name_;
+  /// Known-answer probe operands and their schoolbook product.
+  ring::Poly probe_a_, probe_b_, probe_expected_;
+  mutable std::mutex mu_;
+  std::vector<State> states_;  ///< guarded by mu_
+};
+
 class BackendSupervisor {
  public:
   /// `backend_names`: failover priority order, e.g. {"toom4", "ntt",
@@ -94,9 +137,9 @@ class BackendSupervisor {
                              SupervisorConfig config = {},
                              BackendFactory factory = {});
 
-  /// A facade for one worker thread: a PolyMultiplier whose every operation
-  /// routes through the breaker, plus a FaultMonitor aggregating the
-  /// worker's checked instances. Matches batch::MultiplierFactory.
+  /// A facade for one worker thread: a CheckedMultiplier over every backend
+  /// whose every operation routes through the breaker, and a FaultMonitor
+  /// for the worker's own products. Matches batch::MultiplierFactory.
   std::shared_ptr<const mult::PolyMultiplier> make_worker_multiplier() const;
 
   /// Current breaker snapshot, in priority order.
@@ -107,12 +150,9 @@ class BackendSupervisor {
 
   const SupervisorConfig& config() const;
 
-  /// Opaque shared breaker state (defined in supervisor.cpp; public only so
-  /// the worker facade can hold a reference to it).
-  struct Shared;
-
  private:
-  std::shared_ptr<Shared> shared_;
+  std::shared_ptr<BackendBreaker> breaker_;
+  BackendFactory factory_;
 };
 
 }  // namespace saber::robust

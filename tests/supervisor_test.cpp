@@ -274,13 +274,12 @@ TEST(BackendSupervisor, SupervisedLayoutKeepsRawOperandsOnce) {
     for (std::size_t c = 0; c < l; ++c) a.at(r, c) = ring::Poly::random(rng, kQ);
   }
 
-  // A supervised element is the checked image plus a fixed footer (backend
-  // index and magic): the raw polynomial is kept by the checked layer alone.
-  constexpr std::size_t kSupFooter = 2;
+  // A supervised element is laid out exactly like a checked one: one backend
+  // image, the raw polynomial once, and one footer.
   EXPECT_EQ(mult::PreparedMatrix(a, *m, kQ).value_count(),
-            mult::PreparedMatrix(a, *checked, kQ).value_count() + l * l * kSupFooter);
+            mult::PreparedMatrix(a, *checked, kQ).value_count());
 
-  // Likewise the accumulator: one raw-pair ledger, no second copy.
+  // Likewise the accumulator: one raw-pair ledger, one footer.
   auto sup_acc = m->make_accumulator();
   auto chk_acc = checked->make_accumulator();
   for (std::size_t j = 0; j < l; ++j) {
@@ -290,8 +289,78 @@ TEST(BackendSupervisor, SupervisedLayoutKeepsRawOperandsOnce) {
     checked->pointwise_accumulate(chk_acc, checked->prepare_public(a.at(0, j), kQ),
                                   checked->prepare_secret(s, kQ));
   }
-  EXPECT_LE(sup_acc.size(), chk_acc.size() + kSupFooter);
+  EXPECT_EQ(sup_acc.size(), chk_acc.size());
   EXPECT_EQ(m->finalize(sup_acc, kQ), checked->finalize(chk_acc, kQ));
+}
+
+TEST(BackendSupervisor, OneBackendFacadeMatchesPlainCheckedMultiplier) {
+  // A supervisor over one backend is the plain checked decorator plus a
+  // breaker with nowhere to route: the same backend, fault-injected on the
+  // same schedule, must give identical products, counters and injector
+  // ordinals through both, under both check kinds.
+  constexpr unsigned kP = 10;
+  for (const CheckKind kind : {CheckKind::kReference, CheckKind::kPointEval}) {
+    const CheckedConfig check{CheckPolicy::kFull, kind};
+    auto sup_inj = std::make_shared<FaultInjector>(31);
+    auto chk_inj = std::make_shared<FaultInjector>(31);
+    BackendSupervisor sup(
+        {"toom3"}, {/*quarantine_after=*/1, /*probe_after=*/1, 1, check},
+        [sup_inj](std::size_t) -> std::unique_ptr<mult::PolyMultiplier> {
+          return std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("toom3"),
+                                                        sup_inj);
+        });
+    const auto supervised = sup.make_worker_multiplier();
+    const CheckedMultiplier checked(
+        std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("toom3"), chk_inj),
+        check);
+
+    // multiply, matvec, inner product; a transient on the second product,
+    // then a stuck-at bit from the transposed matvec on.
+    const auto run = [](const mult::PolyMultiplier& m, FaultInjector& inj) {
+      Xoshiro256StarStar rng(23);
+      std::vector<ring::Poly> out;
+      inj.arm({FaultSite::kProduct, FaultSpec::Kind::kTransient, /*bit=*/5, true,
+               /*fire_at=*/1, 1, /*coeff=*/40});
+      for (int i = 0; i < 2; ++i) {
+        const auto a = ring::Poly::random(rng, kQ);
+        const auto s = ring::SecretPoly::random(rng, 4);
+        out.push_back(m.multiply_secret(a, s, kQ));
+      }
+      const std::size_t l = 3;
+      ring::PolyMatrix a(l, l);
+      for (std::size_t r = 0; r < l; ++r) {
+        for (std::size_t c = 0; c < l; ++c) a.at(r, c) = ring::Poly::random(rng, kQ);
+      }
+      ring::PolyVec b(l);
+      for (auto& bp : b) bp = ring::Poly::random(rng, kP);
+      ring::SecretVec s(l);
+      for (auto& sp : s) sp = ring::SecretPoly::random(rng, 4);
+      const auto ts = mult::prepare_secrets(s, m, kQ);
+      const mult::PreparedMatrix pa(a, m, kQ);
+      for (const auto& r : mult::matrix_vector_mul(pa, ts, m, false)) out.push_back(r);
+      inj.arm(FaultSpec::permanent_flip(FaultSite::kProduct, 3, 77));
+      for (const auto& r : mult::matrix_vector_mul(pa, ts, m, true)) out.push_back(r);
+      out.push_back(mult::inner_product(b, ts, m, kP));
+      out.push_back(m.multiply_secret(b[0], s[0], kQ));
+      return out;
+    };
+    const auto got = run(*supervised, *sup_inj);
+    EXPECT_EQ(got, run(checked, *chk_inj));
+    FaultInjector unused;
+    EXPECT_EQ(got, run(*mult::make_multiplier("schoolbook"), unused));
+
+    const auto c = dynamic_cast<const FaultMonitor&>(*supervised).fault_counters();
+    const auto d = checked.fault_counters();
+    EXPECT_EQ(c.checks, d.checks);
+    EXPECT_EQ(c.mismatches, d.mismatches);
+    EXPECT_EQ(c.retry_recoveries, d.retry_recoveries);
+    EXPECT_EQ(c.failovers, d.failovers);
+    EXPECT_GE(c.retry_recoveries, 1u);  // the transient
+    EXPECT_GE(c.failovers, 1u);         // the stuck-at bit
+    EXPECT_EQ(sup_inj->ordinal(FaultSite::kProduct),
+              chk_inj->ordinal(FaultSite::kProduct));
+    EXPECT_EQ(sup.status()[0].state, BreakerState::kOpen);
+  }
 }
 
 TEST(BackendSupervisor, FailoverBetweenModQMatvecAndModPInnerProduct) {

@@ -11,7 +11,10 @@ interquartile range (IQR), the change median and the relative delta
 (positive = worse, in the metric's "better" direction). A delta larger than
 the parent IQR is flagged "beyond-IQR"; a relative delta worse than the
 metric's "bound" is flagged "REGRESSION" and makes the exit status 1.
-Runs that report failed operations are counted and printed.
+Failed operations are compared as a share of attempted ones, summed over
+each side's runs: a faster change attempts more operations in the same
+seconds, so its failure count can rise while its share stays level. A higher
+change share also makes the exit status 1.
 """
 
 import argparse
@@ -24,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_runs(directory):
-    """workload -> list of (metrics, failed) from every run file in directory."""
+    """workload -> list of (metrics, failed, attempted) from every run file."""
     runs = {}
     for path in sorted(Path(directory).iterdir()):
         if not path.is_file():
@@ -42,7 +45,8 @@ def load_runs(directory):
         if workload is None or result is None:
             sys.exit(f"bench_compare: {path}: no provenance/result line")
         metrics = {k: v["value"] for k, v in result["metrics"].items()}
-        runs.setdefault(workload, []).append((metrics, result.get("failed", 0)))
+        runs.setdefault(workload, []).append(
+            (metrics, result.get("failed", 0), result.get("attempted", 0)))
     if not runs:
         sys.exit(f"bench_compare: no run files in {directory}")
     return runs
@@ -54,6 +58,19 @@ def median_iqr(values):
         return med, 0.0
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return med, q3 - q1
+
+
+def fail_share(runs):
+    """Failed / attempted operations, summed over runs (0 when none attempted)."""
+    failed = sum(f for _, f, _ in runs)
+    attempted = sum(a for _, _, a in runs)
+    return failed / attempted if attempted else (float("inf") if failed else 0.0)
+
+
+def describe_share(runs):
+    failed = sum(f for _, f, _ in runs)
+    attempted = sum(a for _, _, a in runs)
+    return f"{failed}/{attempted} = {fail_share(runs):.3%}"
 
 
 def compare(parent, change, end_to_end):
@@ -70,8 +87,8 @@ def compare(parent, change, end_to_end):
             continue
         for metric in end_to_end:
             name = metric["name"]
-            pv = [m[name] for m, _ in parent[workload] if name in m]
-            cv = [m[name] for m, _ in change[workload] if name in m]
+            pv = [m[name] for m, _, _ in parent[workload] if name in m]
+            cv = [m[name] for m, _, _ in change[workload] if name in m]
             if not pv or not cv:
                 continue
             p_med, p_iqr = median_iqr(pv)
@@ -87,12 +104,15 @@ def compare(parent, change, end_to_end):
                 violations += 1
             print(f"{workload:<14} {name:<18} {p_med:>12.4g} {p_iqr:>11.3g} "
                   f"{c_med:>12.4g} {rel:>+8.1%}  {flag}")
-        p_fail = sum(f for _, f in parent[workload])
-        c_fail = sum(f for _, f in change[workload])
-        print(f"{workload:<14} runs/failed: parent {len(parent[workload])}/{p_fail}, "
-              f"change {len(change[workload])}/{c_fail}")
-        if c_fail > p_fail:
+        p_share = fail_share(parent[workload])
+        c_share = fail_share(change[workload])
+        flag = ""
+        if c_share > p_share:
+            flag = "FAIL-SHARE REGRESSION"
             violations += 1
+        print(f"{workload:<14} runs, failed/attempted: parent {len(parent[workload])}, "
+              f"{describe_share(parent[workload])}; change {len(change[workload])}, "
+              f"{describe_share(change[workload])}  {flag}")
     return violations
 
 

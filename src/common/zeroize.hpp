@@ -63,4 +63,19 @@ class ZeroizeGuard {
   T& target_;
 };
 
+/// ZeroizeGuard over a span: wipes a buffer held elsewhere, such as a heap
+/// vector's contents.
+template <typename T>
+  requires std::is_trivially_copyable_v<T>
+class ZeroizeSpanGuard {
+ public:
+  explicit ZeroizeSpanGuard(std::span<T> target) : target_(target) {}
+  ~ZeroizeSpanGuard() { secure_zeroize(target_); }
+  ZeroizeSpanGuard(const ZeroizeSpanGuard&) = delete;
+  ZeroizeSpanGuard& operator=(const ZeroizeSpanGuard&) = delete;
+
+ private:
+  std::span<T> target_;
+};
+
 }  // namespace saber

@@ -11,12 +11,24 @@
 // forward-transforming A and b), decaps_many the secret key (the same for
 // its embedded pk, plus unpacking and transforming s).
 //
+// Lockstep hashing: all three calls hand each worker chunks of
+// kem::kBatchLanes = 4 consecutive requests, and a chunk's hashing runs on
+// one four-lane Keccak (sha3::SpongeX4). For keys that is the seed re-hash,
+// A, s and H(pk); for encapsulations and decapsulations the FO hashes
+// (SHA3-256 of the message, G = SHA3-512, SHAKE-128 of the coins, SHA3-256
+// of the ciphertext and of the key input). Products, packing and the FO
+// compare run one item at a time in between, through the same stage bodies
+// as the single-operation calls (saber/flows.hpp). A tail chunk fills its
+// unused lanes with a stand-in item and drops their outputs.
+//
 // Failure isolation: every operation returns a per-item Outcome instead of a
 // bare value. A poisoned request (malformed ciphertext, unrecoverable
 // computational fault) fails only its own slot — the worker catches the
 // exception, records it as ItemStatus::kFailed, and every other item
-// completes normally. A malformed secret key is shared by every
-// slot of its decaps_many batch, so it fails every slot alike. When the
+// completes normally; a stand-in item hashes in the failed item's lane for
+// the rest of its chunk. A malformed public key is shared by every slot of
+// its encaps_many batch, and a malformed secret key by every slot of its
+// decaps_many batch, so either fails every slot alike. When the
 // workers run fault-checking multipliers (robust::CheckedMultiplier,
 // injected via the factory constructor), items whose faults were detected
 // and repaired by retry/failover are reported as ItemStatus::kRecovered —
@@ -87,28 +99,37 @@ class KemBatch {
   unsigned threads() const { return pool_.size(); }
   const kem::SaberParams& params() const { return params_; }
 
-  /// Generate keys[i] from requests[i]. Workers take chunks of
-  /// kem::kKeygenLanes consecutive requests and hash each chunk's keys in
-  /// lockstep (kem::expand_keygen_x4, sha3::sha3_256_x4); items stay
-  /// isolated as in the other batch calls.
+  /// Generate keys[i] from requests[i], the keys of
+  /// SaberKemScheme::keygen_deterministic. Each chunk's keys are hashed in
+  /// lockstep (kem::expand_keygen_x4, sha3::sha3_256_x4).
   std::vector<Outcome<kem::KemKeyPair>> keygen_many(
       std::span<const KeygenRequest> requests);
 
   /// Encapsulate messages[i] (pre-hash message seeds, as in
-  /// encaps_deterministic) against one public key; A-expansion and operand
-  /// transforms are amortized over the whole batch.
+  /// encaps_deterministic) against one public key, with encaps_deterministic's
+  /// results. A-expansion and operand transforms are amortized over the
+  /// whole batch, and each chunk's FO hashes run in lockstep. A malformed pk
+  /// (wrong length) fails every slot with kFailed, its error and a zeroed
+  /// value; the call itself does not throw. An empty batch returns at once,
+  /// without looking at pk.
   std::vector<Outcome<kem::EncapsResult>> encaps_many(
       std::span<const u8> pk, std::span<const kem::Message> messages);
 
-  /// Decapsulate cts[i] under one KEM secret key. The per-key work (see
+  /// Decapsulate cts[i] under one KEM secret key, with
+  /// SaberKemScheme::decaps's results. The per-key work (see
   /// SaberKemScheme::prepare_sk) is done once per batch and shared by the
-  /// workers. A malformed sk (wrong length, out-of-bound s) fails every slot
-  /// with kFailed, its error and a zeroed key; the call itself does not
-  /// throw.
+  /// workers. Each chunk's FO hashes run in lockstep; the FO compare and
+  /// select stay per item. A malformed sk (wrong length, out-of-bound s)
+  /// fails every slot with kFailed, its error and a zeroed key; the call
+  /// itself does not throw. An empty batch returns at once, without looking
+  /// at sk.
   std::vector<Outcome<kem::SharedSecret>> decaps_many(
       std::span<const u8> sk, std::span<const std::vector<u8>> cts);
 
  private:
+  template <typename T>
+  class Chunk;
+
   const kem::SaberKemScheme& scheme(unsigned worker) const { return *schemes_[worker]; }
 
   /// Run fn(out.value) as one item on `worker`: an exception becomes a
@@ -117,9 +138,12 @@ class KemBatch {
   template <typename T, typename Fn>
   void run_item(unsigned worker, Outcome<T>& out, Fn&& fn) const;
 
-  /// Run item_fn over [0, n), each index as one run_item.
-  template <typename T, typename Fn>
-  std::vector<Outcome<T>> run_items(std::size_t n, Fn&& item_fn);
+  /// Hand out's items to the workers in chunks of kem::kBatchLanes
+  /// consecutive items and run chunk_fn(chunk) on each (Chunk, batch.cpp).
+  /// Per-item stages run under run_item, so an exception escaping chunk_fn
+  /// comes from a lockstep stage: it fails every item of the chunk still ok.
+  template <typename T, typename ChunkFn>
+  void run_chunks(std::vector<Outcome<T>>& out, ChunkFn&& chunk_fn);
 
   kem::SaberParams params_;
   std::vector<std::unique_ptr<kem::SaberKemScheme>> schemes_;  ///< one per worker

@@ -24,7 +24,8 @@
 //    keygen), once per key: SaberKemScheme::prepare_sk and the audit split
 //    the key before any decapsulation, and decaps_flow takes the parts;
 //  * the FO comparison mask is NEVER declassified — implicit rejection
-//    selects between khat' and z with a constant-time cmov.
+//    selects between khat' and z with a constant-time cmov (fo_select_g,
+//    which the batch pipeline's decaps runs per item as well).
 #pragma once
 
 #include <array>
@@ -201,16 +202,32 @@ PkeKeyBytes<ct::rebind_t<S, u8>> keygen_core_g(const KeygenExpansionT<S>& ex,
                                           pack_secret_g(ex.s, params)};
 }
 
-/// Saber.PKE.Enc. `products(sp)` returns the pair (b' = A s' reduced mod q,
+/// Saber.PKE.Enc after its hashing: CBD-sample s' from its SHAKE-128
+/// stream (secret_stream_bytes(params) bytes), take the products and seal.
+/// `products(sp)` returns the pair (b' = A s' reduced mod q,
 /// v' = <b, s'> mod p) for the target public key (A, b); the split lets
-/// production share one secret transform between both products.
+/// production share one secret transform between both products. The batch
+/// pipeline squeezes four streams at a time (sha3::shake128_x4) and calls
+/// this core directly.
 template <typename B, typename Products>
-std::vector<B> encrypt_flow(const MessageT<B>& m, std::span<const B> seed_sp,
-                            const SaberParams& params, Products&& products) {
-  auto sp = gen_secret_g(seed_sp, params);
+std::vector<B> encrypt_core_g(const MessageT<B>& m, std::span<const B> sp_stream,
+                              const SaberParams& params, Products&& products) {
+  auto sp = sample_secret_g(sp_stream, params);
   SecretVecGuardT<ct::rebind_t<B, i8>> guard_sp{sp};
   auto [bp, vp] = products(sp);
   return encrypt_seal_g(m, std::move(bp), vp, params);
+}
+
+/// Saber.PKE.Enc: squeeze s''s stream from the coins seed_sp with
+/// SHAKE-128, then encrypt_core_g. The stream is wiped when the scope exits.
+template <typename B, typename Products>
+std::vector<B> encrypt_flow(const MessageT<B>& m, std::span<const B> seed_sp,
+                            const SaberParams& params, Products&& products) {
+  SABER_REQUIRE(seed_sp.size() == SaberParams::seed_bytes, "bad seed length");
+  auto stream = sha3::Shake<128, B>::hash(seed_sp, secret_stream_bytes(params));
+  ZeroizeSpanGuard<B> guard_stream{std::span<B>(stream)};
+  return encrypt_core_g(m, std::span<const B>(stream), params,
+                        std::forward<Products>(products));
 }
 
 /// Saber.PKE.Dec. `inner(bp)` returns <b', s> mod p under the caller's
@@ -264,6 +281,18 @@ KemKeyBytes<B> kem_assemble_flow(PkeKeyBytes<B> pke,
   return kp;
 }
 
+/// The input of G = SHA3-512 in encaps and decaps: m || SHA3-256(pk). It
+/// holds the message: the caller wipes it.
+template <typename B>
+std::array<B, 2 * SaberParams::hash_bytes> g_input_g(
+    const MessageT<B>& m, std::span<const u8, SaberParams::hash_bytes> pk_hash) {
+  std::array<B, 2 * SaberParams::hash_bytes> buf{};
+  std::copy(m.begin(), m.end(), buf.begin());
+  std::copy(pk_hash.begin(), pk_hash.end(),
+            buf.begin() + static_cast<std::ptrdiff_t>(SaberParams::hash_bytes));
+  return buf;
+}
+
 template <typename B>
 struct EncapsBytes {
   std::vector<B> ct;
@@ -281,21 +310,15 @@ EncapsBytes<B> encaps_flow(std::span<const u8, SaberParams::hash_bytes> pk_hash,
   constexpr std::size_t kHash = SaberParams::hash_bytes;
   // m = SHA3-256(m_raw): the reference hashes the sampled message so no raw
   // RNG output enters the ciphertext.
-  auto m_arr = sha3::Sha3<32, B>::hash(std::span<const B>(m_raw));
-  ZeroizeGuard guard_m_arr(m_arr);
+  MessageT<B> m = sha3::Sha3<32, B>::hash(std::span<const B>(m_raw));
+  ZeroizeGuard guard_msg(m);
 
   // (khat, r) = SHA3-512(m || SHA3-256(pk))
-  std::array<B, 2 * kHash> buf{};
+  auto buf = g_input_g(m, pk_hash);
   ZeroizeGuard guard_buf(buf);
-  std::copy(m_arr.begin(), m_arr.end(), buf.begin());
-  std::copy(pk_hash.begin(), pk_hash.end(),
-            buf.begin() + static_cast<std::ptrdiff_t>(kHash));
-  auto kr = sha3::Sha3<64, B>().update(std::span<const B>(buf)).digest();
+  auto kr = sha3::Sha3<64, B>::hash(std::span<const B>(buf));
   ZeroizeGuard guard_kr(kr);
 
-  MessageT<B> m{};
-  ZeroizeGuard guard_msg(m);
-  std::copy(m_arr.begin(), m_arr.end(), m.begin());
   SeedT<B> r{};
   ZeroizeGuard guard_r(r);
   std::copy_n(kr.begin() + static_cast<std::ptrdiff_t>(kHash), kHash, r.begin());
@@ -339,13 +362,26 @@ KemSkParts<B> split_kem_sk_g(std::span<const B> sk, const SaberParams& params) {
       sk.template last<SaberParams::key_bytes>()};
 }
 
+/// The FO transform's implicit-rejection select, one body for every decaps
+/// path: `kr` holds khat' || SHA3-256(ct), and khat' is replaced by z unless
+/// the re-encryption ct2 equals the received ct. The compare and the select
+/// are the constant-time ct_differ_g/ct_cmov_g kernels, and the comparison
+/// mask is never declassified.
+template <typename B>
+void fo_select_g(std::span<const u8> ct, std::span<const B> ct2,
+                 std::span<B, 2 * SaberParams::hash_bytes> kr,
+                 std::span<const B, SaberParams::key_bytes> z) {
+  const auto fail = ct_differ_g(ct, ct2);
+  ct_cmov_g(std::span<B>(kr.template first<SaberParams::hash_bytes>()),
+            std::span<const B>(z), fail);
+}
+
 /// Saber.KEM.Decaps with implicit rejection, under a key already split
 /// (split_kem_sk_g) and prepared by the caller. `decrypt(ct)` runs
 /// Saber.PKE.Dec under s and `encrypt(m, r)` Saber.PKE.Enc under the
-/// embedded pk, on the same backend as encaps. The FO re-encryption compare
-/// uses the constant-time ct_differ_g/ct_cmov_g kernels; the comparison mask
-/// is never declassified — on mismatch the returned key silently derives
-/// from z instead.
+/// embedded pk, on the same backend as encaps; fo_select_g then picks khat'
+/// or z without revealing which, so on a mismatch the returned key silently
+/// derives from z instead.
 template <typename B, typename Decrypt, typename Encrypt>
 MessageT<B> decaps_flow(std::span<const u8> ct,
                         std::span<const u8, SaberParams::hash_bytes> pk_hash,
@@ -359,25 +395,19 @@ MessageT<B> decaps_flow(std::span<const u8> ct,
   // the decrypted message or the rejection secret z is wiped when the scope
   // exits, normally or by exception (a poisoned batch item must not leave
   // key material on a worker's stack).
-  std::array<B, 2 * kHash> buf{};
+  auto buf = g_input_g(m, pk_hash);
   ZeroizeGuard guard_buf(buf);
-  std::copy(m.begin(), m.end(), buf.begin());
-  std::copy(pk_hash.begin(), pk_hash.end(),
-            buf.begin() + static_cast<std::ptrdiff_t>(kHash));
-  auto kr = sha3::Sha3<64, B>().update(std::span<const B>(buf)).digest();
+  auto kr = sha3::Sha3<64, B>::hash(std::span<const B>(buf));
   ZeroizeGuard guard_kr(kr);
   SeedT<B> r{};
   ZeroizeGuard guard_r(r);
   std::copy_n(kr.begin() + static_cast<std::ptrdiff_t>(kHash), kHash, r.begin());
   const auto ct2 = encrypt(m, r);
 
-  const auto fail = ct_differ_g(ct, std::span<const B>(ct2));
-
   const auto ct_hash = sha3::Sha3_256::hash(ct);
   std::copy(ct_hash.begin(), ct_hash.end(),
             kr.begin() + static_cast<std::ptrdiff_t>(kHash));
-  // Implicit rejection: replace khat' with z on mismatch.
-  ct_cmov_g(std::span<B>(kr).first(kHash), std::span<const B>(z), fail);
+  fo_select_g(ct, std::span<const B>(ct2), std::span<B, 2 * kHash>(kr), z);
   return sha3::Sha3<32, B>::hash(std::span<const B>(kr));
 }
 

@@ -93,13 +93,15 @@ KeygenExpansionT<ct::rebind_t<B, i8>> expand_keygen_g(std::span<const u8> seed_a
   return ex;
 }
 
-/// Keys expanded per four-lane Keccak call.
-inline constexpr std::size_t kKeygenLanes = sha3::SpongeX4::kLanes;
+/// Items a KemBatch worker takes per chunk and hashes in lockstep on one
+/// four-lane Keccak: keys here, messages and ciphertexts in the batch
+/// pipeline's encaps and decaps.
+inline constexpr std::size_t kBatchLanes = sha3::SpongeX4::kLanes;
 
 /// expand_keygen_g for four keys at once, lane j from (seed_a_in[j],
 /// seed_s[j]), with bit-identical results. The seed re-hash, A and s each
 /// take one lockstep SpongeX4 pass; s's stream is wiped once sampled.
-std::array<KeygenExpansion, kKeygenLanes> expand_keygen_x4(
+std::array<KeygenExpansion, kBatchLanes> expand_keygen_x4(
     const sha3::SpongeX4::Lanes<std::span<const u8>>& seed_a_in,
     const sha3::SpongeX4::Lanes<std::span<const u8>>& seed_s, const SaberParams& params);
 

@@ -12,6 +12,19 @@ namespace {
 constexpr unsigned kEq = SaberParams::eq;
 constexpr unsigned kEp = SaberParams::ep;
 
+/// Enc's products under a prepared public key. One secret transform,
+/// prepared at q, serves both the mod-q matrix product and the mod-p inner
+/// product (a secret prepared at qbits serves publics prepared at qbits or
+/// less).
+auto enc_products(const mult::PolyMultiplier& mult, const PreparedPublicKey& pk) {
+  return [&mult, &pk](const ring::SecretVec& sp) {
+    const auto tsp = mult::prepare_secrets(sp, mult, kEq);
+    auto bp = mult::matrix_vector_mul(pk.a, tsp, mult, /*transpose=*/false);
+    auto vp = mult::inner_product(pk.b, tsp, mult);
+    return std::pair{std::move(bp), std::move(vp)};
+  };
+}
+
 }  // namespace
 
 SaberPke::SaberPke(const SaberParams& params, ring::PolyMulFn mul)
@@ -87,16 +100,13 @@ PreparedPublicKey SaberPke::prepare_pk(
 
 std::vector<u8> SaberPke::encrypt(const Message& m, const Seed& seed_sp,
                                   const PreparedPublicKey& pk) const {
-  return flows::encrypt_flow(
-      m, std::span<const u8>(seed_sp), params_, [&](const ring::SecretVec& sp) {
-        // One secret transform, prepared at q, serves both the mod-q matrix
-        // product and the mod-p inner product (a secret prepared at qbits
-        // serves publics prepared at qbits or less).
-        const auto tsp = mult::prepare_secrets(sp, *mult_, kEq);
-        auto bp = mult::matrix_vector_mul(pk.a, tsp, *mult_, /*transpose=*/false);
-        auto vp = mult::inner_product(pk.b, tsp, *mult_);
-        return std::pair{std::move(bp), std::move(vp)};
-      });
+  return flows::encrypt_flow(m, std::span<const u8>(seed_sp), params_,
+                             enc_products(*mult_, pk));
+}
+
+std::vector<u8> SaberPke::encrypt_stream(const Message& m, std::span<const u8> sp_stream,
+                                         const PreparedPublicKey& pk) const {
+  return flows::encrypt_core_g(m, sp_stream, params_, enc_products(*mult_, pk));
 }
 
 PreparedSecret::PreparedSecret(std::vector<mult::Transformed> images,

@@ -116,6 +116,12 @@ class SaberPke {
   std::vector<u8> encrypt(const Message& m, const Seed& seed_sp,
                           const PreparedPublicKey& pk) const;
 
+  /// Encrypt from s''s SHAKE-128 stream already squeezed from the coins
+  /// (secret_stream_bytes(params()) bytes): encrypt() after its hashing, for
+  /// the batch pipeline, which squeezes four streams at a time.
+  std::vector<u8> encrypt_stream(const Message& m, std::span<const u8> sp_stream,
+                                 const PreparedPublicKey& pk) const;
+
   /// Decrypt; the same as decrypt(ct, prepare_secret(sk)).
   Message decrypt(std::span<const u8> ct, std::span<const u8> sk) const;
 

@@ -9,13 +9,28 @@ template class Sha3<64>;
 template class Shake<128>;
 template class Shake<256>;
 
-std::array<Sha3_256::Digest, SpongeX4::kLanes> sha3_256_x4(
+namespace {
+
+template <std::size_t DigestBytes>
+std::array<typename Sha3<DigestBytes>::Digest, SpongeX4::kLanes> sha3_x4(
     const SpongeX4::Lanes<std::span<const u8>>& in) {
-  std::array<Sha3_256::Digest, SpongeX4::kLanes> out{};
-  SpongeX4 sponge(200 - 2 * Sha3_256::kDigestBytes, kSha3Domain);
+  std::array<typename Sha3<DigestBytes>::Digest, SpongeX4::kLanes> out{};
+  SpongeX4 sponge(200 - 2 * DigestBytes, kSha3Domain);
   sponge.absorb(in);
   sponge.squeeze({out[0], out[1], out[2], out[3]});
   return out;
+}
+
+}  // namespace
+
+std::array<Sha3_256::Digest, SpongeX4::kLanes> sha3_256_x4(
+    const SpongeX4::Lanes<std::span<const u8>>& in) {
+  return sha3_x4<32>(in);
+}
+
+std::array<Sha3_512::Digest, SpongeX4::kLanes> sha3_512_x4(
+    const SpongeX4::Lanes<std::span<const u8>>& in) {
+  return sha3_x4<64>(in);
 }
 
 void shake128_x4(const SpongeX4::Lanes<std::span<const u8>>& in,

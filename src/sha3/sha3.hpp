@@ -90,6 +90,10 @@ using Shake256 = Shake<256>;
 std::array<Sha3_256::Digest, SpongeX4::kLanes> sha3_256_x4(
     const SpongeX4::Lanes<std::span<const u8>>& in);
 
+/// SHA3-512 of four equal-length messages in lockstep (SpongeX4).
+std::array<Sha3_512::Digest, SpongeX4::kLanes> sha3_512_x4(
+    const SpongeX4::Lanes<std::span<const u8>>& in);
+
 /// SHAKE-128 of four equal-length messages in lockstep (SpongeX4): out[j]
 /// receives the first out[j].size() bytes of SHAKE-128(in[j]).
 void shake128_x4(const SpongeX4::Lanes<std::span<const u8>>& in,

@@ -515,6 +515,59 @@ TEST(KemBatch, KeygenChunksMatchSingleKeygenForEveryTail) {
   EXPECT_TRUE(b.keygen_many({}).empty());
 }
 
+TEST(KemBatch, EncapsDecapsChunksMatchSingleOpsForEveryTail) {
+  // encaps_many and decaps_many hash chunks of four items in lockstep; batch
+  // sizes around the chunk width give full chunks and 1-3 item tails. Items
+  // 5 and 6 share the chunk of items 4-7: 5 is tampered and must take the
+  // implicit-rejection key, 6 is truncated and must fail alone.
+  const kem::SaberKemScheme scheme(kem::kSaber, "ntt");
+  const auto req = keygen_requests(1)[0];
+  const auto kp = scheme.keygen_deterministic(req.seed_a, req.seed_s, req.z);
+  const auto msgs = message_batch(17);
+  std::vector<kem::EncapsResult> ref_enc;
+  std::vector<std::vector<u8>> cts;
+  for (const auto& m : msgs) {
+    ref_enc.push_back(scheme.encaps_deterministic(kp.pk, m));
+    cts.push_back(ref_enc.back().ct);
+  }
+  cts[5][7] ^= 0x10;
+  cts[6].pop_back();
+  std::vector<kem::SharedSecret> ref_dec(cts.size());
+  for (std::size_t i = 0; i < cts.size(); ++i) {
+    if (i != 6) ref_dec[i] = scheme.decaps(cts[i], kp.sk);
+  }
+  // The tampered slot's key is SHA3-256(z || SHA3-256(ct)).
+  std::vector<u8> z_ct(kp.sk.end() - kem::SaberParams::key_bytes, kp.sk.end());
+  const auto ct5_hash = sha3::Sha3_256::hash(cts[5]);
+  z_ct.insert(z_ct.end(), ct5_hash.begin(), ct5_hash.end());
+  ASSERT_EQ(ref_dec[5], sha3::Sha3_256::hash(z_ct));
+
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    batch::KemBatch b(kem::kSaber, "ntt", threads);
+    for (const std::size_t n : {1u, 3u, 4u, 5u, 8u, 17u}) {
+      const auto enc = b.encaps_many(kp.pk, std::span(msgs).first(n));
+      const auto dec = b.decaps_many(kp.sk, std::span(cts).first(n));
+      ASSERT_EQ(enc.size(), n);
+      ASSERT_EQ(dec.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto where = ::testing::Message() << "threads=" << threads << " n=" << n
+                                                << " i=" << i;
+        EXPECT_EQ(enc[i].status, batch::ItemStatus::kOk) << where;
+        EXPECT_EQ(enc[i].value.ct, ref_enc[i].ct) << where;
+        EXPECT_EQ(enc[i].value.key, ref_enc[i].key) << where;
+        if (i == 6) {
+          EXPECT_EQ(dec[i].status, batch::ItemStatus::kFailed) << where;
+          EXPECT_NE(dec[i].error.find("ciphertext"), std::string::npos) << dec[i].error;
+          EXPECT_TRUE(std::ranges::all_of(dec[i].value, [](u8 v) { return v == 0; }));
+        } else {
+          EXPECT_EQ(dec[i].status, batch::ItemStatus::kOk) << where;
+          EXPECT_EQ(dec[i].value, ref_dec[i]) << where;
+        }
+      }
+    }
+  }
+}
+
 TEST(SaberFastPath, PreparedKeysCarryPkHash) {
   // prepare_pk hashes the key once; prepare_sk takes the hash stored in the
   // secret-key blob, so decaps binds to that hash even when it was altered.
@@ -602,6 +655,43 @@ TEST(KemBatch, MalformedSecretKeyFailsEverySlot) {
   for (std::size_t i = 0; i < good.size(); ++i) {
     EXPECT_EQ(good[i].status, batch::ItemStatus::kOk) << i;
     EXPECT_EQ(good[i].value, enc[i].value.key) << i;
+  }
+}
+
+TEST(KemBatch, MalformedPublicKeyFailsEverySlot) {
+  // The public key is prepared once per batch, as the secret key is in
+  // decaps_many: a wrong-length pk fails every slot with the error and a
+  // zeroed value, and the batch itself does not throw.
+  batch::KemBatch b(kem::kSaber, "ntt", 2);
+  const auto keys = b.keygen_many(keygen_requests(1));
+  const auto& pk = keys[0].value.pk;
+  const auto msgs = message_batch(5);
+
+  const std::vector<u8> short_pk(pk.begin(), pk.end() - 1);
+  const auto long_pk = [&] {
+    auto v = pk;
+    v.push_back(0);
+    return v;
+  }();
+  for (const auto* bad : {&short_pk, &long_pk}) {
+    std::vector<batch::Outcome<kem::EncapsResult>> got;
+    ASSERT_NO_THROW(got = b.encaps_many(*bad, msgs)) << bad->size();
+    ASSERT_EQ(got.size(), msgs.size());
+    for (const auto& o : got) {
+      EXPECT_EQ(o.status, batch::ItemStatus::kFailed) << bad->size();
+      EXPECT_NE(o.error.find("public key"), std::string::npos) << o.error;
+      EXPECT_TRUE(o.value.ct.empty());
+      EXPECT_TRUE(std::ranges::all_of(o.value.key, [](u8 v) { return v == 0; }));
+    }
+    // An empty batch returns at once, without preparing the key.
+    EXPECT_TRUE(b.encaps_many(*bad, {}).empty());
+  }
+
+  // The well-formed key still encapsulates every slot on the same batch.
+  const auto good = b.encaps_many(pk, msgs);
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    EXPECT_EQ(good[i].status, batch::ItemStatus::kOk) << i;
+    EXPECT_EQ(good[i].value.ct.size(), kem::kSaber.ct_bytes()) << i;
   }
 }
 

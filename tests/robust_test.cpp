@@ -946,6 +946,111 @@ TEST(KemBatchIsolation, TransientFaultStrikesOneItemOfAKeygenChunk) {
   }
 }
 
+// A one-worker KemBatch over checked "ntt" multipliers whose products all
+// pass through `inj`, and the key and messages of an FO-chunk test: one key
+// and four messages, encapsulated by a fault-free batch.
+struct FoChunkFixture {
+  std::shared_ptr<FaultInjector> inj = std::make_shared<FaultInjector>(67);
+  batch::KemBatch clean{kem::kSaber, "ntt", 1};
+  batch::KemBatch faulty{kem::kSaber,
+                         [inj = inj] {
+                           return std::shared_ptr<const mult::PolyMultiplier>(
+                               std::make_shared<CheckedMultiplier>(
+                                   std::make_unique<FaultyPolyMultiplier>(
+                                       mult::make_multiplier("ntt"), inj)));
+                         },
+                         1};
+  kem::KemKeyPair kp;
+  std::vector<kem::Message> msgs = std::vector<kem::Message>(4);
+
+  FoChunkFixture() {
+    std::vector<batch::KeygenRequest> reqs(1);
+    Xoshiro256StarStar rng(6005);
+    rng.fill(reqs[0].seed_a);
+    rng.fill(reqs[0].seed_s);
+    rng.fill(reqs[0].z);
+    for (auto& m : msgs) rng.fill(m);
+    kp = clean.keygen_many(reqs)[0].value;
+  }
+
+  /// Product events of one fault-free call on `faulty`.
+  template <typename Call>
+  u64 product_events(Call&& call) {
+    inj->reset();
+    call();
+    return inj->ordinal(FaultSite::kProduct);
+  }
+
+  void arm_at(u64 ordinal) {
+    inj->reset();
+    inj->arm({FaultSite::kProduct, FaultSpec::Kind::kTransient, /*bit=*/5, true,
+              /*fire_at=*/ordinal, 1, /*coeff=*/40});
+  }
+};
+
+TEST(KemBatchIsolation, TransientFaultStrikesOneItemOfAnEncapsChunk) {
+  // encaps_many hashes four messages in lockstep, but each item's products
+  // run on their own: a transient fault during item 2 of one 4-item chunk
+  // must recover that item alone, and every value must equal a fault-free
+  // batch's.
+  FoChunkFixture f;
+  const auto expect = f.clean.encaps_many(f.kp.pk, f.msgs);
+  // Product events per encapsulation and of prepare_pk, counted fault-free,
+  // place the fault in item 2.
+  const auto msgs = std::span(f.msgs);
+  const u64 one = f.product_events([&] { f.faulty.encaps_many(f.kp.pk, msgs.first(1)); });
+  const u64 two = f.product_events([&] { f.faulty.encaps_many(f.kp.pk, msgs.first(2)); });
+  const u64 per_item = two - one;
+  const u64 setup = one - per_item;
+  ASSERT_GT(per_item, 0u);
+  f.arm_at(setup + 2 * per_item + 1);
+
+  const auto got = f.faulty.encaps_many(f.kp.pk, f.msgs);
+  ASSERT_EQ(got.size(), expect.size());
+  EXPECT_EQ(f.inj->activations().size(), 1u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].status, i == 2 ? batch::ItemStatus::kRecovered : batch::ItemStatus::kOk)
+        << i;
+    EXPECT_EQ(got[i].value.ct, expect[i].value.ct) << i;
+    EXPECT_EQ(got[i].value.key, expect[i].value.key) << i;
+  }
+}
+
+TEST(KemBatchIsolation, TransientFaultStrikesOneItemOfADecapsChunk) {
+  // decaps_many decrypts the four items of a chunk, hashes them in lockstep,
+  // then re-encrypts each: a transient fault in item 2's re-encryption must
+  // recover that item alone, and every key must equal a fault-free batch's.
+  FoChunkFixture f;
+  const auto enc = f.clean.encaps_many(f.kp.pk, f.msgs);
+  std::vector<std::vector<u8>> cts;
+  for (const auto& e : enc) cts.push_back(e.value.ct);
+  const auto expect = f.clean.decaps_many(f.kp.sk, cts);
+
+  const auto msgs = std::span(f.msgs);
+  const auto span_cts = std::span(cts);
+  const u64 enc1 = f.product_events([&] { f.faulty.encaps_many(f.kp.pk, msgs.first(1)); });
+  const u64 enc2 = f.product_events([&] { f.faulty.encaps_many(f.kp.pk, msgs.first(2)); });
+  const u64 dec1 = f.product_events([&] { f.faulty.decaps_many(f.kp.sk, span_cts.first(1)); });
+  const u64 dec2 = f.product_events([&] { f.faulty.decaps_many(f.kp.sk, span_cts.first(2)); });
+  const u64 reencrypt = enc2 - enc1;                // one encryption
+  const u64 decrypt = (dec2 - dec1) - reencrypt;    // one decryption
+  const u64 setup = dec1 - decrypt - reencrypt;     // prepare_sk's share, if any
+  ASSERT_GT(reencrypt, 0u);
+  ASSERT_GT(decrypt, 0u);
+  // The chunk decrypts items 0-3, then re-encrypts them in order.
+  f.arm_at(setup + 4 * decrypt + 2 * reencrypt + 1);
+
+  const auto got = f.faulty.decaps_many(f.kp.sk, cts);
+  ASSERT_EQ(got.size(), expect.size());
+  EXPECT_EQ(f.inj->activations().size(), 1u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].status, i == 2 ? batch::ItemStatus::kRecovered : batch::ItemStatus::kOk)
+        << i;
+    EXPECT_EQ(got[i].value, expect[i].value) << i;
+    EXPECT_EQ(got[i].value, enc[i].value.key) << i;
+  }
+}
+
 TEST(KemBatchIsolation, FactoryMismatchIsRejected) {
   int calls = 0;
   EXPECT_THROW(batch::KemBatch(kem::kSaber,

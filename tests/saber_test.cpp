@@ -141,12 +141,12 @@ TEST(Gen, FourLaneExpansionMatchesScalar) {
   // the seed re-hash, gen_matrix and gen_secret), lane by lane.
   Xoshiro256StarStar rng(1616);
   for (const auto& p : kAllParams) {
-    std::array<Seed, kKeygenLanes> seed_a{}, seed_s{};
+    std::array<Seed, kBatchLanes> seed_a{}, seed_s{};
     for (auto& sd : seed_a) rng.fill(sd);
     for (auto& sd : seed_s) rng.fill(sd);
     const auto ex = expand_keygen_x4({seed_a[0], seed_a[1], seed_a[2], seed_a[3]},
                                      {seed_s[0], seed_s[1], seed_s[2], seed_s[3]}, p);
-    for (std::size_t j = 0; j < kKeygenLanes; ++j) {
+    for (std::size_t j = 0; j < kBatchLanes; ++j) {
       const auto ref = expand_keygen_g(std::span<const u8>(seed_a[j]),
                                        std::span<const u8>(seed_s[j]), p);
       EXPECT_EQ(ex[j].seed_a, ref.seed_a) << p.name << " lane " << j;

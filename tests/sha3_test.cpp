@@ -255,6 +255,32 @@ TEST_P(Sha3Kat, Sha3_256X4) {
   }
 }
 
+TEST_P(Sha3Kat, Sha3_512X4) {
+  const auto& k = kKats[GetParam()];
+  for (const auto& d : sha3_512_x4({k.msg, k.msg, k.msg, k.msg})) {
+    EXPECT_EQ(to_hex(d), k.sha3_512);
+  }
+}
+
+// sha3_512_x4 against four scalar sponges at SHA3-512's rate, around its
+// one-block (72-byte) boundary: distinct inputs per lane, so a lane that
+// reads or writes another lane's data shows.
+TEST(SpongeX4, Sha3_512X4MatchesBasicSpongeLaneByLane) {
+  constexpr std::size_t kRate = 200 - 2 * Sha3_512::kDigestBytes;
+  for (const std::size_t len : {std::size_t{0}, std::size_t{1}, kRate - 1, kRate, kRate + 1,
+                                3 * kRate + 5}) {
+    const auto in = lane_inputs(len);
+    const auto got = sha3_512_x4({in[0], in[1], in[2], in[3]});
+    for (std::size_t j = 0; j < SpongeX4::kLanes; ++j) {
+      Sponge ref(kRate, kSha3Domain);
+      ref.absorb(in[j]);
+      Sha3_512::Digest expect{};
+      ref.squeeze(expect);
+      EXPECT_EQ(got[j], expect) << "len=" << len << " lane=" << j;
+    }
+  }
+}
+
 TEST_P(Sha3Kat, Shake128X4) {
   const auto& k = kKats[GetParam()];
   SpongeX4::Lanes<std::array<u8, 32>> out{};

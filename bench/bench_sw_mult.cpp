@@ -37,6 +37,7 @@ BENCHMARK_CAPTURE(BM_SoftwareMultiply, schoolbook, "schoolbook");
 BENCHMARK_CAPTURE(BM_SoftwareMultiply, karatsuba1, "karatsuba-1");
 BENCHMARK_CAPTURE(BM_SoftwareMultiply, karatsuba4, "karatsuba-4");
 BENCHMARK_CAPTURE(BM_SoftwareMultiply, karatsuba8, "karatsuba-8");
+BENCHMARK_CAPTURE(BM_SoftwareMultiply, toom3, "toom3");
 BENCHMARK_CAPTURE(BM_SoftwareMultiply, toom4, "toom4");
 BENCHMARK_CAPTURE(BM_SoftwareMultiply, ntt, "ntt");
 
@@ -116,6 +117,7 @@ void BM_SaberMatrixVector(benchmark::State& state, const char* name) {
     benchmark::DoNotOptimize(ring::matrix_vector_mul(in.a, in.s, fn, 13, false));
   }
 }
+BENCHMARK_CAPTURE(BM_SaberMatrixVector, toom3, "toom3");
 BENCHMARK_CAPTURE(BM_SaberMatrixVector, toom4, "toom4");
 BENCHMARK_CAPTURE(BM_SaberMatrixVector, ntt, "ntt");
 
@@ -128,6 +130,7 @@ void BM_SaberMatrixVectorCached(benchmark::State& state, const char* name) {
     benchmark::DoNotOptimize(mult::matrix_vector_mul(in.a, in.s, *algo, 13, false));
   }
 }
+BENCHMARK_CAPTURE(BM_SaberMatrixVectorCached, toom3, "toom3");
 BENCHMARK_CAPTURE(BM_SaberMatrixVectorCached, toom4, "toom4");
 BENCHMARK_CAPTURE(BM_SaberMatrixVectorCached, ntt, "ntt");
 

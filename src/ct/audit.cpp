@@ -78,8 +78,8 @@ TaintedMul toom_mul(const mult::ToomTables& t) {
   return [&t](const TPoly& a, const TSecretPoly& s, unsigned qbits) {
     auto acc = mult::toom_accumulator_g<TW>(t);
     mult::toom_pointwise_acc_g<TW>(acc,
-                                   mult::toom_evaluate_g(mult::centered_lift(a, qbits), t),
-                                   mult::toom_evaluate_g(mult::lift_secret(s), t), t);
+                                   mult::toom_evaluate_g<TW>(mult::centered_lift(a, qbits), t),
+                                   mult::toom_evaluate_g<TW>(mult::lift_secret(s), t), t);
     return mult::reduce_witness<kN, TW>(mult::toom_interpolate_g<TW>(acc, t), qbits);
   };
 }

@@ -87,11 +87,9 @@ ToomTables make_toom_tables(unsigned parts) {
   ToomTables t;
   t.parts = parts;
   t.points = 2 * parts - 1;
-  t.padded_len = ceil_div<std::size_t>(ring::kN, parts) * parts;
-  t.part_len = t.padded_len / parts;
-  // Finite points 0, +1, -1, +2, -2, (+3); the last matrix row is infinity.
-  const i64 candidates[] = {0, 1, -1, 2, -2, 3, -3};
-  t.eval_points.assign(candidates, candidates + (t.points - 1));
+  t.part_len = toom_part_len(parts);
+  t.padded_len = t.part_len * parts;
+  t.eval_points.assign(kToomPoints, kToomPoints + (t.points - 1));
 
   const auto inv = invert_evaluation_matrix(t.eval_points, t.points);
   t.interp_num.assign(t.points, std::vector<i64>(t.points));
@@ -112,16 +110,7 @@ ToomTables make_toom_tables(unsigned parts) {
   // (factor max-row sum of |interp_num_|), recombines up to two overlapping
   // limb segments, and the negacyclic fold subtracts two coefficients
   // (factor 4 total). Cap T so the whole chain stays below 2^62.
-  u64 amp = 1;  // the infinity row evaluates to the bare leading limb
-  for (const i64 x : t.eval_points) {
-    const u64 ax = static_cast<u64>(x < 0 ? -x : x);
-    u64 sum = 0, pw = 1;
-    for (unsigned l = 0; l < parts; ++l) {
-      sum += pw;
-      pw *= ax;
-    }
-    amp = std::max(amp, sum);
-  }
+  const u64 amp = toom_amplification(parts);
   u64 row_sum = 1;
   for (const auto& row : t.interp_num) {
     u64 s = 0;
@@ -170,13 +159,13 @@ ToomCookMultiplier::ToomCookMultiplier(unsigned parts)
 
 Transformed ToomCookMultiplier::prepare_public(const ring::Poly& a,
                                                unsigned qbits) const {
-  return toom_evaluate_g(centered_lift(a, qbits), tables_);
+  return toom_evaluate_g<i64>(centered_lift(a, qbits), tables_);
 }
 
 // Small signed secrets embed into Z directly: qbits is unused.
 Transformed ToomCookMultiplier::prepare_secret(const ring::SecretPoly& s,
                                                unsigned) const {
-  return toom_evaluate_g(lift_secret(s), tables_);
+  return toom_evaluate_g<i64>(lift_secret(s), tables_);
 }
 
 Transformed ToomCookMultiplier::make_accumulator() const {

@@ -16,6 +16,8 @@
 // (multiply-only — no data-dependent division anywhere).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "mult/karatsuba.hpp"
@@ -48,6 +50,45 @@ constexpr W exact_div_g(const W& v, const ExactDiv& d) {
   return q;
 }
 
+/// Highest supported Toom-Cook order.
+inline constexpr unsigned kMaxToomParts = 4;
+
+/// Limb length of order `parts`: kN padded to a multiple of parts, split.
+constexpr std::size_t toom_part_len(unsigned parts) {
+  return (ring::kN + parts - 1) / parts;
+}
+
+/// Finite evaluation points in order; order k uses the first 2k-2 (the last
+/// matrix row is the point at infinity).
+inline constexpr i64 kToomPoints[] = {0, 1, -1, 2, -2, 3, -3};
+
+/// Largest |evaluation| per unit limb magnitude: the max over order `parts`'s
+/// finite points x of sum_l |x|^l (the infinity row is the bare leading limb).
+constexpr u64 toom_amplification(unsigned parts) {
+  u64 amp = 1;
+  for (unsigned i = 0; i < 2 * parts - 2; ++i) {
+    const u64 ax = static_cast<u64>(kToomPoints[i] < 0 ? -kToomPoints[i] : kToomPoints[i]);
+    u64 sum = 0, pw = 1;
+    for (unsigned l = 0; l < parts; ++l) {
+      sum += pw;
+      pw *= ax;
+    }
+    amp = std::max(amp, sum);
+  }
+  return amp;
+}
+
+// The limb products run in karatsuba_acc_g's i32 lanes: evaluations of
+// public operands at qbits 16 (|a| <= 2^15) must survive every pre-add level
+// of the limb recursion (one for Toom-3's 86-coefficient limbs, six for
+// Toom-4's 64).
+static_assert(karatsuba_lanes_hold(static_cast<i64>(toom_amplification(3)) << 15,
+                                   toom_part_len(3), 32),
+              "Toom-3 evaluations overflow the i32 lanes");
+static_assert(karatsuba_lanes_hold(static_cast<i64>(toom_amplification(4)) << 15,
+                                   toom_part_len(4), 32),
+              "Toom-4 evaluations overflow the i32 lanes");
+
 /// All constants of one Toom-Cook order: evaluation points, the row-scaled
 /// exact inverse of the evaluation matrix, per-row exact-division data, and
 /// the derived split-transform accumulation cap.
@@ -65,18 +106,22 @@ struct ToomTables {
 /// Build (and cache) the tables for order 3 or 4.
 const ToomTables& toom_tables(unsigned parts);
 
-/// Pad a lifted operand (public or secret, length N) with zeros to
-/// t.padded_len and evaluate its `parts` limbs at every point; returns the
+/// Evaluate the `parts` limbs of a lifted operand (public or secret, length
+/// N, implicitly zero-padded to t.padded_len) at every point; returns the
 /// flattened points x part matrix. Horner over public points — constant-time
 /// in the data for any word type.
 template <typename W>
-std::vector<W> toom_evaluate_g(std::vector<W> p, const ToomTables& t) {
-  p.resize(t.padded_len, W{0});
+std::vector<W> toom_evaluate_g(std::span<const W> p, const ToomTables& t) {
+  SABER_REQUIRE(p.size() == ring::kN && t.parts <= kMaxToomParts,
+                "operand not in this Toom-Cook domain");
   const std::size_t part = t.part_len;
   std::vector<W> evals(static_cast<std::size_t>(t.points) * part, W{0});
   for (std::size_t k = 0; k < part; ++k) {
-    std::vector<W> limbs(t.parts);
-    for (unsigned l = 0; l < t.parts; ++l) limbs[l] = p[l * part + k];
+    std::array<W, kMaxToomParts> limbs{};
+    for (unsigned l = 0; l < t.parts; ++l) {
+      const std::size_t idx = l * part + k;  // public index; the pad reads 0
+      if (idx < p.size()) limbs[l] = p[idx];
+    }
     for (std::size_t i = 0; i < t.eval_points.size(); ++i) {
       const i64 x = t.eval_points[i];
       W acc = limbs[t.parts - 1];
@@ -121,16 +166,22 @@ void toom_pointwise_acc_g(std::span<W> acc, std::span<const W> a, std::span<cons
 template <typename W>
 std::vector<W> toom_interpolate_g(std::span<const W> acc, const ToomTables& t) {
   const std::size_t part = t.part_len;
-  SABER_REQUIRE(acc.size() == t.points * (2 * part - 1),
+  const std::size_t seg = 2 * part - 1;
+  // One output row at a time, summed segment-wise so the inner loop runs
+  // along contiguous words; Toom-3's limbs are the longest.
+  std::array<W, 2 * toom_part_len(3) - 1> sum{};
+  SABER_REQUIRE(acc.size() == t.points * seg && seg <= sum.size(),
                 "accumulator not in this Toom-Cook transform domain");
   std::vector<W> out(2 * t.padded_len - 1, W{0});
   for (unsigned j = 0; j < t.points; ++j) {
-    for (std::size_t k = 0; k < 2 * part - 1; ++k) {
-      W sum{0};
-      for (unsigned i = 0; i < t.points; ++i) {
-        sum += t.interp_num[j][i] * acc[i * (2 * part - 1) + k];
-      }
-      out[j * part + k] += exact_div_g(sum, t.interp_div[j]);
+    std::fill_n(sum.begin(), seg, W{0});
+    for (unsigned i = 0; i < t.points; ++i) {
+      const i64 c = t.interp_num[j][i];
+      const auto row = acc.subspan(i * seg, seg);
+      for (std::size_t k = 0; k < seg; ++k) sum[k] += c * row[k];
+    }
+    for (std::size_t k = 0; k < seg; ++k) {
+      out[j * part + k] += exact_div_g(sum[k], t.interp_div[j]);
     }
   }
   if constexpr (!ct::is_tainted_v<W>) {

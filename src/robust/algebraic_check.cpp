@@ -49,6 +49,7 @@ void PointChecker::build(std::span<const unsigned> coset_indices) {
   num_roots_ = coset_indices.size();
   const u64 omega = find_root(prime_);
   pow_.resize(num_roots_ * kPowStride);
+  pow_sums_.resize(num_roots_);
   for (std::size_t r = 0; r < num_roots_; ++r) {
     // Odd powers of omega are exactly the roots of x^N + 1 mod P.
     const u64 xr = mult::powmod(
@@ -58,6 +59,12 @@ void PointChecker::build(std::span<const unsigned> coset_indices) {
     for (std::size_t i = 1; i < kPowStride; ++i) {
       row[i] = mult::mulmod(row[i - 1], xr, prime_);
     }
+    u64 sum = 0;
+    for (std::size_t i = 0; i < kPowStride; ++i) {
+      sum = mult::addmod(sum, row[i], prime_);
+      if (i + 1 == ring::kN) pow_sums_[r][0] = sum;
+    }
+    pow_sums_[r][1] = sum;
   }
 }
 
@@ -70,58 +77,49 @@ std::size_t PointChecker::draw_root() const {
   return clock_.fetch_add(1, std::memory_order_relaxed) % num_roots_;
 }
 
+// The evaluations add (c_i + bias) * x^i, which is never negative, and
+// subtract bias * sum_i x^i (precomputed per root and length) once: no branch
+// on the sign of a coefficient, and the same residue the signed sum has.
+// Biased coefficients stay below 2^56 and powers below 2^61, so up to 2N-1
+// lazily accumulated products stay below 2^126 < 2^128.
+template <typename Coeff>
+u64 PointChecker::eval_biased(std::size_t n, Coeff coeff, u64 bias,
+                              std::size_t root) const {
+  SABER_REQUIRE(n == ring::kN || n == kPowStride, "witness length is neither N nor 2N-1");
+  const u64* pw = powers(root);
+  u128 acc = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    acc += static_cast<u128>(static_cast<u64>(coeff(i)) + bias) * pw[i];
+  }
+  const u64 pw_sum = pow_sums_[root][n == ring::kN ? 0 : 1];
+  return mult::submod(static_cast<u64>(acc % prime_),
+                      mult::mulmod(bias % prime_, pw_sum, prime_), prime_);
+}
+
 u64 PointChecker::eval_public(const ring::Poly& a, unsigned qbits,
                               std::size_t root) const {
-  const u64* pw = powers(root);
   // Centered lift so the evaluation matches the integers every backend
-  // actually convolves.
-  u128 pos = 0, neg = 0;
-  for (std::size_t i = 0; i < ring::kN; ++i) {
-    const i64 c = ring::centered(a[i], qbits);
-    if (c >= 0) {
-      pos += static_cast<u128>(static_cast<u64>(c)) * pw[i];
-    } else {
-      neg += static_cast<u128>(static_cast<u64>(-c)) * pw[i];
-    }
-  }
-  return mult::submod(static_cast<u64>(pos % prime_),
-                      static_cast<u64>(neg % prime_), prime_);
+  // actually convolves. A u16 coefficient lifts to at least -2^15 at any
+  // qbits, and below 2^16.
+  return eval_biased(
+      ring::kN, [&](std::size_t i) -> i64 { return ring::centered(a[i], qbits); },
+      u64{1} << 15, root);
 }
 
 u64 PointChecker::eval_secret(const ring::SecretPoly& s, std::size_t root) const {
-  const u64* pw = powers(root);
-  u128 pos = 0, neg = 0;
-  for (std::size_t i = 0; i < ring::kN; ++i) {
-    const i64 c = s[i];
-    if (c >= 0) {
-      pos += static_cast<u128>(static_cast<u64>(c)) * pw[i];
-    } else {
-      neg += static_cast<u128>(static_cast<u64>(-c)) * pw[i];
-    }
-  }
-  return mult::submod(static_cast<u64>(pos % prime_),
-                      static_cast<u64>(neg % prime_), prime_);
+  return eval_biased(
+      ring::kN, [&](std::size_t i) -> i64 { return s[i]; }, 128, root);
 }
 
 u64 PointChecker::eval_witness(std::span<const i64> w, std::size_t root) const {
-  SABER_REQUIRE(w.size() == ring::kN || w.size() == 2 * ring::kN - 1,
-                "witness length is neither N nor 2N-1");
-  const u64* pw = powers(root);
-  // Lazy reduction: |w_i| < 2^55 and pow < 2^61 keep each product below
-  // 2^116; 511 terms stay below 2^125 < 2^128.
+  // |w_i| < 2^55, checked once over the whole witness: the per-coefficient
+  // test is a flag OR, not a branch.
   constexpr i64 kMaxMag = i64{1} << 55;
-  u128 pos = 0, neg = 0;
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    const i64 c = w[i];
-    SABER_REQUIRE(c < kMaxMag && c > -kMaxMag, "witness coefficient too large");
-    if (c >= 0) {
-      pos += static_cast<u128>(static_cast<u64>(c)) * pw[i];
-    } else {
-      neg += static_cast<u128>(static_cast<u64>(-c)) * pw[i];
-    }
-  }
-  return mult::submod(static_cast<u64>(pos % prime_),
-                      static_cast<u64>(neg % prime_), prime_);
+  bool out_of_range = false;
+  for (const i64 c : w) out_of_range |= (c >= kMaxMag) | (c <= -kMaxMag);
+  SABER_REQUIRE(!out_of_range, "witness coefficient too large");
+  return eval_biased(
+      w.size(), [&](std::size_t i) { return w[i]; }, static_cast<u64>(kMaxMag), root);
 }
 
 bool PointChecker::verify(u64 ea, u64 es, u64 ew) const {

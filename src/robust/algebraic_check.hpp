@@ -12,6 +12,7 @@
 // exists mod a power of two.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <span>
 #include <vector>
@@ -92,10 +93,16 @@ class PointChecker {
 
   void build(std::span<const unsigned> coset_indices);
   const u64* powers(std::size_t root) const;
+  /// sum_i c_i x_r^i mod P over n <= kPowStride signed coefficients with
+  /// |c_i| <= bias, without a sign branch (see algebraic_check.cpp).
+  template <typename Coeff>
+  u64 eval_biased(std::size_t n, Coeff coeff, u64 bias, std::size_t root) const;
 
   u64 prime_ = 0;
   std::size_t num_roots_ = 0;
   std::vector<u64> pow_;  ///< num_roots_ x kPowStride, row-major
+  /// Per root: sum_{i<N} x_r^i and sum_{i<2N-1} x_r^i mod P.
+  std::vector<std::array<u64, 2>> pow_sums_;
   mutable std::atomic<u64> clock_{0};  ///< draw_root rotation
 };
 

@@ -142,6 +142,23 @@ TEST(KaratsubaHw, AgreesWithReference) {
             ring::add(first, ref.multiply_secret(a2, s2, kQ), kQ));
 }
 
+TEST(KaratsubaHw, WorstCaseOperandsAreExactAtEveryDepth) {
+  // The core convolves centered lifts at q = 2^13 through the i32 lanes of
+  // the software Karatsuba: every public coefficient -2^12 and every secret
+  // at the core's bound -5 take the pre-add pyramid to 2^12 * 2^levels at
+  // each depth.
+  Poly a;
+  for (auto& c : a.c) c = static_cast<u16>(1u << 12);  // centered: -2^12
+  SecretPoly s;
+  for (auto& c : s.c) c = -5;
+  mult::SchoolbookMultiplier ref;
+  const auto want = ref.multiply_secret(a, s, kQ);
+  for (unsigned levels = 1; levels <= 8; ++levels) {
+    KaratsubaHwMultiplier arch(KaratsubaHwConfig{levels, 1});
+    EXPECT_EQ(arch.multiply(a, s).product, want) << "levels " << levels;
+  }
+}
+
 TEST(KaratsubaHw, Paper52Comparison) {
   // §5.2: "their multiplier can achieve a very low cycle count, while
   // probably requiring a higher area consumption than our multipliers ...

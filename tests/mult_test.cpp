@@ -367,6 +367,93 @@ TEST(Ntt, OnePrimeWorstCaseAccumulationIsExact) {
   EXPECT_EQ(w[kN - 1], i64{1} << 32);
 }
 
+// Products the narrow-lane worst case accumulates: a backend's whole cap when
+// a unit test can afford it (Toom-4's 3158), else 64. Toom-3's cap (~2.7M)
+// and the convolution default (2^30) only bound i64 accumulator headroom,
+// which does not depend on the lanes: they see one product at a time.
+constexpr std::size_t kAffordableCap = std::size_t{1} << 12;
+constexpr std::size_t kSampledTerms = 64;
+
+class NarrowLanes : public ::testing::TestWithParam<std::string_view> {};
+
+TEST_P(NarrowLanes, WorstCaseAccumulationIsExact) {
+  // The worst case of the i32 operand lanes at qbits 16: every public
+  // coefficient -2^15 and every secret coefficient -128, so each Toom
+  // evaluation and each Karatsuba pre-add reaches its largest magnitude
+  // (Toom-3 2^19, Toom-4 2^27, Karatsuba-8 2^23 for public x public), and
+  // output coefficient N-1 of a * s reaches N * 2^15 * 2^7 = 2^30.
+  constexpr unsigned kQ = 16;
+  Poly a;
+  for (auto& c : a.c) c = static_cast<u16>(1u << 15);  // centered: -2^15
+  SecretPoly s;
+  for (auto& c : s.c) c = -128;
+
+  const auto m = make_multiplier(GetParam());
+  const auto sb = make_multiplier("schoolbook");
+  const std::size_t cap = m->max_accumulated_terms();
+  const std::size_t terms = cap <= kAffordableCap ? cap : kSampledTerms;
+  const auto ta = m->prepare_public(a, kQ);
+  const auto ts = m->prepare_secret(s, kQ);
+  if (const auto* t = dynamic_cast<const ToomCookMultiplier*>(m.get())) {
+    // The bound the kernel's static_asserts use is the one evaluation
+    // reaches: the largest |evaluation| is amp * 2^15 (7 at Toom-3's
+    // point 2, 40 at Toom-4's point 3).
+    i64 top = 0;
+    for (const i64 v : ta) top = std::max(top, v < 0 ? -v : v);
+    EXPECT_EQ(top, static_cast<i64>(toom_amplification(t->parts())) << 15);
+    EXPECT_EQ(toom_amplification(t->parts()), t->parts() == 3 ? 7u : 40u);
+  }
+  auto acc = m->make_accumulator();
+  for (std::size_t k = 0; k < terms; ++k) m->pointwise_accumulate(acc, ta, ts);
+
+  auto sacc = sb->make_accumulator();
+  sb->pointwise_accumulate(sacc, sb->prepare_public(a, kQ), sb->prepare_secret(s, kQ));
+  auto want = sb->finalize_witness(sacc);
+  ASSERT_EQ(want[kN - 1], i64{1} << 30);
+  for (auto& w : want) w *= static_cast<i64>(terms);
+  EXPECT_EQ(m->finalize_witness(acc), want);
+  EXPECT_EQ(m->finalize(acc, kQ), reduce_witness<kN>(std::span<const i64>(want), kQ));
+
+  // Public x public at the same extreme: N * (2^15)^2 = 2^38.
+  const auto w = m->multiply_witness(a, a, kQ);
+  EXPECT_EQ(w[kN - 1], i64{1} << 38);
+  EXPECT_EQ(m->multiply(a, a, kQ), sb->multiply(a, a, kQ));
+}
+
+INSTANTIATE_TEST_SUITE_P(NarrowLaneBackends, NarrowLanes,
+                         ::testing::Values("toom3", "toom4", "karatsuba-8"),
+                         [](const auto& p) {
+                           std::string name(p.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
+TEST(Karatsuba, RejectsOperandsBeyondItsI32Lanes) {
+  // n coefficients split s times leave each operand [-2^(31-s), 2^(31-s)).
+  for (const auto& [n, levels] : {std::pair<std::size_t, unsigned>{256, 8}, {86, 32}, {3, 8}}) {
+    const unsigned room = 31 - karatsuba_splits(n, levels);
+    // Both ends of the lane, multiplied by ones so the i64 sums stay small;
+    // the pre-adds reach exactly -2^31.
+    std::vector<i64> edge(n, -(i64{1} << room)), ones(n, 1);
+    edge[0] = (i64{1} << room) - 1;
+    std::vector<i64> got(2 * n - 1, 0), want(2 * n - 1, 0);
+    EXPECT_NO_THROW(karatsuba_acc_g<i64>(edge, ones, got, levels)) << n;
+    schoolbook_conv_g<i64>(edge, ones, want);
+    EXPECT_EQ(got, want) << n;
+    for (const i64 bad : {i64{1} << room, -(i64{1} << room) - 1, i64{1} << 62}) {
+      auto b = edge;
+      b[n - 1] = bad;
+      EXPECT_THROW(karatsuba_acc_g<i64>(ones, b, got, levels), ContractViolation)
+          << n << " " << bad;
+      EXPECT_THROW(karatsuba_acc_g<i64>(b, ones, got, levels), ContractViolation)
+          << n << " " << bad;
+    }
+  }
+  EXPECT_EQ(karatsuba_splits(256, 8), 8u);
+  EXPECT_EQ(karatsuba_splits(86, 32), 1u);
+  EXPECT_EQ(karatsuba_splits(64, 4), 4u);
+}
+
 TEST(Ntt, SecretServesPublicsAtItsModulusOrBelow) {
   Xoshiro256StarStar rng(4242);
   NttMultiplier ntt;

@@ -18,6 +18,7 @@
 #include "hw/dsp48.hpp"
 #include "hw/mac.hpp"
 #include "mult/batch.hpp"
+#include "mult/modmath.hpp"
 #include "mult/schoolbook.hpp"
 #include "mult/strategy.hpp"
 #include "multipliers/hw_multiplier.hpp"
@@ -662,6 +663,77 @@ TEST(PointChecker, RotatingRootsCatchAdversarialDefectAFixedRootMisses) {
   std::array<bool, 4> seen{};
   for (int i = 0; i < 4; ++i) seen[multi.draw_root()] = true;
   for (const bool b : seen) EXPECT_TRUE(b);
+}
+
+/// The signed evaluation sum_i c_i x_r^i mod P as the checker computed it
+/// before its evaluations went branch-free: positive and negative terms
+/// summed apart behind a sign branch, each sum reduced once.
+u64 signed_eval(const PointChecker& pc, std::size_t root, std::span<const i64> c) {
+  const u64 p = pc.prime();
+  mult::u128 pos = 0, neg = 0;
+  u64 pw = 1;
+  for (const i64 v : c) {
+    if (v >= 0) {
+      pos += static_cast<mult::u128>(static_cast<u64>(v)) * pw;
+    } else {
+      neg += static_cast<mult::u128>(static_cast<u64>(-v)) * pw;
+    }
+    pw = mult::mulmod(pw, pc.point(root), p);
+  }
+  return mult::submod(static_cast<u64>(pos % p), static_cast<u64>(neg % p), p);
+}
+
+TEST(PointChecker, BranchFreeEvaluationsMatchTheSignedFormula) {
+  const auto& pc = shared_point_checker();
+  for (std::size_t r = 0; r < pc.num_roots(); ++r) {
+    // Every secret value, once each in one polynomial and as a constant.
+    ring::SecretPoly ramp;
+    for (std::size_t i = 0; i < ring::kN; ++i) ramp[i] = static_cast<i8>(i - 128);
+    std::vector<ring::SecretPoly> secrets = {ramp};
+    for (int v = -128; v <= 127; ++v) {
+      ring::SecretPoly s;
+      for (auto& c : s.c) c = static_cast<i8>(v);
+      secrets.push_back(s);
+    }
+    for (const auto& s : secrets) {
+      std::vector<i64> c(s.c.begin(), s.c.end());
+      ASSERT_EQ(pc.eval_secret(s, r), signed_eval(pc, r, c)) << "root " << r;
+    }
+
+    // Publics at both ends of the qbits-16 lift, and random ones.
+    Xoshiro256StarStar rng(912);
+    const std::pair<ring::Poly, unsigned> publics[] = {
+        {ring::Poly::constant(1u << 15), 16},        // centered -2^15
+        {ring::Poly::constant((1u << 15) - 1), 16},  // centered 2^15 - 1
+        {ring::Poly::constant(0xFFFF), 16},          // centered -1
+        {ring::Poly::random(rng, 16), 16},
+        {ring::Poly::random(rng, kQ), kQ}};
+    for (const auto& [a, q] : publics) {
+      std::vector<i64> c(ring::kN);
+      for (std::size_t i = 0; i < ring::kN; ++i) c[i] = ring::centered(a[i], q);
+      EXPECT_EQ(pc.eval_public(a, q, r), signed_eval(pc, r, c)) << "root " << r;
+    }
+
+    // Witnesses at the coefficient bound +-(2^55 - 1), in both lengths.
+    constexpr i64 kEdge = (i64{1} << 55) - 1;
+    for (const std::size_t len : {ring::kN, 2 * ring::kN - 1}) {
+      for (const int pattern : {0, 1, 2}) {
+        std::vector<i64> w(len);
+        for (std::size_t i = 0; i < len; ++i) {
+          const bool neg = pattern == 1 || (pattern == 2 && i % 2 == 1);
+          w[i] = neg ? -kEdge : kEdge;
+        }
+        EXPECT_EQ(pc.eval_witness(w, r), signed_eval(pc, r, w))
+            << "root " << r << " len " << len << " pattern " << pattern;
+      }
+    }
+  }
+  // One past the bound still throws, wherever it sits.
+  for (const i64 bad : {i64{1} << 55, -(i64{1} << 55)}) {
+    std::vector<i64> w(2 * ring::kN - 1, 0);
+    w[300] = bad;
+    EXPECT_THROW(pc.eval_witness(w), ContractViolation);
+  }
 }
 
 // --- algebraic check kind (point-eval) -------------------------------------

@@ -18,7 +18,8 @@
 //      cores, repaired by CheckedHwMultiplier: zero silent corruptions, ever.
 //   4. checking overhead   - cost of the verification policies and check
 //      kinds (schoolbook re-derivation vs point-evaluation), at the
-//      multiplier level and for full KEM decapsulations.
+//      multiplier level and for full KEM decapsulations (the decaps rows
+//      repeated, reported as median and quartiles).
 //   5. supervised prepare cost - lazy copy-on-quarantine transform caching:
 //      preparing a 3x3 public matrix through the supervised facade must cost
 //      ~1x a single checked backend (time and memory), not the sum over the
@@ -297,13 +298,33 @@ std::vector<OverheadRow> multiplier_overhead(int iters) {
   return rows;
 }
 
-struct DecapsRow {
-  std::string config;
-  double ns = 0.0;
-  double ratio = 1.0;  ///< vs the unchecked scheme
+/// Median and quartiles of a sample (linear interpolation between order
+/// statistics, as Python's statistics.quantiles(method="inclusive")).
+struct Spread {
+  double median = 0.0, q1 = 0.0, q3 = 0.0;
 };
 
-std::vector<DecapsRow> kem_decaps_overhead(int iters) {
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double p) {
+    const double pos = p * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.5), at(0.25), at(0.75)};
+}
+
+struct DecapsRow {
+  std::string config;
+  Spread ns;
+  Spread ratio;  ///< vs the unchecked scheme, within each repetition
+};
+
+/// Decaps cost per config over `reps` repetitions of the interleaved timing:
+/// a decaps is ~0.1-0.5 ms, so one run's per-config minimum still moves with
+/// the host by tens of percent; the rows report the median and quartiles.
+std::vector<DecapsRow> kem_decaps_overhead(int iters, int reps) {
   kem::Seed sa{}, ss{};
   sa.fill(0x31);
   ss.fill(0x32);
@@ -326,10 +347,10 @@ std::vector<DecapsRow> kem_decaps_overhead(int iters) {
 
   std::vector<DecapsRow> rows;
   std::vector<std::shared_ptr<kem::SaberKemScheme>> schemes;
-  rows.push_back({std::string(kBackend)});
+  rows.push_back({std::string(kBackend), {}, {}});
   schemes.push_back(std::make_shared<kem::SaberKemScheme>(kem::kSaber, kBackend));
   for (const auto& k : kinds) {
-    rows.push_back({k.label});
+    rows.push_back({k.label, {}, {}});
     schemes.push_back(std::make_shared<kem::SaberKemScheme>(
         kem::kSaber, std::shared_ptr<const mult::PolyMultiplier>(make_checked(
                          kBackend, {CheckPolicy::kFull, k.kind}))));
@@ -341,11 +362,18 @@ std::vector<DecapsRow> kem_decaps_overhead(int iters) {
     configs.push_back(
         [&sink, &enc, &keys, sch] { sink = sch->decaps(enc.ct, keys.sk)[0]; });
   }
-  const auto ns = interleaved_ns_per_call(configs, iters);
+  std::vector<std::vector<double>> ns(rows.size()), ratio(rows.size());
+  for (int r = 0; r < reps; ++r) {
+    const auto rep = interleaved_ns_per_call(configs, iters);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      ns[i].push_back(rep[i]);
+      ratio[i].push_back(rep[i] / rep[0]);
+    }
+  }
   (void)sink;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    rows[i].ns = ns[i];
-    rows[i].ratio = ns[i] / ns[0];
+    rows[i].ns = spread_of(ns[i]);
+    rows[i].ratio = spread_of(ratio[i]);
   }
   return rows;
 }
@@ -456,6 +484,7 @@ int run(int argc, char** argv) {
   const int kArchStuckTrials = smoke ? 2 : 10;
   const int kMultIters = smoke ? 25 : 400;
   const int kDecapsIters = smoke ? 3 : 40;
+  const int kDecapsReps = smoke ? 2 : 7;
   const int kPrepareIters = smoke ? 8 : 120;
 
   const auto transient = transient_campaign(kTrials);
@@ -463,7 +492,7 @@ int run(int argc, char** argv) {
   const auto arch_campaigns =
       architecture_campaigns(kArchTransientTrials, kArchStuckTrials);
   const auto rows = multiplier_overhead(kMultIters);
-  const auto decaps = kem_decaps_overhead(kDecapsIters);
+  const auto decaps = kem_decaps_overhead(kDecapsIters, kDecapsReps);
   const auto prep = supervised_prepare_cost(kPrepareIters);
 
   std::printf("Fault-tolerance campaign (backend %s, mod 2^%u, policy full)%s\n\n",
@@ -491,10 +520,14 @@ int run(int argc, char** argv) {
     std::printf("  %-28s %10.1f ns/mult  (%.2fx)\n", r.config.c_str(), r.ns,
                 r.ratio);
   }
-  std::printf("\nchecking overhead, KEM decaps (%d iters):\n", kDecapsIters);
+  std::printf(
+      "\nchecking overhead, KEM decaps (%d iters x %d repetitions, median "
+      "[q1, q3]):\n",
+      kDecapsIters, kDecapsReps);
   for (const auto& d : decaps) {
-    std::printf("  %-28s %10.1f ns/decaps  (%.2fx)\n", d.config.c_str(), d.ns,
-                d.ratio);
+    std::printf("  %-28s %10.1f ns/decaps [%.1f, %.1f]  (%.2fx [%.2f, %.2f])\n",
+                d.config.c_str(), d.ns.median, d.ns.q1, d.ns.q3, d.ratio.median,
+                d.ratio.q1, d.ratio.q3);
   }
 
   std::printf("\nsupervised prepare cost, 3x3 public matrix (%d iters):\n",
@@ -547,14 +580,17 @@ int run(int argc, char** argv) {
     std::fprintf(f,
                  "  \"kem_decaps_overhead\": {\n"
                  "    \"backend\": \"%s\",\n"
+                 "    \"repetitions\": %d,\n"
                  "    \"rows\": [\n",
-                 kBackend);
+                 kBackend, kDecapsReps);
     for (std::size_t i = 0; i < decaps.size(); ++i) {
+      const auto& d = decaps[i];
       std::fprintf(f,
                    "      { \"config\": \"%s\", \"ns_per_decaps\": %.1f, "
-                   "\"ratio\": %.3f }%s\n",
-                   decaps[i].config.c_str(), decaps[i].ns, decaps[i].ratio,
-                   i + 1 < decaps.size() ? "," : "");
+                   "\"ns_per_decaps_q1\": %.1f, \"ns_per_decaps_q3\": %.1f, "
+                   "\"ratio\": %.3f, \"ratio_q1\": %.3f, \"ratio_q3\": %.3f }%s\n",
+                   d.config.c_str(), d.ns.median, d.ns.q1, d.ns.q3, d.ratio.median,
+                   d.ratio.q1, d.ratio.q3, i + 1 < decaps.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n  }\n");
     std::fprintf(f, "}\n");

@@ -4,12 +4,15 @@
 //   1. per-operand transform caching in the l x l matrix-vector product
 //      (per-product baseline vs split-transform vs fully prepared matrix);
 //   2. multithreaded batch KEM throughput (keygen/encaps/decaps ops/sec vs
-//      thread count) through saber::batch::KemBatch.
+//      thread count) through saber::batch::KemBatch;
+// and the Keccak under both: one permutation per lane word (items are
+// permutations) and the SHAKE-128 expansion of A (items are matrices).
 //
 // scripts/bench_json.sh distills the google-benchmark JSON of this binary
 // into BENCH_throughput.json at the repository root.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <thread>
 #include <vector>
 
@@ -17,7 +20,9 @@
 #include "mult/batch.hpp"
 #include "mult/strategy.hpp"
 #include "saber/batch.hpp"
+#include "saber/gen.hpp"
 #include "saber/kem.hpp"
+#include "sha3/keccak.hpp"
 
 using namespace saber;
 
@@ -166,6 +171,39 @@ void BM_EncapsSingle(benchmark::State& state, const char* name) {
 }
 BENCHMARK_CAPTURE(BM_EncapsSingle, ntt, "ntt");
 BENCHMARK_CAPTURE(BM_EncapsSingle, toom4, "toom4");
+
+// --- Keccak ------------------------------------------------------------------
+
+// keccak_f1600_g over lane word L, `States` independent states per call.
+template <typename L, i64 States>
+void permute_loop(benchmark::State& state) {
+  sha3::KeccakStateT<L> st{};
+  for (std::size_t w = 0; w < st.size(); ++w) st[w] ^= u64{0x9E3779B97F4A7C15ULL * (w + 1)};
+  for (auto _ : state) {
+    sha3::keccak_f1600_g(st);
+    benchmark::DoNotOptimize(st.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * States);
+}
+
+// f1600: the word BasicSponge<u8> permutes in (sha3::SingleStreamLane, the
+// two-lane vector word under AVX-512VL); f1600_u64: the plain u64 word;
+// f1600_x4: SpongeX4's four states in one u64x4 word.
+void BM_Keccak(benchmark::State& state, void (*run)(benchmark::State&)) { run(state); }
+BENCHMARK_CAPTURE(BM_Keccak, f1600, &permute_loop<sha3::SingleStreamLane, 1>);
+BENCHMARK_CAPTURE(BM_Keccak, f1600_u64, &permute_loop<u64, 1>);
+BENCHMARK_CAPTURE(BM_Keccak, f1600_x4, &permute_loop<u64x4, 4>);
+
+// A's single-stream expansion: SHAKE-128 of the seed, l^2 polynomials.
+void BM_GenMatrix(benchmark::State& state, const kem::SaberParams* params) {
+  std::array<u8, 32> seed{};
+  for (std::size_t i = 0; i < seed.size(); ++i) seed[i] = static_cast<u8>(7 * i + 1);
+  for (auto _ : state) benchmark::DoNotOptimize(kem::gen_matrix(seed, *params));
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_GenMatrix, saber, &kem::kSaber);
+BENCHMARK_CAPTURE(BM_GenMatrix, firesaber, &kem::kFireSaber);
 
 }  // namespace
 

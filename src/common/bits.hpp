@@ -2,6 +2,7 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -19,30 +20,42 @@ using i16 = std::int16_t;
 using i32 = std::int32_t;
 using i64 = std::int64_t;
 
-/// Four u64 lanes in one 256-bit GCC vector word: the lane type of the
-/// four-way Keccak (sha3::SpongeX4), element j belonging to stream j. The
-/// vector sits in a struct whose operators take const references, because a
-/// bare vector_size(32) parameter or return value changes the psABI between
-/// AVX and non-AVX builds (GCC's -Wpsabi).
-struct u64x4 {
-  u64 __attribute__((vector_size(32))) v;
+/// N u64 lanes in one GCC vector word of 8N bytes. Four lanes (u64x4) are
+/// the lane type of the four-way Keccak (sha3::SpongeX4), element j belonging
+/// to stream j; two lanes (u64x2) are the single-stream Keccak word of AVX-512
+/// builds (sha3::SingleStreamLane). The vector sits in a struct whose
+/// operators take const references, because a bare vector_size(32) parameter
+/// or return value changes the psABI between AVX and non-AVX builds (GCC's
+/// -Wpsabi).
+template <std::size_t N>
+struct u64xN {
+  u64 __attribute__((vector_size(8 * N))) v;
 
-  friend u64x4 operator^(const u64x4& a, const u64x4& b) { return {a.v ^ b.v}; }
-  friend u64x4 operator&(const u64x4& a, const u64x4& b) { return {a.v & b.v}; }
-  friend u64x4 operator|(const u64x4& a, const u64x4& b) { return {a.v | b.v}; }
-  friend u64x4 operator~(const u64x4& a) { return {~a.v}; }
-  friend u64x4 operator<<(const u64x4& a, unsigned r) { return {a.v << r}; }
-  friend u64x4 operator>>(const u64x4& a, unsigned r) { return {a.v >> r}; }
-  u64x4& operator^=(const u64x4& b) {
+  friend u64xN operator^(const u64xN& a, const u64xN& b) { return {a.v ^ b.v}; }
+  friend u64xN operator&(const u64xN& a, const u64xN& b) { return {a.v & b.v}; }
+  friend u64xN operator|(const u64xN& a, const u64xN& b) { return {a.v | b.v}; }
+  friend u64xN operator~(const u64xN& a) { return {~a.v}; }
+  friend u64xN operator<<(const u64xN& a, unsigned r) { return {a.v << r}; }
+  friend u64xN operator>>(const u64xN& a, unsigned r) { return {a.v >> r}; }
+  u64xN& operator^=(const u64xN& b) {
     v ^= b.v;
     return *this;
   }
   /// Xor the same u64 into every lane (Keccak's iota step).
-  u64x4& operator^=(u64 b) {
+  u64xN& operator^=(u64 b) {
     v ^= b;
     return *this;
   }
 };
+
+using u64x2 = u64xN<2>;
+using u64x4 = u64xN<4>;
+
+/// Is W one of the u64xN vector words?
+template <typename W>
+inline constexpr bool is_u64xN_v = false;
+template <std::size_t N>
+inline constexpr bool is_u64xN_v<u64xN<N>> = true;
 
 /// The little-endian u64 at p[0..8): one unaligned load on little-endian
 /// hosts.

@@ -12,6 +12,8 @@
 #include <span>
 #include <type_traits>
 
+#include "common/bits.hpp"
+
 namespace saber {
 
 /// Overwrite `n` bytes at `p` with zeros through a volatile pointer.
@@ -24,13 +26,23 @@ inline void secure_zeroize(void* p, std::size_t n) {
 }
 
 /// Overwrite a span. Arithmetic elements take one volatile store each
-/// (a transformed secret is i64 words: an eighth of the byte loop's stores).
+/// (a transformed secret is i64 words: an eighth of the byte loop's stores),
+/// and so do u64xN vector words (a Keccak state: 25 stores, not 400 or 800).
 template <typename T>
   requires std::is_trivially_copyable_v<T>
 void secure_zeroize(std::span<T> s) {
   if constexpr (std::is_arithmetic_v<T>) {
     volatile T* vp = s.data();
     for (std::size_t i = 0; i < s.size(); ++i) vp[i] = T{};
+#if defined(__GNUC__) || defined(__clang__)
+    __asm__ __volatile__("" : : "r"(s.data()) : "memory");
+#endif
+  } else if constexpr (is_u64xN_v<std::remove_cv_t<T>>) {
+    using V = decltype(T::v);
+    for (T& w : s) {
+      volatile V* vp = &w.v;
+      *vp = V{};
+    }
 #if defined(__GNUC__) || defined(__clang__)
     __asm__ __volatile__("" : : "r"(s.data()) : "memory");
 #endif

@@ -433,11 +433,11 @@ constexpr rebind_t<W, i64> centered_g(const W& v, unsigned qbits) {
 }
 
 /// Rotate-left of the u64 analog (public amount; r == 0 handled without
-/// touching the data). A u64x4 rotates each of its four lanes.
+/// touching the data). A u64xN vector word rotates each of its lanes.
 template <typename W>
 constexpr auto rotl_g(const W& v, unsigned r) {
   const auto x = [&] {
-    if constexpr (std::is_same_v<W, u64x4>) {
+    if constexpr (is_u64xN_v<W>) {
       return v;
     } else {
       return cast<u64>(v);

@@ -37,12 +37,19 @@ constexpr bool karatsuba_lanes_hold(i64 bound, std::size_t n, unsigned levels) {
 static_assert(karatsuba_lanes_hold(i64{1} << 15, ring::kN, 32),
               "Karatsuba operands at qbits 16 overflow the i32 lanes");
 
+/// Leaves shorter than this multiply straight into their output (product
+/// scanning); longer ones run the vectorized schoolbook over scratch, which
+/// is faster from four coefficients on (-O3 -march=native, AVX-512).
+inline constexpr std::size_t kKaratsubaScanLeaf = 4;
+
 /// Accumulator words the recursion on n-coefficient operands carves from the
-/// arena at any depth: a leaf's 2n-1 product, or a split node's three
-/// (n-1)-word sub-products plus the deepest child's own scratch.
+/// arena at any depth: a long leaf's 2n-1 product, or a split node's three
+/// (n-1)-word sub-products plus the deepest child's own scratch. A short leaf
+/// needs none.
 constexpr std::size_t karatsuba_acc_scratch(std::size_t n) {
-  if (n <= 1 || n % 2 != 0) return 2 * n - 1;
-  return std::max(2 * n - 1, 3 * (n - 1) + karatsuba_acc_scratch(n / 2));
+  const std::size_t leaf = n < kKaratsubaScanLeaf ? 0 : 2 * n - 1;
+  if (n <= 1 || n % 2 != 0) return leaf;
+  return std::max(leaf, 3 * (n - 1) + karatsuba_acc_scratch(n / 2));
 }
 
 /// Lane words for n-coefficient operands: the two narrowed operands plus the
@@ -83,9 +90,21 @@ void karatsuba_rec_g(std::span<const L> a, std::span<const L> b, std::span<W> ou
                      unsigned levels, std::span<L> lanes, std::span<W> accs) {
   const std::size_t n = a.size();
   if (levels == 0 || n <= 1 || n % 2 != 0) {
-    const auto tmp = accs.first(2 * n - 1);
-    schoolbook_conv_g<W, L>(a, b, tmp);
-    for (std::size_t i = 0; i < tmp.size(); ++i) out[i] += tmp[i];
+    // Either way a leaf costs n^2 mults and n^2 + 2n - 1 adds, as
+    // analysis::karatsuba_ops counts it: every output coefficient sums its
+    // products from zero, then adds into `out` once.
+    if (n < kKaratsubaScanLeaf) {
+      for (std::size_t k = 0; k < 2 * n - 1; ++k) {
+        const std::size_t lo = k < n ? 0 : k - n + 1, hi = k < n ? k : n - 1;
+        W sum{0};
+        for (std::size_t i = lo; i <= hi; ++i) sum += widening_mul<W>(a[i], b[k - i]);
+        out[k] += sum;
+      }
+    } else {
+      const auto tmp = accs.first(2 * n - 1);
+      schoolbook_conv_g<W, L>(a, b, tmp);
+      for (std::size_t i = 0; i < tmp.size(); ++i) out[i] += tmp[i];
+    }
     return;
   }
 

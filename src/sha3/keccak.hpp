@@ -4,16 +4,24 @@
 // Both the permutation and the sponge are templated over the byte/lane word
 // type. Keccak is naturally constant-time — every operation is xor/and/not/
 // rotate-by-constant and all positions (rate, rho offsets, pi lane shuffle)
-// are public — so the same body runs over plain u64 lanes in production and
-// over ct::Tainted<u64> lanes under the secret-independence audit, where a
-// secret seed taints the entire state and hence everything squeezed from it.
-// Over u64x4 lanes the same body permutes four independent states at once,
-// which SpongeX4 uses to hash four equal-length inputs in lockstep.
+// are public — so one permutation body, keccak_f1600_g, serves every word:
+//   - ct::Tainted<u64>: the secret-independence audit, where a secret seed
+//     taints the entire state and hence everything squeezed from it;
+//   - u64x4: four independent states at once, which SpongeX4 uses to hash
+//     four equal-length inputs in lockstep;
+//   - SingleStreamLane: the word BasicSponge<u8> holds and permutes its one
+//     state in. It is u64x2 (both lanes carry the same state, lane 0 is read)
+//     when the build targets AVX-512VL, and plain u64 otherwise. With
+//     AVX-512VL the two-lane body compiles to vprolq/vpternlogq over 32
+//     vector registers and beats the u64 body; without it (plain x86-64 or
+//     -mavx2) the vector word is the slower of the two (EXPERIMENTS.md,
+//     E-keccak1). The choice is made at compile time only.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <span>
+#include <type_traits>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
@@ -96,6 +104,14 @@ void keccak_f1600_g(KeccakStateT<L>& a) {
   }
 }
 
+/// The word the single-stream sponge runs its state in (see the file
+/// comment): the two-lane vector word only where AVX-512VL makes it faster.
+#if defined(__AVX512VL__)
+using SingleStreamLane = u64x2;
+#else
+using SingleStreamLane = u64;
+#endif
+
 /// Plain-lane entry point (the original API).
 void keccak_f1600(KeccakState& state);
 
@@ -113,6 +129,10 @@ template <typename B = u8>
 class BasicSponge {
  public:
   using Lane = ct::rebind_t<B, u64>;
+  /// The word the state is held and permuted in: SingleStreamLane for plain
+  /// bytes, Lane itself for Tainted ones. A u64 xored into a vector word goes
+  /// into every lane, so all lanes carry the same state.
+  using Word = std::conditional_t<std::is_same_v<Lane, u64>, SingleStreamLane, Lane>;
 
   BasicSponge(std::size_t rate_bytes, u8 domain) : rate_(rate_bytes), domain_(domain) {
     SABER_REQUIRE(rate_bytes > 0 && rate_bytes < 200 && rate_bytes % 8 == 0,
@@ -120,9 +140,10 @@ class BasicSponge {
   }
 
   /// The state may derive from secret input (SHA3-512 over m || H(pk), SHAKE
-  /// over a secret seed): it is wiped before the storage is released. The
-  /// positions are public counters.
-  ~BasicSponge() { secure_zeroize(std::span<Lane>(state_)); }
+  /// over a secret seed): it is wiped before the storage is released. It is
+  /// permuted in place, so no copy of it outlives the sponge. The positions
+  /// are public counters.
+  ~BasicSponge() { secure_zeroize(std::span<Word>(state_)); }
 
   /// Absorb more message bytes. Must not be called after finalize().
   /// Whenever the sponge position is lane-aligned and eight bytes remain,
@@ -174,7 +195,7 @@ class BasicSponge {
         permute_block();
         squeeze_pos_ = 0;
       }
-      const Lane& lane = state_[squeeze_pos_ / 8];
+      const Lane lane = lane0(state_[squeeze_pos_ / 8]);
       if (squeeze_pos_ % 8 == 0 && out.size() - i >= 8) {
         for (unsigned k = 0; k < 8; ++k) out[i + k] = ct::cast<u8>(lane >> (8 * k));
         i += 8;
@@ -189,7 +210,7 @@ class BasicSponge {
 
   /// Reset to the empty-message state (same rate/domain).
   void reset() {
-    state_.fill(Lane{0});
+    state_.fill(Word{});
     absorb_pos_ = 0;
     squeeze_pos_ = 0;
     finalized_ = false;
@@ -200,7 +221,15 @@ class BasicSponge {
  private:
   void permute_block() { keccak_f1600_g(state_); }
 
-  KeccakStateT<Lane> state_{};
+  static Lane lane0(const Word& w) {
+    if constexpr (is_u64xN_v<Word>) {
+      return w.v[0];
+    } else {
+      return w;
+    }
+  }
+
+  KeccakStateT<Word> state_{};
   std::size_t rate_;
   u8 domain_;
   std::size_t absorb_pos_ = 0;

@@ -222,6 +222,24 @@ TEST(Karatsuba, HandlesOddLengthsViaBaseCase) {
   EXPECT_EQ(kout, sout);
 }
 
+// acc += a * b on both leaf forms (short leaves multiply straight into the
+// output, longer ones through scratch), at the top level and under splits.
+TEST(Karatsuba, AccumulatesIntoNonzeroOutput) {
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 12u}) {
+    for (const unsigned levels : {0u, 1u, 8u}) {
+      std::vector<i64> a(n), b(n), kout(2 * n - 1), sout(2 * n - 1);
+      for (std::size_t i = 0; i < n; ++i) {
+        a[i] = static_cast<i64>(7 * i) - 9;
+        b[i] = 11 - static_cast<i64>(5 * i);
+      }
+      for (std::size_t i = 0; i < kout.size(); ++i) kout[i] = sout[i] = static_cast<i64>(i) - 3;
+      karatsuba_acc_g<i64>(a, b, kout, levels);
+      schoolbook_acc_g<i64>(a, b, sout);
+      EXPECT_EQ(kout, sout) << "n=" << n << " levels=" << levels;
+    }
+  }
+}
+
 TEST(Karatsuba, DepthZeroIsSchoolbook) {
   KaratsubaMultiplier k0(0);
   SchoolbookMultiplier sb;

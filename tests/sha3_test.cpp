@@ -8,6 +8,7 @@
 #include <new>
 #include <numeric>
 #include <ostream>
+#include <random>
 #include <string>
 #include <type_traits>
 
@@ -305,16 +306,94 @@ TEST(Keccak, FourLanePermutationMatchesScalar) {
   }
   keccak_f1600_x4(st4);
   for (std::size_t j = 0; j < 4; ++j) {
-    keccak_f1600(st[j]);
+    keccak_f1600_g<u64>(st[j]);
     for (std::size_t w = 0; w < 25; ++w) EXPECT_EQ(st4[w].v[j], st[j][w]) << j << " " << w;
+  }
+}
+
+// The two-lane word is instantiated here explicitly, so every build tests it,
+// including builds whose SingleStreamLane is plain u64. Each lane carries its
+// own random state and must match the u64 body.
+TEST(Keccak, TwoLanePermutationMatchesScalar) {
+  std::mt19937_64 rng(0x5EEDCAFEULL);
+  for (int trial = 0; trial < 1000; ++trial) {
+    KeccakStateT<u64x2> st2{};
+    std::array<KeccakState, 2> st{};
+    for (std::size_t w = 0; w < 25; ++w) {
+      for (std::size_t j = 0; j < 2; ++j) {
+        st[j][w] = rng();
+        st2[w].v[j] = st[j][w];
+      }
+    }
+    keccak_f1600_g<u64x2>(st2);
+    for (std::size_t j = 0; j < 2; ++j) {
+      keccak_f1600_g<u64>(st[j]);
+      for (std::size_t w = 0; w < 25; ++w) {
+        ASSERT_EQ(st2[w].v[j], st[j][w]) << "trial " << trial << " lane " << j << " word " << w;
+      }
+    }
+  }
+}
+
+TEST(Keccak, TwoLaneZeroStatePermutation) {
+  KeccakStateT<u64x2> st{};
+  keccak_f1600_g<u64x2>(st);
+  for (std::size_t j = 0; j < 2; ++j) {
+    EXPECT_EQ(st[0].v[j], 0xF1258F7940E1DDE7ULL);
+    EXPECT_EQ(st[1].v[j], 0x84D5CCF933C0478AULL);
+  }
+  keccak_f1600_g<u64x2>(st);
+  for (std::size_t j = 0; j < 2; ++j) EXPECT_EQ(st[0].v[j], 0x2D5C954DF96ECB3CULL);
+}
+
+// The production sponge (over SingleStreamLane) and the audit's sponge over
+// Tainted<u8> bytes (over Tainted<u64> lanes) hash alike, around one block
+// and over several, for inputs and SHAKE outputs of those lengths.
+TEST(Sponge, PlainAndTaintedBytesAgree) {
+  using TB = ct::Tainted<u8>;
+  const auto tainted = [](const std::vector<u8>& v) {
+    std::vector<TB> t;
+    for (const u8 b : v) t.emplace_back(b, true);
+    return t;
+  };
+  const auto raw = [](std::span<const TB> t) {
+    std::vector<u8> v;
+    for (const TB& b : t) v.push_back(b.raw());
+    return v;
+  };
+  const auto lengths = [](std::size_t rate) {
+    return std::array<std::size_t, 5>{0, rate - 1, rate, rate + 1, 3 * rate};
+  };
+  for (const std::size_t len : lengths(136)) {
+    const auto msg = iota_bytes(len);
+    const auto d = Sha3_256::hash(msg);
+    const auto dt = Sha3<32, TB>::hash(tainted(msg));
+    EXPECT_EQ(std::vector<u8>(d.begin(), d.end()), raw(dt)) << "SHA3-256 len=" << len;
+  }
+  for (const std::size_t len : lengths(72)) {
+    const auto msg = iota_bytes(len);
+    const auto d = Sha3_512::hash(msg);
+    const auto dt = Sha3<64, TB>::hash(tainted(msg));
+    EXPECT_EQ(std::vector<u8>(d.begin(), d.end()), raw(dt)) << "SHA3-512 len=" << len;
+  }
+  for (const std::size_t len : lengths(kShake128Rate)) {
+    const auto msg = iota_bytes(len);
+    for (const std::size_t out : lengths(kShake128Rate)) {
+      EXPECT_EQ(Shake128::hash(msg, out), raw(Shake<128, TB>::hash(tainted(msg), out)))
+          << "SHAKE-128 len=" << len << " out=" << out;
+    }
   }
 }
 
 // A sponge's state derives from its input, which may be secret: destroying
 // it must leave the state's storage zeroed. The state is the first member
-// of a standard-layout class, so it occupies the first 200 bytes.
+// of a standard-layout class, so it occupies the first bytes, as many as a
+// Keccak state over the sponge's word holds (200, or 400 for a two-lane
+// word).
 TEST(Sponge, DestroyedSpongeStorageIsZero) {
   static_assert(std::is_standard_layout_v<Sponge>);
+  constexpr std::size_t kStateBytes = sizeof(KeccakStateT<Sponge::Word>);
+  static_assert(kStateBytes >= sizeof(KeccakState));
   alignas(Sponge) unsigned char storage[sizeof(Sponge)];
   auto* sponge = new (storage) Sponge(136, 0x06);
   const auto msg = bytes_of("secret-derived input");
@@ -322,7 +401,7 @@ TEST(Sponge, DestroyedSpongeStorageIsZero) {
   u8 out[32];
   sponge->squeeze(out);
   sponge->~Sponge();
-  EXPECT_TRUE(std::all_of(storage, storage + sizeof(KeccakState),
+  EXPECT_TRUE(std::all_of(storage, storage + kStateBytes,
                           [](unsigned char c) { return c == 0; }));
 }
 

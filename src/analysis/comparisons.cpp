@@ -27,13 +27,14 @@ OpCounts product_ops(const mult::PolyMultiplier& m) {
     return karatsuba_ops(n, k->levels());
   }
   if (const auto* tc = dynamic_cast<const mult::ToomCookMultiplier*>(&m)) {
-    // Horner steps of both evaluations, one limb product per point, and the
+    // Horner steps of both evaluations, one limb product per point (the
+    // Karatsuba levels prepare applies over lane schoolbook leaves), and the
     // interpolation dot products; each step is one mult and one add.
     const auto& t = mult::toom_tables(tc->parts());
     const u64 points = t.points;
     const u64 steps = 2 * u64{t.parts - 1} * (points - 1) * t.part_len +
                       points * points * (2 * t.part_len - 1);
-    const auto limb = karatsuba_ops(t.part_len, 32);
+    const auto limb = karatsuba_ops(t.part_len, t.levels);
     return {steps + points * limb.coeff_mults, steps + points * limb.coeff_adds};
   }
   if (dynamic_cast<const mult::NttMultiplier*>(&m) != nullptr) {

@@ -12,8 +12,8 @@ namespace saber::mult {
 
 std::unique_ptr<PolyMultiplier> make_multiplier(std::string_view name) {
   if (name == "schoolbook") return std::make_unique<SchoolbookMultiplier>();
-  if (name == "toom4") return std::make_unique<ToomCook4Multiplier>();
-  if (name == "toom3") return std::make_unique<ToomCook3Multiplier>();
+  if (name == "toom4") return std::make_unique<ToomCookMultiplier>(4);
+  if (name == "toom3") return std::make_unique<ToomCookMultiplier>(3);
   if (name == "ntt") return std::make_unique<NttMultiplier>();
   if (name.starts_with("karatsuba-")) {
     const auto digits = name.substr(std::string_view{"karatsuba-"}.size());

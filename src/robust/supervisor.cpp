@@ -46,11 +46,6 @@ std::size_t BackendBreaker::pick_locked() const {
   return states_.size() - 1;
 }
 
-std::size_t BackendBreaker::pick() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return pick_locked();
-}
-
 std::size_t BackendBreaker::prepare_backend() {
   const std::lock_guard<std::mutex> lock(mu_);
   const std::size_t k = pick_locked();
@@ -104,6 +99,7 @@ std::size_t BackendBreaker::route(const CheckedMultiplier& m) {
       st.probe_passes = 0;
     }
   }
+  publish_locked();
   const std::size_t chosen = pick_locked();
   for (std::size_t i = 0; i < chosen; ++i) {
     ++states_[i].status.routed_around;
@@ -123,6 +119,7 @@ void BackendBreaker::note(std::size_t k, u64 faults) {
     ++st.status.quarantines;
     st.open_skips = 0;
     st.probe_passes = 0;
+    publish_locked();
   }
 }
 

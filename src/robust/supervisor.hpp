@@ -27,7 +27,8 @@
 // Thread model: the supervisor hands each KemBatch worker its own
 // CheckedMultiplier via make_worker_multiplier(): one instance over every
 // backend in priority order, with the worker's own fault counters, sharing
-// only the mutex-guarded breaker below.
+// only the mutex-guarded breaker below (whose split-path pick() reads an
+// atomic instead).
 // Split-transform caching stays sound across health changes — lazily,
 // copy-on-quarantine: a prepared transform materializes only the active
 // backend's image, next to the raw operand it came from and the backend's
@@ -40,6 +41,7 @@
 // invalidates a shared prepared matrix.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -96,8 +98,10 @@ class BackendBreaker {
   std::size_t size() const { return states_.size(); }
   std::vector<BackendStatus> status() const;
 
-  /// Backend for the next split-path step (no breaker timers advance).
-  std::size_t pick() const;
+  /// Backend for the next split-path step (no breaker timers advance): the
+  /// first-closed index the last state transition published, read without
+  /// the mutex.
+  std::size_t pick() const { return first_closed_.load(std::memory_order_acquire); }
   /// Backend for a prepare_* call (counted, so tests and the bench can
   /// prove the no-fault path materializes exactly one image).
   std::size_t prepare_backend();
@@ -119,6 +123,8 @@ class BackendBreaker {
   /// First closed backend in priority order, the last one if none is
   /// healthy. Requires mu_ held.
   std::size_t pick_locked() const;
+  /// Republish pick_locked() for pick(); after every state transition.
+  void publish_locked() { first_closed_.store(pick_locked(), std::memory_order_release); }
 
   SupervisorConfig config_;
   std::string facade_name_;
@@ -126,6 +132,7 @@ class BackendBreaker {
   ring::Poly probe_a_, probe_b_, probe_expected_;
   mutable std::mutex mu_;
   std::vector<State> states_;  ///< guarded by mu_
+  std::atomic<std::size_t> first_closed_{0};  ///< written under mu_
 };
 
 class BackendSupervisor {

@@ -31,15 +31,19 @@ void SpongeX4::absorb(const Lanes<std::span<const u8>>& in) {
                in[3].data() + off});
     keccak_f1600_x4(state_);
   }
-  // The last, partial block with BasicSponge's multi-rate padding.
-  Lanes<std::array<u8, 200>> tail{};
+  // The last, partial block with BasicSponge's multi-rate padding, built
+  // little-endian in tail_'s words.
+  const std::size_t rest = len - off;
   for (std::size_t j = 0; j < kLanes; ++j) {
-    std::copy(in[j].begin() + static_cast<std::ptrdiff_t>(off), in[j].end(), tail[j].begin());
-    tail[j][len - off] ^= domain_;
-    tail[j][rate_ - 1] ^= 0x80;
+    const u8* src = in[j].data() + off;
+    std::size_t i = 0;
+    for (; i + 8 <= rest; i += 8) tail_[i / 8].v[j] = load_le64(src + i);
+    for (; i < rest; ++i) tail_[i / 8].v[j] |= u64{src[i]} << (8 * (i % 8));
+    tail_[rest / 8].v[j] ^= u64{domain_} << (8 * (rest % 8));
+    tail_[rate_ / 8 - 1].v[j] ^= u64{0x80} << 56;
   }
-  xor_block({tail[0].data(), tail[1].data(), tail[2].data(), tail[3].data()});
-  secure_zeroize_object(tail);
+  for (std::size_t w = 0; w < rate_ / 8; ++w) state_[w] ^= tail_[w];
+  secure_zeroize(std::span<u64x4>(tail_));
   keccak_f1600_x4(state_);
   absorbed_ = true;
   fresh_ = true;

@@ -266,6 +266,9 @@ class SpongeX4 {
 
  private:
   KeccakStateT<u64x4> state_{};
+  /// The last, padded input block in state words, zero outside absorb():
+  /// wiped right after use with one store per word. Sits after state_.
+  KeccakStateT<u64x4> tail_{};
   std::size_t rate_;
   u8 domain_;
   bool absorbed_ = false;

@@ -405,6 +405,24 @@ TEST(Sponge, DestroyedSpongeStorageIsZero) {
                           [](unsigned char c) { return c == 0; }));
 }
 
+TEST(SpongeX4, PaddedTailIsZeroAfterAbsorb) {
+  // The four-lane sponge builds its last, padded block in the member right
+  // after its state and wipes it as soon as the block is absorbed.
+  static_assert(std::is_standard_layout_v<SpongeX4>);
+  constexpr std::size_t kStateBytes = sizeof(KeccakStateT<u64x4>);
+  static_assert(sizeof(SpongeX4) >= 2 * kStateBytes);
+  const auto zero = [](unsigned char c) { return c == 0; };
+  for (const std::size_t len : {std::size_t{5}, std::size_t{135}, std::size_t{200}}) {
+    alignas(SpongeX4) unsigned char storage[sizeof(SpongeX4)];
+    auto* sponge = new (storage) SpongeX4(136, 0x1F);
+    const auto in = lane_inputs(len);
+    sponge->absorb({in[0], in[1], in[2], in[3]});
+    EXPECT_TRUE(std::all_of(storage + kStateBytes, storage + 2 * kStateBytes, zero)) << len;
+    EXPECT_FALSE(std::all_of(storage, storage + kStateBytes, zero)) << len;
+    sponge->~SpongeX4();
+  }
+}
+
 // Permutation sanity: Keccak-f[1600] on the zero state has a known first lane
 // (from the FIPS 202 reference test vectors).
 TEST(Keccak, ZeroStatePermutation) {

@@ -35,6 +35,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -256,48 +257,6 @@ std::vector<double> interleaved_ns_per_call(
   return best;
 }
 
-struct OverheadRow {
-  std::string config;
-  double ns = 0.0;
-  double ratio = 1.0;  ///< vs the unchecked backend
-};
-
-std::vector<OverheadRow> multiplier_overhead(int iters) {
-  const struct {
-    const char* label;
-    CheckedConfig config;
-  } policies[] = {
-      {"off", {CheckPolicy::kOff}},
-      {"full", {CheckPolicy::kFull}},
-      {"full/point-eval", {CheckPolicy::kFull, CheckKind::kPointEval}},
-  };
-
-  std::vector<OverheadRow> rows;
-  std::vector<std::shared_ptr<const mult::PolyMultiplier>> mults;
-  rows.push_back({std::string(kBackend), 0.0, 1.0});
-  mults.push_back(mult::make_multiplier(kBackend));
-  for (const auto& p : policies) {
-    rows.push_back({"checked(" + std::string(kBackend) + ")/" + p.label});
-    mults.push_back(make_checked(kBackend, p.config));
-  }
-
-  Xoshiro256StarStar rng(4004);
-  const auto a = ring::Poly::random(rng, kQ);
-  const auto s = ring::SecretPoly::random(rng, 4);
-  volatile u16 sink = 0;  // keep the products alive without google-benchmark
-  std::vector<std::function<void()>> configs;
-  for (const auto& m : mults) {
-    configs.push_back([&sink, &a, &s, m] { sink = m->multiply_secret(a, s, kQ)[0]; });
-  }
-  const auto ns = interleaved_ns_per_call(configs, iters);
-  (void)sink;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    rows[i].ns = ns[i];
-    rows[i].ratio = ns[i] / ns[0];
-  }
-  return rows;
-}
-
 /// Median and quartiles of a sample (linear interpolation between order
 /// statistics, as Python's statistics.quantiles(method="inclusive")).
 struct Spread {
@@ -315,16 +274,102 @@ Spread spread_of(std::vector<double> v) {
   return {at(0.5), at(0.25), at(0.75)};
 }
 
-struct DecapsRow {
+/// One timed config: ns per call and its ratio to the first config (the
+/// unchecked baseline) within each repetition, as median and quartiles.
+struct TimedRow {
   std::string config;
   Spread ns;
-  Spread ratio;  ///< vs the unchecked scheme, within each repetition
+  Spread ratio;
 };
+
+/// Fills rows[i].ns/.ratio from `reps` repetitions of the interleaved
+/// timing: one run's per-config minimum still moves with the host by tens of
+/// percent, so every timed section reports the median and quartiles.
+template <class Row>
+void time_rows(std::vector<Row>& rows,
+               const std::vector<std::function<void()>>& configs, int iters, int reps) {
+  std::vector<std::vector<double>> ns(rows.size()), ratio(rows.size());
+  for (int r = 0; r < reps; ++r) {
+    const auto rep = interleaved_ns_per_call(configs, iters);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      ns[i].push_back(rep[i]);
+      ratio[i].push_back(rep[i] / rep[0]);
+    }
+  }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].ns = spread_of(ns[i]);
+    rows[i].ratio = spread_of(ratio[i]);
+  }
+}
+
+std::vector<TimedRow> multiplier_overhead(int iters, int reps) {
+  const struct {
+    const char* label;
+    CheckedConfig config;
+  } policies[] = {
+      {"off", {CheckPolicy::kOff}},
+      {"full", {CheckPolicy::kFull}},
+      {"full/point-eval", {CheckPolicy::kFull, CheckKind::kPointEval}},
+  };
+
+  std::vector<TimedRow> rows;
+  std::vector<std::shared_ptr<const mult::PolyMultiplier>> mults;
+  rows.push_back({std::string(kBackend), {}, {}});
+  mults.push_back(mult::make_multiplier(kBackend));
+  for (const auto& p : policies) {
+    rows.push_back({"checked(" + std::string(kBackend) + ")/" + p.label, {}, {}});
+    mults.push_back(make_checked(kBackend, p.config));
+  }
+
+  Xoshiro256StarStar rng(4004);
+  const auto a = ring::Poly::random(rng, kQ);
+  const auto s = ring::SecretPoly::random(rng, 4);
+  volatile u16 sink = 0;  // keep the products alive without google-benchmark
+  std::vector<std::function<void()>> configs;
+  for (const auto& m : mults) {
+    configs.push_back([&sink, &a, &s, m] { sink = m->multiply_secret(a, s, kQ)[0]; });
+  }
+  time_rows(rows, configs, iters, reps);
+  (void)sink;
+  return rows;
+}
+
+/// A FireSaber 4-term inner product over a prepared public row (the encaps
+/// shape <b, s'>, with the secrets prepared per call): plain toom3 against
+/// the supervised point-eval facade kembench's checked_batch runs.
+std::vector<TimedRow> inner_product_overhead(int iters, int reps) {
+  constexpr std::size_t kL = 4;
+  Xoshiro256StarStar rng(5005);
+  ring::PolyVec b(kL);
+  ring::SecretVec s(kL);
+  for (std::size_t i = 0; i < kL; ++i) {
+    b[i] = ring::Poly::random(rng, kQ);
+    s[i] = ring::SecretPoly::random(rng, 3);
+  }
+  SupervisorConfig cfg;
+  cfg.check = {CheckPolicy::kFull, CheckKind::kPointEval};
+  BackendSupervisor sup({kBackend, "ntt", "schoolbook"}, cfg);
+  const std::vector<std::shared_ptr<const mult::PolyMultiplier>> mults = {
+      mult::make_multiplier(kBackend), sup.make_worker_multiplier()};
+  std::vector<TimedRow> rows = {{std::string(kBackend), {}, {}},
+                                {std::string(sup.name()) + "/point-eval", {}, {}}};
+  std::vector<mult::PreparedVector> prepared;
+  for (const auto& m : mults) prepared.emplace_back(b, *m, kQ);
+  volatile u16 sink = 0;
+  std::vector<std::function<void()>> configs;
+  for (std::size_t i = 0; i < mults.size(); ++i) {
+    configs.push_back(
+        [&, i] { sink = mult::inner_product(prepared[i], s, *mults[i])[0]; });
+  }
+  time_rows(rows, configs, iters, reps);
+  (void)sink;
+  return rows;
+}
 
 /// Decaps cost per config over `reps` repetitions of the interleaved timing:
 /// a decaps is ~0.1-0.5 ms, so one run's per-config minimum still moves with
 /// the host by tens of percent; the rows report the median and quartiles.
-std::vector<DecapsRow> kem_decaps_overhead(int iters, int reps) {
+std::vector<TimedRow> kem_decaps_overhead(int iters, int reps) {
   kem::Seed sa{}, ss{};
   sa.fill(0x31);
   ss.fill(0x32);
@@ -345,7 +390,7 @@ std::vector<DecapsRow> kem_decaps_overhead(int iters, int reps) {
       {"checked/full/point-eval", CheckKind::kPointEval},
   };
 
-  std::vector<DecapsRow> rows;
+  std::vector<TimedRow> rows;
   std::vector<std::shared_ptr<kem::SaberKemScheme>> schemes;
   rows.push_back({std::string(kBackend), {}, {}});
   schemes.push_back(std::make_shared<kem::SaberKemScheme>(kem::kSaber, kBackend));
@@ -362,28 +407,14 @@ std::vector<DecapsRow> kem_decaps_overhead(int iters, int reps) {
     configs.push_back(
         [&sink, &enc, &keys, sch] { sink = sch->decaps(enc.ct, keys.sk)[0]; });
   }
-  std::vector<std::vector<double>> ns(rows.size()), ratio(rows.size());
-  for (int r = 0; r < reps; ++r) {
-    const auto rep = interleaved_ns_per_call(configs, iters);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      ns[i].push_back(rep[i]);
-      ratio[i].push_back(rep[i] / rep[0]);
-    }
-  }
+  time_rows(rows, configs, iters, reps);
   (void)sink;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    rows[i].ns = spread_of(ns[i]);
-    rows[i].ratio = spread_of(ratio[i]);
-  }
   return rows;
 }
 
 // --- supervised prepare cost ------------------------------------------------
 
-struct PrepareRow {
-  std::string config;
-  double ns = 0.0;
-  double ratio = 1.0;      ///< vs the raw backend
+struct PrepareRow : TimedRow {
   std::size_t values = 0;  ///< i64 values held by the prepared 3x3 matrix
 };
 
@@ -392,7 +423,7 @@ struct PrepareRow {
 /// (copy-on-quarantine), so its no-fault cost must track a single checked
 /// backend; the last row emulates the retired eager design that materialized
 /// every failover backend's image up front.
-std::vector<PrepareRow> supervised_prepare_cost(int iters) {
+std::vector<PrepareRow> supervised_prepare_cost(int iters, int reps) {
   constexpr std::size_t kL = 3;
   Xoshiro256StarStar rng(7007);
   ring::PolyMatrix a(kL, kL);
@@ -418,24 +449,18 @@ std::vector<PrepareRow> supervised_prepare_cost(int iters) {
                mult::PreparedMatrix(a, *checked_alt, kQ).value_count();
       },
   };
-  const auto ns = interleaved_ns_per_call(configs, iters);
+  std::vector<PrepareRow> rows(4);
+  rows[0].config = kBackend;
+  rows[1].config = "checked(" + std::string(kBackend) + ")";
+  rows[2].config = "supervised(" + std::string(kBackend) + ">ntt) lazy";
+  rows[3].config = "eager two-backend images (old)";
+  time_rows(rows, configs, iters, reps);
   (void)sink;
-
-  std::vector<PrepareRow> rows = {
-      {std::string(kBackend)},
-      {"checked(" + std::string(kBackend) + ")"},
-      {"supervised(" + std::string(kBackend) + ">ntt) lazy"},
-      {"eager two-backend images (old)"},
-  };
   rows[0].values = mult::PreparedMatrix(a, *raw, kQ).value_count();
   rows[1].values = mult::PreparedMatrix(a, *checked, kQ).value_count();
   rows[2].values = mult::PreparedMatrix(a, *supervised, kQ).value_count();
   rows[3].values = rows[1].values +
                    mult::PreparedMatrix(a, *checked_alt, kQ).value_count();
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    rows[i].ns = ns[i];
-    rows[i].ratio = ns[i] / ns[0];
-  }
   return rows;
 }
 
@@ -449,6 +474,21 @@ void print_campaign(const char* title, const Campaign& c) {
               c.recovered(), 100.0 * c.recovery_rate(), c.retry_recovered,
               c.failover_recovered);
   std::printf("  unrecovered         %4d\n\n", c.unrecovered);
+}
+
+void print_row(const TimedRow& r, const char* unit) {
+  std::printf("  %-34s %10.1f ns/%s [%.1f, %.1f]  (%.2fx [%.2f, %.2f])\n",
+              r.config.c_str(), r.ns.median, unit, r.ns.q1, r.ns.q3, r.ratio.median,
+              r.ratio.q1, r.ratio.q3);
+}
+
+/// `"<key>": median, "<key>_q1": ..., "<key>_q3": ..., "ratio": ...` of a row.
+void write_row_json(std::FILE* f, const TimedRow& r, const char* key) {
+  std::fprintf(f,
+               "\"config\": \"%s\", \"%s\": %.1f, \"%s_q1\": %.1f, \"%s_q3\": %.1f, "
+               "\"ratio\": %.3f, \"ratio_q1\": %.3f, \"ratio_q3\": %.3f",
+               r.config.c_str(), key, r.ns.median, key, r.ns.q1, key, r.ns.q3,
+               r.ratio.median, r.ratio.q1, r.ratio.q3);
 }
 
 void write_campaign_json(std::FILE* f, const char* key, const Campaign& c) {
@@ -484,16 +524,17 @@ int run(int argc, char** argv) {
   const int kArchStuckTrials = smoke ? 2 : 10;
   const int kMultIters = smoke ? 25 : 400;
   const int kDecapsIters = smoke ? 3 : 40;
-  const int kDecapsReps = smoke ? 2 : 7;
   const int kPrepareIters = smoke ? 8 : 120;
+  const int kReps = smoke ? 2 : 7;  // every timed section
 
   const auto transient = transient_campaign(kTrials);
   const auto stuck = stuck_at_campaign(kTrials);
   const auto arch_campaigns =
       architecture_campaigns(kArchTransientTrials, kArchStuckTrials);
-  const auto rows = multiplier_overhead(kMultIters);
-  const auto decaps = kem_decaps_overhead(kDecapsIters, kDecapsReps);
-  const auto prep = supervised_prepare_cost(kPrepareIters);
+  const auto rows = multiplier_overhead(kMultIters, kReps);
+  const auto inner = inner_product_overhead(kMultIters / 4, kReps);
+  const auto decaps = kem_decaps_overhead(kDecapsIters, kReps);
+  const auto prep = supervised_prepare_cost(kPrepareIters, kReps);
 
   std::printf("Fault-tolerance campaign (backend %s, mod 2^%u, policy full)%s\n\n",
               kBackend, kQ, smoke ? " [smoke]" : "");
@@ -515,26 +556,24 @@ int run(int argc, char** argv) {
   std::printf("  silent corruptions total: %d%s\n\n", total_silent,
               total_silent == 0 ? " (ok)" : "  ** FAILURE **");
 
-  std::printf("checking overhead, multiplier level (%d iters):\n", kMultIters);
-  for (const auto& r : rows) {
-    std::printf("  %-28s %10.1f ns/mult  (%.2fx)\n", r.config.c_str(), r.ns,
-                r.ratio);
-  }
+  std::printf(
+      "checking overhead, multiplier level (%d iters x %d repetitions, median "
+      "[q1, q3]):\n",
+      kMultIters, kReps);
+  for (const auto& r : rows) print_row(r, "mult");
+  std::printf("\nFireSaber 4-term inner product over a prepared row:\n");
+  for (const auto& r : inner) print_row(r, "row");
   std::printf(
       "\nchecking overhead, KEM decaps (%d iters x %d repetitions, median "
       "[q1, q3]):\n",
-      kDecapsIters, kDecapsReps);
-  for (const auto& d : decaps) {
-    std::printf("  %-28s %10.1f ns/decaps [%.1f, %.1f]  (%.2fx [%.2f, %.2f])\n",
-                d.config.c_str(), d.ns.median, d.ns.q1, d.ns.q3, d.ratio.median,
-                d.ratio.q1, d.ratio.q3);
-  }
+      kDecapsIters, kReps);
+  for (const auto& d : decaps) print_row(d, "decaps");
 
   std::printf("\nsupervised prepare cost, 3x3 public matrix (%d iters):\n",
               kPrepareIters);
   for (const auto& p : prep) {
-    std::printf("  %-32s %10.1f ns/prepare  (%.2fx, %zu i64 values)\n",
-                p.config.c_str(), p.ns, p.ratio, p.values);
+    print_row(p, "prepare");
+    std::printf("  %-32s %zu i64 values\n", "", p.values);
   }
 
   if (json_path != nullptr) {
@@ -559,38 +598,29 @@ int run(int argc, char** argv) {
                    c.silent, i + 1 < arch_campaigns.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"checking_overhead\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::fprintf(f,
-                   "    { \"config\": \"%s\", \"ns_per_multiply\": %.1f, "
-                   "\"ratio\": %.3f }%s\n",
-                   rows[i].config.c_str(), rows[i].ns, rows[i].ratio,
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"supervised_prepare\": [\n");
-    for (std::size_t i = 0; i < prep.size(); ++i) {
-      std::fprintf(f,
-                   "    { \"config\": \"%s\", \"ns_per_prepare\": %.1f, "
-                   "\"ratio\": %.3f, \"i64_values\": %zu }%s\n",
-                   prep[i].config.c_str(), prep[i].ns, prep[i].ratio,
-                   prep[i].values, i + 1 < prep.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"kem_decaps_overhead\": {\n"
-                 "    \"backend\": \"%s\",\n"
-                 "    \"repetitions\": %d,\n"
-                 "    \"rows\": [\n",
-                 kBackend, kDecapsReps);
+    const auto section = [f](const char* name, const auto& list, const char* key,
+                             const char* close) {
+      std::fprintf(f, "  \"%s\": [\n", name);
+      for (std::size_t i = 0; i < list.size(); ++i) {
+        std::fprintf(f, "    { ");
+        write_row_json(f, list[i], key);
+        if constexpr (std::is_same_v<std::decay_t<decltype(list[i])>, PrepareRow>) {
+          std::fprintf(f, ", \"i64_values\": %zu", list[i].values);
+        }
+        std::fprintf(f, " }%s\n", i + 1 < list.size() ? "," : "");
+      }
+      std::fprintf(f, "  ]%s\n", close);
+    };
+    std::fprintf(f, "  \"repetitions\": %d,\n", kReps);
+    section("checking_overhead", rows, "ns_per_multiply", ",");
+    section("inner_product_overhead", inner, "ns_per_row", ",");
+    section("supervised_prepare", prep, "ns_per_prepare", ",");
+    std::fprintf(f, "  \"kem_decaps_overhead\": {\n    \"backend\": \"%s\",\n"
+                 "    \"rows\": [\n", kBackend);
     for (std::size_t i = 0; i < decaps.size(); ++i) {
-      const auto& d = decaps[i];
-      std::fprintf(f,
-                   "      { \"config\": \"%s\", \"ns_per_decaps\": %.1f, "
-                   "\"ns_per_decaps_q1\": %.1f, \"ns_per_decaps_q3\": %.1f, "
-                   "\"ratio\": %.3f, \"ratio_q1\": %.3f, \"ratio_q3\": %.3f }%s\n",
-                   d.config.c_str(), d.ns.median, d.ns.q1, d.ns.q3, d.ratio.median,
-                   d.ratio.q1, d.ratio.q3, i + 1 < decaps.size() ? "," : "");
+      std::fprintf(f, "      { ");
+      write_row_json(f, decaps[i], "ns_per_decaps");
+      std::fprintf(f, " }%s\n", i + 1 < decaps.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n  }\n");
     std::fprintf(f, "}\n");

@@ -16,8 +16,8 @@
 # interquartile range (`*_iqr`) and the coefficient of variation
 # (`*_cv`, sample stddev / mean) of real time and of items_per_second.
 # bench_fault_campaign runs once: its rates are exact counts, and it repeats
-# its KEM decaps timing rows itself (median and quartiles); the provenance
-# names the repetitions of each timed section.
+# every timed section itself (median and quartiles); the provenance names
+# the repetitions of each timed section.
 #
 # Usage: scripts/bench_json.sh [build-dir]   (default: build-release)
 set -euo pipefail
@@ -147,10 +147,11 @@ provenance = json.load(open(sys.argv[3]))
 body = open(sys.argv[1]).read()
 if not body.startswith("{\n"):
     sys.exit("error: unexpected bench_fault_campaign output")
+reps = json.loads(body)["repetitions"]
 provenance["repetitions"] = {
-    "checking_overhead": 1,
-    "supervised_prepare": 1,
-    "kem_decaps_overhead": json.loads(body)["kem_decaps_overhead"]["repetitions"],
+    section: reps
+    for section in ("checking_overhead", "inner_product_overhead",
+                    "supervised_prepare", "kem_decaps_overhead")
 }
 text = '{\n  "provenance": ' + json.dumps(provenance) + ",\n" + body[2:]
 json.loads(text)  # still one valid document

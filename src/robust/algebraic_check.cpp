@@ -13,6 +13,9 @@ using mult::u128;
 namespace {
 
 constexpr std::size_t kTwoN = 2 * ring::kN;  // 512, the negacyclic order
+/// Rows of the all-root evaluation: two 31-bit halves per root.
+constexpr std::size_t kLanes = 2 * PointChecker::kNumSharedRoots;
+using Evals = PointChecker::RootEvals;
 
 /// Smallest prime above 2^60 with P == 1 (mod 2N), found once at first use.
 /// 2^60 comfortably exceeds the 2^13 * 256 * q bound the check needs (every
@@ -44,12 +47,14 @@ PointChecker::PointChecker(std::span<const unsigned> coset_indices) {
 }
 
 void PointChecker::build(std::span<const unsigned> coset_indices) {
-  SABER_REQUIRE(!coset_indices.empty(), "point checker needs at least one root");
+  SABER_REQUIRE(!coset_indices.empty() && coset_indices.size() <= kNumSharedRoots,
+                "point checker needs one to kNumSharedRoots roots");
   prime_ = find_prime();
   num_roots_ = coset_indices.size();
   const u64 omega = find_root(prime_);
   pow_.resize(num_roots_ * kPowStride);
   pow_sums_.resize(num_roots_);
+  halves_.assign(ring::kN * kLanes, 0);
   for (std::size_t r = 0; r < num_roots_; ++r) {
     // Odd powers of omega are exactly the roots of x^N + 1 mod P.
     const u64 xr = mult::powmod(
@@ -58,6 +63,10 @@ void PointChecker::build(std::span<const unsigned> coset_indices) {
     row[0] = 1;
     for (std::size_t i = 1; i < kPowStride; ++i) {
       row[i] = mult::mulmod(row[i - 1], xr, prime_);
+    }
+    for (std::size_t i = 0; i < ring::kN; ++i) {
+      halves_[2 * r * ring::kN + i] = static_cast<i64>(row[i] & ((u64{1} << 31) - 1));
+      halves_[(2 * r + 1) * ring::kN + i] = static_cast<i64>(row[i] >> 31);
     }
     u64 sum = 0;
     for (std::size_t i = 0; i < kPowStride; ++i) {
@@ -77,49 +86,88 @@ std::size_t PointChecker::draw_root() const {
   return clock_.fetch_add(1, std::memory_order_relaxed) % num_roots_;
 }
 
-// The evaluations add (c_i + bias) * x^i, which is never negative, and
-// subtract bias * sum_i x^i (precomputed per root and length) once: no branch
-// on the sign of a coefficient, and the same residue the signed sum has.
-// Biased coefficients stay below 2^56 and powers below 2^61, so up to 2N-1
-// lazily accumulated products stay below 2^126 < 2^128.
-template <typename Coeff>
-u64 PointChecker::eval_biased(std::size_t n, Coeff coeff, u64 bias,
-                              std::size_t root) const {
-  SABER_REQUIRE(n == ring::kN || n == kPowStride, "witness length is neither N nor 2N-1");
-  const u64* pw = powers(root);
-  u128 acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<u128>(static_cast<u64>(coeff(i)) + bias) * pw[i];
+// |c_i| <= 2^15 and halves below 2^31: a row sums 256 signed products below
+// 2^46, and v = hi * 2^31 + lo lies inside +-2^86. The offset P * 2^26 makes
+// v nonnegative (the casts wrap mod 2^128, so the sum is exact), and
+// 2^60 == -(P - 2^60) (mod P) folds it below 2P without a division.
+template <typename W>
+Evals PointChecker::eval_lanes(const std::array<i64, ring::kN>& c) const {
+  using LA = mult::LaneAccess<W>;
+  std::array<i64, kLanes> sums{};
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    W acc{};
+    for (std::size_t i = 0; i < ring::kN; i += LA::kWidth) {
+      acc += LA::mul(LA::load(&c[i]), LA::load(&halves_[l * ring::kN + i]));
+    }
+    std::array<i64, LA::kWidth> part;
+    LA::store(part.data(), acc);
+    for (const i64 x : part) sums[l] += x;
   }
-  const u64 pw_sum = pow_sums_[root][n == ring::kN ? 0 : 1];
-  return mult::submod(static_cast<u64>(acc % prime_),
-                      mult::mulmod(bias % prime_, pw_sum, prime_), prime_);
+  RootEvals e{};
+  for (std::size_t r = 0; r < num_roots_; ++r) {
+    const u128 v = (static_cast<u128>(sums[2 * r + 1]) << 31) +
+                   static_cast<u128>(sums[2 * r]) + (static_cast<u128>(prime_) << 26);
+    const u64 x = static_cast<u64>(v & ((u128{1} << 60) - 1)) + prime_ -
+                  static_cast<u64>(v >> 60) * (prime_ - (u64{1} << 60));
+    e[r] = x >= prime_ ? x - prime_ : x;
+  }
+  return e;
 }
+
+template <typename W>
+Evals PointChecker::eval_all(const ring::Poly& a, unsigned qbits) const {
+  std::array<i64, ring::kN> c;
+  for (std::size_t i = 0; i < ring::kN; ++i) c[i] = ring::centered(a[i], qbits);
+  return eval_lanes<W>(c);
+}
+
+template <typename W>
+Evals PointChecker::eval_all(const ring::SecretPoly& s) const {
+  std::array<i64, ring::kN> c;
+  for (std::size_t i = 0; i < ring::kN; ++i) c[i] = s[i];
+  return eval_lanes<W>(c);
+}
+
+template Evals PointChecker::eval_all<i64>(const ring::Poly&, unsigned) const;
+template Evals PointChecker::eval_all<i64x8>(const ring::Poly&, unsigned) const;
+template Evals PointChecker::eval_all<i64>(const ring::SecretPoly&) const;
+template Evals PointChecker::eval_all<i64x8>(const ring::SecretPoly&) const;
 
 u64 PointChecker::eval_public(const ring::Poly& a, unsigned qbits,
                               std::size_t root) const {
-  // Centered lift so the evaluation matches the integers every backend
-  // actually convolves. A u16 coefficient lifts to at least -2^15 at any
-  // qbits, and below 2^16.
-  return eval_biased(
-      ring::kN, [&](std::size_t i) -> i64 { return ring::centered(a[i], qbits); },
-      u64{1} << 15, root);
+  SABER_REQUIRE(root < num_roots_, "root index out of range");
+  return eval_all(a, qbits)[root];
 }
 
 u64 PointChecker::eval_secret(const ring::SecretPoly& s, std::size_t root) const {
-  return eval_biased(
-      ring::kN, [&](std::size_t i) -> i64 { return s[i]; }, 128, root);
+  SABER_REQUIRE(root < num_roots_, "root index out of range");
+  return eval_all(s)[root];
 }
 
+// The witness adds (c_i + 2^55) * x^i >= 0 and subtracts 2^55 * sum_i x^i
+// (precomputed per root and length) once: no branch on a coefficient's sign.
+// Biased coefficients stay below 2^56 and powers below 2^61, so up to 2N-1
+// lazily accumulated products stay below 2^126. |w_i| < 2^55 is checked once
+// over the whole witness: the per-coefficient test is a flag OR.
 u64 PointChecker::eval_witness(std::span<const i64> w, std::size_t root) const {
-  // |w_i| < 2^55, checked once over the whole witness: the per-coefficient
-  // test is a flag OR, not a branch.
   constexpr i64 kMaxMag = i64{1} << 55;
+  SABER_REQUIRE(w.size() == ring::kN || w.size() == kPowStride,
+                "witness length is neither N nor 2N-1");
   bool out_of_range = false;
   for (const i64 c : w) out_of_range |= (c >= kMaxMag) | (c <= -kMaxMag);
   SABER_REQUIRE(!out_of_range, "witness coefficient too large");
-  return eval_biased(
-      w.size(), [&](std::size_t i) { return w[i]; }, static_cast<u64>(kMaxMag), root);
+  const u64* pw = powers(root);
+  u128 acc = 0, odd = 0;  // two chains of carries
+  std::size_t i = 0;
+  for (; i + 1 < w.size(); i += 2) {
+    acc += static_cast<u128>(static_cast<u64>(w[i] + kMaxMag)) * pw[i];
+    odd += static_cast<u128>(static_cast<u64>(w[i + 1] + kMaxMag)) * pw[i + 1];
+  }
+  if (i < w.size()) acc += static_cast<u128>(static_cast<u64>(w[i] + kMaxMag)) * pw[i];
+  acc += odd;
+  const u64 pw_sum = pow_sums_[root][w.size() == ring::kN ? 0 : 1];
+  return mult::submod(static_cast<u64>(acc % prime_),
+                      mult::mulmod(u64{1} << 55, pw_sum, prime_), prime_);
 }
 
 bool PointChecker::verify(u64 ea, u64 es, u64 ew) const {

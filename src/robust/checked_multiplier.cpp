@@ -1,6 +1,7 @@
 #include "robust/checked_multiplier.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 #include <type_traits>
 
@@ -26,80 +27,70 @@ constexpr i64 kAccMagic = 0x5ABE'C4EC'0000'0003LL;
 
 // Layout of a checked transform, known to this file alone:
 //
-//   operand      inner image of backend k | raw N coefficients | qbits | k | magic
-//   accumulator  inner accumulator of backend k | n x (raw a | raw s | qbits)
-//                | n | k | magic
+//   operand      inner image of backend k | packed raw operand | E | qbits | k
+//                | magic
+//   accumulator  inner accumulator of backend k
+//                | n x (packed raw a | packed raw s | qbits) | S | n | k | magic
 //
-// k indexes the instance's backends in priority order; it is 0 unless a
-// BackendSupervisor built the instance.
+// A packed public holds four u16 coefficients per word (64 words), a packed
+// secret eight i8 (32 words). E is the operand at every shared root, from
+// prepare time; S is sum_pairs a(x_r) * s(x_r) per root. Both are mod the
+// checker's prime and independent of the backend, so a migrated accumulator
+// keeps them. k indexes the instance's backends in priority order; it is 0
+// unless a BackendSupervisor built the instance.
 constexpr std::size_t kNn = ring::kN;
-/// Footer of an operand after the inner image.
-constexpr std::size_t kOperandTail = kNn + 3;
-/// Footer of an accumulator after its pairs.
-constexpr std::size_t kAccTail = 3;
-/// One (raw a, raw s, qbits) pair embedded in an accumulator.
-constexpr std::size_t kPairLen = 2 * kNn + 1;
+constexpr std::size_t kRoots = PointChecker::kNumSharedRoots;
+constexpr std::size_t kPubWords = sizeof(ring::Poly::c) / sizeof(i64);
+constexpr std::size_t kSecWords = sizeof(ring::SecretPoly::c) / sizeof(i64);
+/// The footer: E or S, then qbits or n, k and the magic.
+constexpr std::size_t kTail = kRoots + 3;
+/// One (packed a, packed s, qbits) pair embedded in an accumulator.
+constexpr std::size_t kPairLen = kPubWords + kSecWords + 1;
 
-/// A checked operand, sliced: backend k's image and the raw operand.
-struct OperandView {
-  std::span<const i64> inner;
-  std::span<const i64> raw;  ///< kN coefficients
-  unsigned qbits;
-  std::size_t backend;
+/// A checked transform, sliced: backend k's image or accumulator, the raw
+/// words (an operand's packed coefficients, an accumulator's pairs), E or S,
+/// and the count (an operand's qbits, an accumulator's n).
+struct View {
+  std::span<const i64> inner, raw, roots;
+  std::size_t count, backend;
 };
 
-OperandView parse_operand(std::span<const i64> t, i64 magic, std::size_t backends,
-                          const char* what) {
-  SABER_REQUIRE(t.size() >= kOperandTail && t.back() == magic, what);
+/// `unit`: an operand's packed words, or one pair of an accumulator.
+View parse(std::span<const i64> t, i64 magic, std::size_t unit, std::size_t backends,
+           const char* what) {
+  SABER_REQUIRE(t.size() >= kTail && t.back() == magic, what);
+  const auto count = static_cast<std::size_t>(t[t.size() - 3]);
   const auto backend = static_cast<std::size_t>(t[t.size() - 2]);
-  const auto qbits = static_cast<unsigned>(t[t.size() - 3]);
-  SABER_REQUIRE(backend < backends, "checked transform backend out of range");
-  SABER_REQUIRE(qbits >= 1 && qbits <= 16, "checked transform qbits corrupt");
-  const std::size_t inner_len = t.size() - kOperandTail;
-  return {t.first(inner_len), t.subspan(inner_len, kNn), qbits, backend};
+  const bool acc = magic == kAccMagic;
+  SABER_REQUIRE(backend < backends &&
+                    (acc ? count <= (t.size() - kTail) / unit
+                         : count >= 1 && count <= 16 && unit <= t.size() - kTail),
+                "corrupt checked transform footer");
+  const std::size_t raw = acc ? count * unit : unit;
+  const std::size_t inner_len = t.size() - kTail - raw;
+  return {t.first(inner_len), t.subspan(inner_len, raw),
+          t.subspan(t.size() - kTail, kRoots), count, backend};
 }
 
-/// A checked accumulator, sliced: backend k's accumulator and the raw pairs.
-struct AccView {
-  std::span<const i64> inner;
-  std::span<const i64> pairs;  ///< n_pairs * kPairLen values
-  std::size_t backend;
-};
-
-AccView parse_acc(std::span<const i64> acc, std::size_t backends) {
-  SABER_REQUIRE(acc.size() >= kAccTail && acc.back() == kAccMagic,
-                "not a checked-multiplier accumulator");
-  const auto backend = static_cast<std::size_t>(acc[acc.size() - 2]);
-  const auto n = static_cast<std::size_t>(acc[acc.size() - 3]);
-  SABER_REQUIRE(backend < backends, "checked accumulator backend out of range");
-  SABER_REQUIRE(n <= (acc.size() - kAccTail) / kPairLen,
-                "corrupt checked accumulator header");
-  const std::size_t inner_len = acc.size() - kAccTail - n * kPairLen;
-  return {acc.first(inner_len), acc.subspan(inner_len, n * kPairLen), backend};
-}
-
-/// Append the operand footer to backend k's image.
 template <class P>
-mult::Transformed with_raw(mult::Transformed t, const P& p, unsigned qbits,
+P unpack(std::span<const i64> words) {
+  P p;
+  std::memcpy(p.c.data(), words.data(), sizeof p.c);
+  return p;
+}
+
+/// Append the operand footer to backend k's image, p packed bytewise.
+template <class P>
+mult::Transformed with_raw(mult::Transformed t, const P& p,
+                           const PointChecker::RootEvals& evals, unsigned qbits,
                            std::size_t k, i64 magic) {
-  t.reserve(t.size() + kOperandTail);
-  for (std::size_t i = 0; i < kNn; ++i) t.push_back(p[i]);
-  t.push_back(static_cast<i64>(qbits));
-  t.push_back(static_cast<i64>(k));
-  t.push_back(magic);
+  const std::size_t at = t.size();
+  t.reserve(at + sizeof p.c / sizeof(i64) + kTail);
+  t.resize(at + sizeof p.c / sizeof(i64));
+  std::memcpy(t.data() + at, p.c.data(), sizeof p.c);
+  t.insert(t.end(), evals.begin(), evals.end());
+  t.insert(t.end(), {static_cast<i64>(qbits), static_cast<i64>(k), magic});
   return t;
-}
-
-ring::Poly raw_public(std::span<const i64> raw) {
-  ring::Poly a;
-  for (std::size_t i = 0; i < kNn; ++i) a[i] = static_cast<u16>(raw[i]);
-  return a;
-}
-
-ring::SecretPoly raw_secret(std::span<const i64> raw) {
-  ring::SecretPoly s;
-  for (std::size_t i = 0; i < kNn; ++i) s[i] = static_cast<i8>(raw[i]);
-  return s;
 }
 
 /// Calls f(a, s, qbits) for every raw pair of an accumulator, in
@@ -108,8 +99,9 @@ template <class F>
 void for_each_pair(std::span<const i64> pairs, F f) {
   for (std::size_t off = 0; off < pairs.size(); off += kPairLen) {
     const auto p = pairs.subspan(off, kPairLen);
-    f(raw_public(p.first(kNn)), raw_secret(p.subspan(kNn, kNn)),
-      static_cast<unsigned>(p[2 * kNn]));
+    f(unpack<ring::Poly>(p.first(kPubWords)),
+      unpack<ring::SecretPoly>(p.subspan(kPubWords, kSecWords)),
+      static_cast<unsigned>(p[kPubWords + kSecWords]));
   }
 }
 
@@ -131,12 +123,12 @@ mult::Transformed replay(const mult::PolyMultiplier& backend,
 /// Backend k's accumulator of a checked one: a copy when it lives on k
 /// already, else its pairs replayed on k — the migration across a failover
 /// boundary, counted as two lazy prepares per pair.
-mult::Transformed accumulator_on(const AccView& v, std::size_t k,
+mult::Transformed accumulator_on(const View& v, std::size_t k,
                                  const mult::PolyMultiplier& backend,
                                  BackendBreaker* breaker) {
   if (v.backend == k) return {v.inner.begin(), v.inner.end()};
-  breaker->count_lazy(k, 2 * v.pairs.size() / kPairLen);
-  return replay(backend, v.pairs);
+  breaker->count_lazy(k, 2 * v.raw.size() / kPairLen);
+  return replay(backend, v.raw);
 }
 
 ring::Poly reference_sum(const mult::PolyMultiplier& reference,
@@ -148,49 +140,29 @@ ring::Poly reference_sum(const mult::PolyMultiplier& reference,
   return sum;
 }
 
-/// Algebraic verification of one product via the backend's split pipeline.
-/// Returns false (leaving `product` untouched) when the point check fails or
-/// the corrupted state trips a backend invariant.
-bool algebraic_multiply(const mult::PolyMultiplier& backend, const ring::Poly& a,
-                        const ring::Poly& b, unsigned qbits, ring::Poly& product) {
-  const auto& pc = shared_point_checker();
-  // Rotating per-check root: an adversarial defect tuned to one published
-  // evaluation point does not know which root this check lands on.
-  const std::size_t root = pc.draw_root();
+/// The point check (kPointEval) at a rotating root, which a defect tuned to
+/// one point cannot predict: `witness()` ends on the backend's exact
+/// integers, `expect(root)` is the products' evaluation.
+/// The witness folds to the N exact integers of the negacyclic remainder
+/// (wrapping, so a corrupt one cannot overflow); those are evaluated and, on
+/// a match, masked into `product`. Folded coefficients are sums of N
+/// products: |f_i| <= terms * 2^30 (2^38 for a public x public product), far
+/// inside eval_witness's 2^55 at every backend's max_accumulated_terms.
+/// False on a mismatch or a tripped backend invariant: both are detections.
+template <class Witness, class Expect>
+bool point_check(Witness witness, Expect expect, unsigned qbits, ring::Poly& product) {
+  const std::size_t root = shared_point_checker().draw_root();
   try {
-    // The witness instead of multiply(): same work, but it ends on the
-    // exact integers the point check needs. The verified witness then folds
-    // to the product, so nothing is computed twice.
-    const auto w = backend.multiply_witness(a, b, qbits);
-    if (!pc.verify(pc.eval_public(a, qbits, root), pc.eval_public(b, qbits, root),
-                   pc.eval_witness(w, root))) {
-      return false;
+    const std::vector<i64> w = witness();
+    SABER_REQUIRE(w.size() == kNn || w.size() == 2 * kNn - 1,
+                  "witness length is neither N nor 2N-1");
+    std::array<i64, kNn> f;
+    std::copy_n(w.begin(), kNn, f.begin());
+    for (std::size_t i = 0; i + kNn < w.size(); ++i) {
+      f[i] = static_cast<i64>(static_cast<u64>(f[i]) - static_cast<u64>(w[i + kNn]));
     }
-    product = mult::reduce_witness<ring::kN>(std::span<const i64>(w), qbits);
-    return true;
-  } catch (const ContractViolation&) {
-    // Corrupted transform state can trip a backend invariant (e.g. Toom-Cook's
-    // exact-division ENSURE) before a witness exists; that is a detection.
-    return false;
-  }
-}
-
-/// Algebraic verification of an accumulated row against its raw pairs.
-bool algebraic_finalize(const mult::PolyMultiplier& backend,
-                        const mult::Transformed& inner_acc, std::span<const i64> pairs,
-                        unsigned qbits, ring::Poly& product) {
-  const auto& pc = shared_point_checker();
-  const std::size_t root = pc.draw_root();
-  try {
-    const auto w = backend.finalize_witness(inner_acc);
-    // The check is linear in the accumulated terms: sum_k a_k(x_r) * s_k(x_r)
-    // must equal w(x_r), each public operand lifted at its own modulus.
-    u64 sum = 0;
-    for_each_pair(pairs, [&](const ring::Poly& a, const ring::SecretPoly& s, unsigned q) {
-      sum = pc.add(sum, pc.mul(pc.eval_public(a, q, root), pc.eval_secret(s, root)));
-    });
-    if (pc.eval_witness(w, root) != sum) return false;
-    product = mult::reduce_witness<ring::kN>(std::span<const i64>(w), qbits);
+    if (shared_point_checker().eval_witness(f, root) != expect(root)) return false;
+    product = mult::reduce_witness<kNn>(std::span<const i64>(f), qbits);
     return true;
   } catch (const ContractViolation&) {
     return false;
@@ -345,7 +317,17 @@ ring::Poly CheckedMultiplier::multiply_on(std::size_t k, const ring::Poly& a,
                        qbits, faults};
   return ladder(
       config_, sink, run,
-      [&](ring::Poly& p) { return algebraic_multiply(backend, a, b, qbits, p); }, run,
+      [&](ring::Poly& p) {
+        // The witness instead of multiply(): the same work, checkable.
+        return point_check([&] { return backend.multiply_witness(a, b, qbits); },
+                           [&](std::size_t r) {
+                             const auto& pc = shared_point_checker();
+                             return pc.mul(pc.eval_public(a, qbits, r),
+                                           pc.eval_public(b, qbits, r));
+                           },
+                           qbits, p);
+      },
+      run,
       [&] { return fallback_->multiply(a, b, qbits); });
 }
 
@@ -359,76 +341,86 @@ ring::Poly CheckedMultiplier::multiply(const ring::Poly& a, const ring::Poly& b,
 mult::Transformed CheckedMultiplier::prepare_public(const ring::Poly& a,
                                                     unsigned qbits) const {
   const std::size_t k = breaker_ ? breaker_->prepare_backend() : 0;
-  return with_raw(backends_[k]->prepare_public(a, qbits), a, qbits, k, kPubMagic);
+  return with_raw(backends_[k]->prepare_public(a, qbits), a,
+                  shared_point_checker().eval_all(a, qbits), qbits, k, kPubMagic);
 }
 
 mult::Transformed CheckedMultiplier::prepare_secret(const ring::SecretPoly& s,
                                                     unsigned qbits) const {
   const std::size_t k = breaker_ ? breaker_->prepare_backend() : 0;
-  return with_raw(backends_[k]->prepare_secret(s, qbits), s, qbits, k, kSecMagic);
+  return with_raw(backends_[k]->prepare_secret(s, qbits), s,
+                  shared_point_checker().eval_all(s), qbits, k, kSecMagic);
 }
 
 mult::Transformed CheckedMultiplier::make_accumulator() const {
   const std::size_t k = breaker_ ? breaker_->pick() : 0;
   auto acc = backends_[k]->make_accumulator();
-  acc.push_back(0);  // n_pairs
-  acc.push_back(static_cast<i64>(k));
-  acc.push_back(kAccMagic);
+  // Room for Saber's longest row (four pairs): its accumulations run in place.
+  acc.reserve(acc.size() + 4 * kPairLen + kTail);
+  acc.insert(acc.end(), kRoots, 0);  // S
+  acc.insert(acc.end(), {0, static_cast<i64>(k), kAccMagic});
   return acc;
 }
 
-// Split-transform path under a supervisor — lazy, copy-on-quarantine. A
-// prepared operand holds ONE backend's image (whichever backend was healthy
-// at prepare time), so the no-fault path pays exactly one backend's prepare
-// cost and memory. When a later step routes to a different backend j — i.e.
-// after a quarantine — it re-prepares backend j's image on demand from the
-// raw operand (`lazy_prepares` in the status snapshot), and an accumulator
-// started on another backend migrates to j by replaying its raw pairs. The
-// shared transform itself is immutable, so a mid-batch failover never
-// invalidates a shared prepared matrix: each re-preparation is a private
-// copy. Without a supervisor every transform lives on backend 0.
+// Under a supervisor an operand holds the image of the backend healthy at
+// prepare time; a step routed elsewhere re-prepares from the raw operand or
+// replays the raw pairs (lazy, copy-on-quarantine: see supervisor.hpp).
 
 void CheckedMultiplier::pointwise_accumulate(mult::Transformed& acc,
                                              const mult::Transformed& a,
                                              const mult::Transformed& s) const {
   const std::size_t nb = backends_.size();
-  const auto view = parse_acc(acc, nb);
-  const auto pa = parse_operand(a, kPubMagic, nb, "not a checked public transform");
-  const auto ps = parse_operand(s, kSecMagic, nb, "not a checked secret transform");
+  const auto view = parse(acc, kAccMagic, kPairLen, nb, "not a checked accumulator");
+  const auto pa = parse(a, kPubMagic, kPubWords, nb, "not a checked public transform");
+  const auto ps = parse(s, kSecMagic, kSecWords, nb, "not a checked secret transform");
   const std::size_t j = breaker_ ? breaker_->pick() : 0;
   const auto& backend = *backends_[j];
+  const auto& pc = shared_point_checker();
 
-  // Delegate on backend j's slices (the backend sees exactly the layout it
-  // produced), then append the new pair: the pair keeps the public operand's
-  // modulus, as a prepared secret may come from another modulus (see
-  // mult::prepare_secrets).
-  auto next = accumulator_on(view, j, backend, breaker_.get());
+  // Set the tail aside, grown by the new pair (at the public operand's modulus:
+  // see mult::prepare_secrets) and the updated sums.
+  mult::Transformed tail;
+  tail.reserve(view.raw.size() + kPairLen + kTail);
+  for (const auto words : {view.raw, pa.raw, ps.raw}) {
+    tail.insert(tail.end(), words.begin(), words.end());
+  }
+  tail.push_back(static_cast<i64>(pa.count));
+  for (std::size_t r = 0; r < kRoots; ++r) {
+    tail.push_back(static_cast<i64>(
+        pc.add(static_cast<u64>(view.roots[r]),
+               pc.mul(static_cast<u64>(pa.roots[r]), static_cast<u64>(ps.roots[r])))));
+  }
+  tail.insert(tail.end(),
+              {static_cast<i64>(view.count + 1), static_cast<i64>(j), kAccMagic});
+
+  // Accumulate in place on backend j's slices (the backend sees exactly the
+  // layout it produced), then re-append the tail. If the backend throws, acc
+  // is left without its tail and no longer parses.
+  if (view.backend == j) {
+    acc.resize(view.inner.size());
+  } else {
+    acc = accumulator_on(view, j, backend, breaker_.get());
+  }
   const auto public_image = [&] {
     if (pa.backend == j) return mult::Transformed(pa.inner.begin(), pa.inner.end());
     breaker_->count_lazy(j, 1);
-    return backend.prepare_public(raw_public(pa.raw), pa.qbits);
+    return backend.prepare_public(unpack<ring::Poly>(pa.raw),
+                                  static_cast<unsigned>(pa.count));
   };
   const auto secret_image = [&] {
     if (ps.backend == j) return mult::Transformed(ps.inner.begin(), ps.inner.end());
     breaker_->count_lazy(j, 1);
-    return backend.prepare_secret(raw_secret(ps.raw), ps.qbits);
+    return backend.prepare_secret(unpack<ring::SecretPoly>(ps.raw),
+                                  static_cast<unsigned>(ps.count));
   };
-  backend.pointwise_accumulate(next, public_image(), secret_image());
-
-  next.reserve(next.size() + view.pairs.size() + kPairLen + kAccTail);
-  next.insert(next.end(), view.pairs.begin(), view.pairs.end());
-  next.insert(next.end(), pa.raw.begin(), pa.raw.end());
-  next.insert(next.end(), ps.raw.begin(), ps.raw.end());
-  next.push_back(static_cast<i64>(pa.qbits));
-  next.push_back(static_cast<i64>(view.pairs.size() / kPairLen + 1));
-  next.push_back(static_cast<i64>(j));
-  next.push_back(kAccMagic);
-  acc = std::move(next);
+  backend.pointwise_accumulate(acc, public_image(), secret_image());
+  acc.insert(acc.end(), tail.begin(), tail.end());
 }
 
 ring::Poly CheckedMultiplier::finalize(const mult::Transformed& acc,
                                        unsigned qbits) const {
-  const auto view = parse_acc(acc, backends_.size());
+  const auto view =
+      parse(acc, kAccMagic, kPairLen, backends_.size(), "not a checked accumulator");
   return routed([&](std::size_t k, u64& faults) {
     const auto& backend = *backends_[k];
     const auto inner = accumulator_on(view, k, backend, breaker_.get());
@@ -437,10 +429,12 @@ ring::Poly CheckedMultiplier::finalize(const mult::Transformed& acc,
     return ladder(
         config_, sink, [&] { return backend.finalize(inner, qbits); },
         [&](ring::Poly& p) {
-          return algebraic_finalize(backend, inner, view.pairs, qbits, p);
+          return point_check(
+              [&] { return backend.finalize_witness(inner); },
+              [&](std::size_t r) { return static_cast<u64>(view.roots[r]); }, qbits, p);
         },
-        [&] { return backend.finalize(replay(backend, view.pairs), qbits); },
-        [&] { return reference_sum(*fallback_, view.pairs, qbits); });
+        [&] { return backend.finalize(replay(backend, view.raw), qbits); },
+        [&] { return reference_sum(*fallback_, view.raw, qbits); });
   });
 }
 

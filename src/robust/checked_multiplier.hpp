@@ -18,20 +18,14 @@
 // runs throw FaultDetectedError). Either way the caller receives a correct
 // product: the KEM result survives the fault.
 //
-// The split-transform path (prepare/accumulate/finalize) is covered too: the
-// decorator's Transformed layout keeps the raw operands once, after the
-// inner backend's image, so finalize() can rebuild an independent reference
-// sum — and, on retry, replay the whole inner transform pipeline from
-// scratch (a fault during prepare/accumulate is caught, not just one during
-// finalize). Prepared transforms stay instance-independent, so prepared
-// matrices remain shareable across worker threads, as the batch pipeline
-// requires.
-//
-// The same decorator is BackendSupervisor's worker facade (supervisor.hpp):
-// it then holds a priority-ordered list of backends and a shared circuit
-// breaker that routes every operation, and the raw operands let a transform
-// prepared on one backend be re-prepared, or an accumulator replayed, on
-// another after a quarantine.
+// The split-transform path is covered too: a checked operand keeps its raw
+// coefficients (packed) and its evaluations at every point-check root after
+// the inner backend's image, and an accumulator its raw pairs and per-root
+// sums. finalize() can then rebuild a reference sum, replay the inner
+// pipeline on retry, or point-check by evaluating only the witness. The same
+// decorator is BackendSupervisor's worker facade (supervisor.hpp), where the
+// raw operands let a transform be re-prepared, or an accumulator replayed,
+// on another backend after a quarantine.
 #pragma once
 
 #include <memory>

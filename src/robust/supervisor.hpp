@@ -29,16 +29,12 @@
 // backend in priority order, with the worker's own fault counters, sharing
 // only the mutex-guarded breaker below (whose split-path pick() reads an
 // atomic instead).
-// Split-transform caching stays sound across health changes — lazily,
-// copy-on-quarantine: a prepared transform materializes only the active
-// backend's image, next to the raw operand it came from and the backend's
-// index, so the no-fault path pays exactly a single checked backend's
-// prepare cost and memory. A consumer routed to a different backend (after
-// a quarantine) re-prepares that backend's image on demand from the raw
-// operand; accumulators keep their raw (a, s) pairs and migrate across a
-// failover boundary by replay (checked_multiplier.cpp owns the layout).
-// Shared transforms stay immutable, so a mid-batch failover never
-// invalidates a shared prepared matrix.
+// Split-transform caching stays sound across health changes, lazily: a
+// prepared transform holds only the active backend's image next to its raw
+// operand, so the no-fault path pays one checked backend's prepare cost. A
+// step routed elsewhere after a quarantine re-prepares from the raw operand,
+// and an accumulator migrates by replaying its raw pairs; shared transforms
+// stay immutable (checked_multiplier.cpp owns the layout).
 #pragma once
 
 #include <atomic>
@@ -132,7 +128,8 @@ class BackendBreaker {
   ring::Poly probe_a_, probe_b_, probe_expected_;
   mutable std::mutex mu_;
   std::vector<State> states_;  ///< guarded by mu_
-  std::atomic<std::size_t> first_closed_{0};  ///< written under mu_
+  /// Written under mu_; own cache line, apart from mu_'s traffic.
+  alignas(64) std::atomic<std::size_t> first_closed_{0};
 };
 
 class BackendSupervisor {

@@ -26,6 +26,7 @@
 #include "robust/checked_multiplier.hpp"
 #include "robust/fault_injector.hpp"
 #include "robust/faulty_multiplier.hpp"
+#include "robust/supervisor.hpp"
 #include "saber/batch.hpp"
 #include "saber/kem.hpp"
 
@@ -736,6 +737,36 @@ TEST(PointChecker, BranchFreeEvaluationsMatchTheSignedFormula) {
   }
 }
 
+TEST(PointChecker, AllRootEvaluationMatchesPerRootFormula) {
+  // The lane body of eval_all, over the vector word and plain i64 lanes in
+  // every build, against the signed per-root formula: random operands and
+  // the extremes of the widening products (all -2^15 publics, +-5 and +-128
+  // secrets) at every modulus.
+  const auto& pc = shared_point_checker();
+  Xoshiro256StarStar rng(913);
+  const auto check = [&](const auto& evals, const std::vector<i64>& c) {
+    for (std::size_t r = 0; r < pc.num_roots(); ++r) {
+      EXPECT_EQ(evals[r], signed_eval(pc, r, c)) << "root " << r;
+    }
+  };
+  for (unsigned q = 1; q <= 16; ++q) {
+    for (const auto& a : {ring::Poly::random(rng, q),
+                          ring::Poly::constant(static_cast<u16>(1u << (q - 1)))}) {
+      std::vector<i64> c(ring::kN);
+      for (std::size_t i = 0; i < ring::kN; ++i) c[i] = ring::centered(a[i], q);
+      check(pc.eval_all<i64x8>(a, q), c);
+      check(pc.eval_all<i64>(a, q), c);
+    }
+  }
+  for (const int v : {-128, -5, 5, 127, 0}) {
+    ring::SecretPoly s = v == 0 ? ring::SecretPoly::random(rng, 5) : ring::SecretPoly{};
+    if (v != 0) s.c.fill(static_cast<i8>(v));
+    const std::vector<i64> c(s.c.begin(), s.c.end());
+    check(pc.eval_all<i64x8>(s), c);
+    check(pc.eval_all<i64>(s), c);
+  }
+}
+
 // --- algebraic check kind (point-eval) -------------------------------------
 
 constexpr CheckedConfig kPointEvalConfig{CheckPolicy::kFull, CheckKind::kPointEval};
@@ -837,6 +868,107 @@ TEST(CheckedMultiplier, AlgebraicFinalizeDetectsAccumulatedRowFaults) {
   EXPECT_EQ(checked.fault_counters().retry_recoveries, 1u);
   ASSERT_GE(checked.fault_log().size(), 1u);
   EXPECT_EQ(checked.fault_log()[0].path, FaultRecord::Path::kFinalize);
+}
+
+// The checked layout's footer (checked_multiplier.cpp): an operand's root
+// evaluations and an accumulator's per-root sums are the kNumSharedRoots
+// words before its last three.
+constexpr std::size_t kRootsAt = PointChecker::kNumSharedRoots + 3;
+
+/// An accumulator's per-root sums must equal a fresh evaluation of its pairs.
+void expect_sums(const mult::Transformed& acc, const std::vector<ring::Poly>& a,
+                 const std::vector<ring::SecretPoly>& s) {
+  const auto& pc = shared_point_checker();
+  for (std::size_t r = 0; r < pc.num_roots(); ++r) {
+    u64 sum = 0;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      sum = pc.add(sum, pc.mul(pc.eval_public(a[k], kQ, r), pc.eval_secret(s[k], r)));
+    }
+    EXPECT_EQ(static_cast<u64>(acc[acc.size() - kRootsAt + r]), sum) << "root " << r;
+  }
+}
+
+TEST(CheckedMultiplier, PerRootSumsSurviveMigrationAndRetry) {
+  Xoshiro256StarStar rng(925);
+  mult::SchoolbookMultiplier ref;
+  std::vector<ring::Poly> a;
+  std::vector<ring::SecretPoly> s;
+  for (std::size_t k = 0; k < 3; ++k) {
+    a.push_back(ring::Poly::random(rng, kQ));
+    s.push_back(ring::SecretPoly::random(rng, 4));
+  }
+  ring::Poly want{};
+  for (std::size_t k = 0; k < 3; ++k) {
+    ring::add_inplace(want, ref.multiply_secret(a[k], s[k], kQ), kQ);
+  }
+
+  // Migrated: toom3 is quarantined after the first pair, so the row moves to
+  // schoolbook by replay, and its sums come along unchanged.
+  auto inj = std::make_shared<FaultInjector>(7);
+  BackendSupervisor sup({"toom3", "schoolbook"}, {1, 1000, 1, kPointEvalConfig},
+                        [inj](std::size_t i) -> std::unique_ptr<mult::PolyMultiplier> {
+                          if (i == 1) return mult::make_multiplier("schoolbook");
+                          return std::make_unique<FaultyPolyMultiplier>(
+                              mult::make_multiplier("toom3"), inj);
+                        });
+  const auto m = sup.make_worker_multiplier();
+  auto acc = m->make_accumulator();
+  m->pointwise_accumulate(acc, m->prepare_public(a[0], kQ), m->prepare_secret(s[0], kQ));
+  inj->arm(FaultSpec::permanent_flip(FaultSite::kProduct, 6, 11));
+  const auto am = ring::Poly::random(rng, kQ);
+  const auto sm = ring::SecretPoly::random(rng, 4);
+  EXPECT_EQ(m->multiply_secret(am, sm, kQ), ref.multiply_secret(am, sm, kQ));
+  ASSERT_EQ(sup.status()[0].state, BreakerState::kOpen);
+  for (std::size_t k = 1; k < 3; ++k) {
+    m->pointwise_accumulate(acc, m->prepare_public(a[k], kQ),
+                            m->prepare_secret(s[k], kQ));
+  }
+  expect_sums(acc, a, s);
+  EXPECT_EQ(m->finalize(acc, kQ), want);
+  EXPECT_EQ(sup.status()[1].lazy_prepares, 2u);  // the replayed first pair
+
+  // Retried: a transient on the witness fails the first point check, and the
+  // replay of the raw pairs recovers.
+  auto tr = injector_with({FaultSite::kProduct, FaultSpec::Kind::kTransient,
+                           /*bit=*/5, true, /*fire_at=*/0, 1, /*coeff=*/40});
+  CheckedMultiplier checked(
+      std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("toom3"), tr),
+      kPointEvalConfig);
+  auto row = checked.make_accumulator();
+  for (std::size_t k = 0; k < 3; ++k) {
+    checked.pointwise_accumulate(row, checked.prepare_public(a[k], kQ),
+                                 checked.prepare_secret(s[k], kQ));
+  }
+  expect_sums(row, a, s);
+  EXPECT_EQ(checked.finalize(row, kQ), want);
+  EXPECT_EQ(checked.fault_counters().mismatches, 1u);
+  EXPECT_EQ(checked.fault_counters().retry_recoveries, 1u);
+}
+
+TEST(CheckedMultiplier, CorruptCarriedEvaluationOrSumIsCaughtNeverAccepted) {
+  // One flipped word of a carried evaluation or of a per-root sum is wrong at
+  // one root. Four finalizes of the row draw every root once: exactly one
+  // flags a mismatch, and the ladder recovers it from the raw pairs.
+  Xoshiro256StarStar rng(926);
+  mult::SchoolbookMultiplier ref;
+  const auto a = ring::Poly::random(rng, kQ);
+  const auto s = ring::SecretPoly::random(rng, 4);
+  const auto want = ref.multiply_secret(a, s, kQ);
+  for (const bool in_sum : {false, true}) {
+    for (std::size_t r = 0; r < PointChecker::kNumSharedRoots; ++r) {
+      CheckedMultiplier checked(mult::make_multiplier("toom3"), kPointEvalConfig);
+      auto ta = checked.prepare_public(a, kQ);
+      if (!in_sum) ta[ta.size() - kRootsAt + r] ^= 1;
+      auto acc = checked.make_accumulator();
+      checked.pointwise_accumulate(acc, ta, checked.prepare_secret(s, kQ));
+      if (in_sum) acc[acc.size() - kRootsAt + r] ^= 1;
+      for (std::size_t d = 0; d < PointChecker::kNumSharedRoots; ++d) {
+        EXPECT_EQ(checked.finalize(acc, kQ), want) << "root " << r << " draw " << d;
+      }
+      EXPECT_EQ(checked.fault_counters().mismatches, 1u) << "root " << r;
+      EXPECT_EQ(checked.fault_counters().retry_recoveries, 1u) << "root " << r;
+    }
+  }
 }
 
 // --- architecture-routed fault campaigns ------------------------------------

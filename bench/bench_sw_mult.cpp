@@ -8,12 +8,14 @@
 // modeled hardware's).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <iostream>
 #include <string>
 
 #include "analysis/comparisons.hpp"
 #include "common/rng.hpp"
 #include "mult/batch.hpp"
+#include "mult/ntt.hpp"
 #include "mult/strategy.hpp"
 #include "multipliers/hw_multiplier.hpp"
 #include "ring/polyvec.hpp"
@@ -90,6 +92,28 @@ SPLIT_STAGE_ROWS(toom3, "toom3", 13);
 SPLIT_STAGE_ROWS(toom4, "toom4", 13);
 SPLIT_STAGE_ROWS(schoolbook, "schoolbook", 13);
 #undef SPLIT_STAGE_ROWS
+
+// One transform of 256 residues mod p1, in place: the butterfly stages
+// alone, without the residue conversion, allocation and lift of the stage
+// rows. Each iteration transforms the previous output (inverse rows keep
+// the values reduced the same way).
+void BM_Ntt(benchmark::State& state, bool inverse) {
+  const auto& t = mult::ntt_tables().primes[0];
+  Xoshiro256StarStar rng(14);
+  std::array<u32, ring::kN> v;
+  for (auto& x : v) x = static_cast<u32>(rng.uniform(t.p));
+  for (auto _ : state) {
+    if (inverse) {
+      mult::ntt_inverse_g(v, t);
+    } else {
+      mult::ntt_forward_g(v, t);
+    }
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_CAPTURE(BM_Ntt, forward, false);
+BENCHMARK_CAPTURE(BM_Ntt, inverse, true);
 
 // Shared 3x3 Saber fixture for the matrix-vector benchmarks.
 struct MatVecInputs {

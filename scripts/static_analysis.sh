@@ -17,6 +17,12 @@
 # self-test first checks the patterns fire on known-bad lines, so an empty
 # result means "scanned and clean", not "pattern rotted".
 #
+# A third stage keeps SIMD intrinsics in one file: `<immintrin.h>`,
+# `<x86intrin.h>` or an `_mm*` call anywhere in src/ outside
+# src/common/bits.hpp fails the gate. The kernels are word-generic templates
+# over the wrapped vector words that file defines (u64xN, i64x8, u32x16);
+# an intrinsic elsewhere would fork a kernel into a second body.
+#
 # clang-tidy is optional (not in the base image): when absent the tidy stage
 # is skipped with a notice and the lint still gates. Point CLANG_TIDY at a
 # specific binary to override discovery.
@@ -86,6 +92,38 @@ if [ -n "$hits" ]; then
   status=1
 else
   echo "clean: no secret-named identifier feeds /, % or a table index outside audited files"
+fi
+
+# --- stage 3: intrinsics only in common/bits.hpp ----------------------------
+
+intrin_re='<(immintrin|x86intrin)\.h>|\b_mm[0-9]*_'
+intrin_home='^src/common/bits\.hpp:'
+
+# Self-test: three known-bad lines fire, a look-alike identifier does not.
+selftest=$(mktemp)
+cat > "$selftest" <<'EOF'
+#include <immintrin.h>
+#include <x86intrin.h>
+  return _mm512_maskz_mul_epu32(0xFF, a, b);
+  const auto n = comm_mm_count;
+EOF
+if [ "$(grep -cE "$intrin_re" "$selftest")" != 3 ]; then
+  echo "static_analysis: intrinsics-lint self-test failed — pattern no longer fires" >&2
+  rm -f "$selftest"
+  exit 1
+fi
+rm -f "$selftest"
+
+echo "== intrinsics lint =="
+hits=$(grep -rnE "$intrin_re" src --include='*.hpp' --include='*.cpp' \
+       | grep -vE "$intrin_home" || true)
+if [ -n "$hits" ]; then
+  echo "SIMD intrinsics outside src/common/bits.hpp:" >&2
+  echo "$hits" >&2
+  echo "(wrap the instruction in a vector word helper there; kernels stay word-generic)" >&2
+  status=1
+else
+  echo "clean: intrinsics appear only in src/common/bits.hpp"
 fi
 
 exit "$status"

@@ -1,15 +1,17 @@
 // Bit-manipulation helpers shared by the arithmetic and hardware-model layers.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "common/check.hpp"
 
-#ifdef __AVX512F__
+#if defined(__AVX2__) || defined(__SSE2__)
 #include <immintrin.h>
 #endif
 
@@ -105,6 +107,223 @@ inline i64x8 mul_lo32(const i64x8& a, const i64x8& b) {
   // sign-extended halves is the widening product.
   return {((a.v << 32) >> 32) * ((b.v << 32) >> 32)};
 #endif
+}
+
+/// Sixteen u32 lanes, wrapped like i64x8: one row of an NTT residue image
+/// (N = 256 = 16 rows x 16 lanes, mult::ntt_forward_g). Arithmetic is
+/// lane-wise mod 2^32 and a u32 operand is broadcast. Loads and stores are
+/// unaligned and move bytes, so a row may sit in storage of another type (an
+/// NTT transform's i64 words). The lanes sit in parts of the widest vector
+/// the target has: one zmm under AVX-512F, two ymm under AVX2, four xmm
+/// otherwise. GCC lowers a 64-byte vector without AVX-512 through the stack,
+/// lane by lane for shuffles (EXPERIMENTS.md E-ntt2).
+struct u32x16 {
+#if defined(__AVX512F__)
+  static constexpr std::size_t kParts = 1;
+#elif defined(__AVX2__)
+  static constexpr std::size_t kParts = 2;
+#else
+  static constexpr std::size_t kParts = 4;
+#endif
+  static constexpr std::size_t kPartLanes = 16 / kParts;
+  using Part = u32 __attribute__((vector_size(4 * kPartLanes)));
+  std::array<Part, kParts> p;
+
+  u32x16() = default;
+  u32x16(const u32x16&) = default;
+  // A part at a time, for the reason load gives.
+  u32x16& operator=(const u32x16& o) {
+    for (std::size_t k = 0; k < kParts; ++k) p[k] = o.p[k];
+    return *this;
+  }
+
+  template <typename F>
+  static u32x16 map(F f) {
+    u32x16 r;
+    for (std::size_t k = 0; k < kParts; ++k) r.p[k] = f(k);
+    return r;
+  }
+#define SABER_U32X16_OP(op)                                             \
+  friend u32x16 operator op(const u32x16& a, const u32x16& b) {         \
+    return map([&](std::size_t k) { return Part(a.p[k] op b.p[k]); }); \
+  }                                                                     \
+  friend u32x16 operator op(const u32x16& a, u32 b) {                   \
+    return map([&](std::size_t k) { return Part(a.p[k] op b); });      \
+  }
+  SABER_U32X16_OP(+)
+  SABER_U32X16_OP(-)
+  SABER_U32X16_OP(*)
+  SABER_U32X16_OP(&)
+#undef SABER_U32X16_OP
+  friend u32x16 operator-(const u32x16& a) {
+    return map([&](std::size_t k) { return Part(-a.p[k]); });
+  }
+  friend u32x16 operator>>(const u32x16& a, unsigned r) {
+    return map([&](std::size_t k) { return Part(a.p[k] >> r); });
+  }
+  static u32x16 splat(u32 x) {
+    return map([&](std::size_t) { return Part{} + x; });
+  }
+  // A part at a time: GCC copies a whole multi-part array in 16-byte pieces,
+  // which a following ymm load cannot forward from.
+  static u32x16 load(const void* src) {
+    return map([&](std::size_t k) {
+      Part x;
+      std::memcpy(&x, static_cast<const char*>(src) + k * sizeof x, sizeof x);
+      return x;
+    });
+  }
+  void store(void* dst) const {
+    for (std::size_t k = 0; k < kParts; ++k) {
+      std::memcpy(static_cast<char*>(dst) + k * sizeof p[k], &p[k], sizeof p[k]);
+    }
+  }
+};
+
+/// Lane-wise unsigned minimum: one vpminud per part. GCC keeps the generic
+/// `a < b ? a : b` as a compare and a blend (and emulates the unsigned
+/// compare without AVX-512), so x86 builds name the instruction.
+inline u32x16 min(const u32x16& a, const u32x16& b) {
+  using Part = u32x16::Part;
+  return u32x16::map([&](std::size_t k) {
+#if defined(__AVX512F__)
+    // The zero-masking form for the reason mul_lo32 gives.
+    return reinterpret_cast<Part>(_mm512_maskz_min_epu32(
+        0xFFFF, reinterpret_cast<__m512i>(a.p[k]), reinterpret_cast<__m512i>(b.p[k])));
+#elif defined(__AVX2__)
+    return reinterpret_cast<Part>(_mm256_min_epu32(reinterpret_cast<__m256i>(a.p[k]),
+                                                   reinterpret_cast<__m256i>(b.p[k])));
+#elif defined(__SSE4_1__)
+    return reinterpret_cast<Part>(_mm_min_epu32(reinterpret_cast<__m128i>(a.p[k]),
+                                                reinterpret_cast<__m128i>(b.p[k])));
+#else
+    return Part(a.p[k] < b.p[k] ? a.p[k] : b.p[k]);
+#endif
+  });
+}
+
+namespace detail {
+
+/// The part whose lane l is f(l), built whole: GCC cannot store into one
+/// lane of a vector in a constant expression.
+template <typename F>
+constexpr u32x16::Part part_of(F f) {
+  return [&]<std::size_t... L>(std::index_sequence<L...>) {
+    return u32x16::Part{static_cast<u32>(f(L))...};
+  }(std::make_index_sequence<u32x16::kPartLanes>{});
+}
+
+/// How part o of permute<I>'s result reads a ++ b: a two-source shuffle of
+/// parts src[0] and src[1] (parts of b follow those of a) by idx.
+struct PermutePlan {
+  std::size_t src[2];
+  u32x16::Part idx;
+};
+
+template <std::array<u32, 16> I>
+constexpr PermutePlan permute_plan(std::size_t o) {
+  constexpr std::size_t n = u32x16::kPartLanes;
+  PermutePlan pl{{I[o * n] / n, I[o * n] / n}, {}};
+  for (std::size_t l = 0; l < n; ++l) {
+    const std::size_t s = I[o * n + l] / n;
+    if (pl.src[1] == pl.src[0]) pl.src[1] = s;
+    SABER_REQUIRE(s == pl.src[0] || s == pl.src[1], "a permute part reads three parts");
+  }
+  pl.idx = part_of([&](std::size_t l) {
+    return (I[o * n + l] / n == pl.src[0] ? 0 : n) + I[o * n + l] % n;
+  });
+  return pl;
+}
+
+template <std::array<u32, 16> I, std::size_t O>
+u32x16::Part permute_part(const u32x16& a, const u32x16& b) {
+  constexpr PermutePlan pl = permute_plan<I>(O);
+  const auto part = [&](std::size_t s) -> const u32x16::Part& {
+    return s < u32x16::kParts ? a.p[s] : b.p[s - u32x16::kParts];
+  };
+  return __builtin_shuffle(part(pl.src[0]), part(pl.src[1]), pl.idx);
+}
+
+}  // namespace detail
+
+/// The permute index whose lane l is f(l).
+constexpr std::array<u32, 16> lane_index(u32 (*f)(u32)) {
+  std::array<u32, 16> r{};
+  for (u32 l = 0; l < 16; ++l) r[l] = f(l);
+  return r;
+}
+
+/// Two-source lane permute: lane l of the result is lane I[l] of the 32
+/// lanes a ++ b. One vpermt2d under AVX-512; narrower parts each take their
+/// lanes from at most two parts of a ++ b, one two-source shuffle apiece.
+template <std::array<u32, 16> I>
+u32x16 permute(const u32x16& a, const u32x16& b) {
+  u32x16 r;
+  [&]<std::size_t... O>(std::index_sequence<O...>) {
+    ((r.p[O] = detail::permute_part<I, O>(a, b)), ...);
+  }(std::make_index_sequence<u32x16::kParts>{});
+  return r;
+}
+
+namespace detail {
+
+/// The u64 products of the even lanes' u32 values, as pairs of u32 lanes
+/// (low half first): one vpmuludq.
+inline u32x16::Part mul_even32(const u32x16::Part& a, const u32x16::Part& b) {
+  using Part = u32x16::Part;
+#if defined(__AVX512F__)
+  // The zero-masking form for the reason mul_lo32 gives.
+  return reinterpret_cast<Part>(_mm512_maskz_mul_epu32(0xFF, reinterpret_cast<__m512i>(a),
+                                                       reinterpret_cast<__m512i>(b)));
+#elif defined(__AVX2__)
+  return reinterpret_cast<Part>(
+      _mm256_mul_epu32(reinterpret_cast<__m256i>(a), reinterpret_cast<__m256i>(b)));
+#elif defined(__SSE2__)
+  return reinterpret_cast<Part>(
+      _mm_mul_epu32(reinterpret_cast<__m128i>(a), reinterpret_cast<__m128i>(b)));
+#else
+  Part r{};
+  for (std::size_t i = 0; i < u32x16::kPartLanes; i += 2) {
+    const u64 x = u64{a[i]} * b[i];
+    r[i] = static_cast<u32>(x);
+    r[i + 1] = static_cast<u32>(x >> 32);
+  }
+  return r;
+#endif
+}
+
+/// Lane 2j + 1 copied down into lane 2j.
+inline u32x16::Part odd_down(const u32x16::Part& a) {
+  constexpr u32x16::Part idx = part_of([](std::size_t l) { return l | 1; });
+  return __builtin_shuffle(a, idx);
+}
+
+/// High halves of the lane products of a and b, given b's odd_down.
+inline u32x16::Part mul_hi32_part(const u32x16::Part& a, const u32x16::Part& b,
+                                  const u32x16::Part& b_odd) {
+  // Lane 2j <- the high half of even product j, lane 2j + 1 <- odd product j's.
+  constexpr std::size_t n = u32x16::kPartLanes;
+  constexpr u32x16::Part high =
+      part_of([](std::size_t l) { return (l | 1) + (l & 1) * n; });
+  return __builtin_shuffle(mul_even32(a, b), mul_even32(odd_down(a), b_odd), high);
+}
+
+}  // namespace detail
+
+/// High half of each lane's 64-bit product: per part, one vpmuludq of the
+/// even lanes, one of the odd lanes shuffled down, and one shuffle picking
+/// the high halves.
+inline u32x16 mul_hi32(const u32x16& a, const u32x16& b) {
+  return u32x16::map([&](std::size_t k) {
+    return detail::mul_hi32_part(a.p[k], b.p[k], detail::odd_down(b.p[k]));
+  });
+}
+
+/// The same by a broadcast u32, which is its own odd-lane shuffle.
+inline u32x16 mul_hi32(const u32x16& a, u32 b) {
+  const u32x16::Part bb = u32x16::Part{} + b;
+  return u32x16::map(
+      [&](std::size_t k) { return detail::mul_hi32_part(a.p[k], bb, bb); });
 }
 
 /// The little-endian u64 at p[0..8): one unaligned load on little-endian

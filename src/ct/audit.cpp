@@ -88,10 +88,11 @@ TaintedMul toom_mul(const mult::ToomTables& t) {
 template <std::size_t K>
 TPoly ntt_mul(const TPoly& a, const TSecretPoly& s, unsigned qbits) {
   const auto& t = mult::ntt_tables();
-  auto acc = mult::NttImage<Tainted<u32>, K>{};
-  const auto ta = mult::ntt_prepare_g<K>(mult::centered_lift(a, qbits), t);
-  mult::ntt_pointwise_acc_g(acc, ta, mult::ntt_prepare_g<K>(s.c, t), t);
-  return mult::reduce_witness<kN, TW>(mult::ntt_lift_g(acc, t), qbits);
+  mult::NttImage<Tainted<u32>, K> ta, ts, acc{};
+  mult::ntt_prepare_g<K>(mult::centered_lift(a, qbits), ta.data(), t);
+  mult::ntt_prepare_g<K>(s.c, ts.data(), t);
+  mult::ntt_pointwise_acc_g<K>(acc.data(), ta.data(), ts.data(), t);
+  return mult::reduce_witness<kN, TW>(mult::ntt_lift_g<K>(acc.data(), t), qbits);
 }
 
 TaintedMul make_tainted_mul(std::string_view name) {

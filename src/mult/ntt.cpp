@@ -1,7 +1,5 @@
 #include "mult/ntt.hpp"
 
-#include <cstring>
-
 #include "common/check.hpp"
 
 namespace saber::mult {
@@ -34,6 +32,21 @@ NttPrimeTables make_prime_tables(u32 p) {
     t.zetas_inv[i] = static_cast<u32>(powmod(psi_inv, brv8(i), p));
     t.zetas_inv_shoup[i] = ntt_twiddle(t.zetas_inv[i], p).shoup;
   }
+  // Lane l of row pair i at span 2^b holds the pair's residue e with
+  // rotl5(e, 4 - b) = l (ntt_forward_g), so it takes zeta (128 >> b) + the
+  // group of 32i + e. Forward runs spans 8..1, inverse 1..8.
+  for (unsigned b = 0; b < 4; ++b) {
+    for (unsigned i = 0; i < kNttRows / 2; ++i) {
+      for (unsigned l = 0; l < 16; ++l) {
+        const unsigned e = ((l >> (4 - b)) | (l << (b + 1))) & 31;
+        const unsigned z = (128 >> b) + ((32 * i + e) >> (b + 1));
+        t.lane_zetas[3 - b][i][l] = t.zetas[z];
+        t.lane_zetas_shoup[3 - b][i][l] = t.zetas_shoup[z];
+        t.lane_zetas_inv[b][i][l] = t.zetas_inv[z];
+        t.lane_zetas_inv_shoup[b][i][l] = t.zetas_inv_shoup[z];
+      }
+    }
+  }
   const u64 n_inv_mont = mulmod(invmod_prime(n, p), (u64{1} << 32) % p, p);
   t.n_inv_mont = ntt_twiddle(static_cast<u32>(n_inv_mont), p);
   return t;
@@ -51,7 +64,8 @@ NttTables make_ntt_tables() {
 
 // A Transformed holds the bytes of an NttImage<u32, K>: K * N/2 i64 words,
 // the N residues mod p1 first, then (K = 2) the N residues mod p2. Its length
-// is how an image records K.
+// is how an image records K. The kernels move them as u32x16 rows, which
+// load and store bytes, so they work on the i64 words in place.
 constexpr std::size_t kPrimeWords = ring::kN / 2;
 static_assert(sizeof(NttImage<u32, 1>) == kPrimeWords * sizeof(i64));
 
@@ -61,44 +75,25 @@ std::size_t lanes_of(const Transformed& v) {
   return v.size() / kPrimeWords;
 }
 
-/// The first K primes' residues of an image (v.size() >= K * kPrimeWords).
-template <std::size_t K>
-NttImage<u32, K> unpack_image(const Transformed& v) {
-  NttImage<u32, K> img;
-  std::memcpy(img.data(), v.data(), sizeof(img));
-  return img;
-}
-
-template <std::size_t K>
-Transformed pack_image(const NttImage<u32, K>& img) {
-  Transformed v(K * kPrimeWords);
-  std::memcpy(v.data(), img.data(), sizeof(img));
-  return v;
+u32* residues(Transformed& v) { return reinterpret_cast<u32*>(v.data()); }
+const u32* residues(const Transformed& v) {
+  return reinterpret_cast<const u32*>(v.data());
 }
 
 template <typename Coeffs>
 Transformed prepare(const Coeffs& x, unsigned qbits) {
-  const auto& t = ntt_tables();
-  return ntt_lanes(qbits) == 1 ? pack_image(ntt_prepare_g<1>(x, t))
-                               : pack_image(ntt_prepare_g<2>(x, t));
-}
-
-template <std::size_t K>
-void accumulate(Transformed& acc, const Transformed& a, const Transformed& s) {
-  auto img = unpack_image<K>(acc);
-  ntt_pointwise_acc_g(img, unpack_image<K>(a), unpack_image<K>(s), ntt_tables());
-  std::memcpy(acc.data(), img.data(), sizeof(img));
-}
-
-template <std::size_t K>
-std::array<i64, ring::kN> lift(const Transformed& acc) {
-  auto img = unpack_image<K>(acc);
-  return ntt_lift_g(img, ntt_tables());
+  Transformed v(ntt_lanes(qbits) * kPrimeWords);
+  const auto run = ntt_lanes(qbits) == 1 ? ntt_prepare_g<1, Coeffs, u32>
+                                          : ntt_prepare_g<2, Coeffs, u32>;
+  run(x, residues(v), ntt_tables());
+  return v;
 }
 
 std::array<i64, ring::kN> witness(const Transformed& acc) {
   if (acc.empty()) return {};  // absorbed no product
-  return lanes_of(acc) == 1 ? lift<1>(acc) : lift<2>(acc);
+  const auto& t = ntt_tables();
+  return lanes_of(acc) == 1 ? ntt_lift_g<1>(residues(acc), t)
+                            : ntt_lift_g<2>(residues(acc), t);
 }
 
 }  // namespace
@@ -113,15 +108,25 @@ NttMultiplier::NttMultiplier() { (void)ntt_tables(); }
 std::vector<i64> NttMultiplier::multiply_witness(const ring::Poly& a, const ring::Poly& b,
                                                  unsigned qbits) const {
   const auto& t = ntt_tables();
-  NttImage<u32, 2> acc{};
-  ntt_pointwise_acc_g(acc, ntt_prepare_g<2>(centered_lift(a, qbits), t),
-                      ntt_prepare_g<2>(centered_lift(b, qbits), t), t);
-  const auto w = ntt_lift_g(acc, t);
+  NttImage<u32, 2> ta, tb, acc{};
+  ntt_prepare_g<2>(centered_lift(a, qbits), ta.data(), t);
+  ntt_prepare_g<2>(centered_lift(b, qbits), tb.data(), t);
+  ntt_pointwise_acc_g<2>(acc.data(), ta.data(), tb.data(), t);
+  const auto w = ntt_lift_g<2>(acc.data(), t);
   return {w.begin(), w.end()};
 }
 
 Transformed NttMultiplier::prepare_public(const ring::Poly& a, unsigned qbits) const {
-  return prepare(centered_lift(a, qbits), qbits);
+  // centered_lift's coefficients, computed as the residues are taken, in
+  // i32 lanes: the shifts keep the low qbits bits and sign-extend them.
+  struct Centered {
+    const ring::Poly& a;
+    unsigned shift;
+    i32 operator[](std::size_t i) const {
+      return static_cast<i32>(u32{a[i]} << shift) >> shift;
+    }
+  };
+  return prepare(Centered{a, 32 - qbits}, qbits);
 }
 
 // Small signed secrets embed directly, without centering: qbits only picks
@@ -137,11 +142,8 @@ void NttMultiplier::pointwise_accumulate(Transformed& acc, const Transformed& a,
   SABER_REQUIRE(lanes_of(s) >= k, "secret image has fewer NTT primes than the public one");
   if (acc.empty()) acc.assign(a.size(), 0);
   SABER_REQUIRE(acc.size() == a.size(), "accumulator holds another NTT prime count");
-  if (k == 1) {
-    accumulate<1>(acc, a, s);
-  } else {
-    accumulate<2>(acc, a, s);
-  }
+  const auto run = k == 1 ? ntt_pointwise_acc_g<1, u32> : ntt_pointwise_acc_g<2, u32>;
+  run(residues(acc), residues(a), residues(s), ntt_tables());
 }
 
 std::vector<i64> NttMultiplier::finalize_witness(const Transformed& acc) const {

@@ -17,18 +17,19 @@
 //    2^32 at qbits 13 already exceeds p1/2): a CRT to Z/P, P = p1*p2 ≈ 2^62,
 //    exact while every true coefficient stays below P/2 ≈ 2^61.
 //
-// Lanes are u32 residues and each stage is instantiated for its compile-time
-// length, so the butterflies vectorize. The kernels are word-generic (only
-// lane values carry secrets): NttMultiplier runs them over plain u32 and the
-// secret-independence audit over ct::Tainted<u32>. Twiddle products use
-// Shoup's mulmod; data x data products use Montgomery's, whose 2^-32 the
-// inverse transform's final scaling cancels.
+// One residue image is 16 rows of 16 u32 lanes (N = 256 = 16 x 16), and a
+// transform keeps all 16 rows in registers for its eight butterfly stages
+// (Seiler, 2018): spans 128..16 pair whole rows, spans 8..1 pair lanes of a
+// row pair after a constant two-source lane permute. The kernels are
+// word-generic (only lane values carry secrets): NttMultiplier runs them over
+// plain u32 in u32x16 rows and the secret-independence audit over
+// ct::Tainted<u32> in element-wise Row16 rows. Twiddle products use Shoup's
+// mulmod; data x data products use Montgomery's, whose 2^-32 the inverse
+// transform's final scaling cancels.
 #pragma once
 
 #include <array>
 #include <limits>
-#include <type_traits>
-#include <utility>
 
 #include "mult/modmath.hpp"
 #include "mult/multiplier.hpp"
@@ -38,10 +39,13 @@ namespace saber::mult {
 inline constexpr std::array<u32, 2> kNttPrimes = {2147483137u,   // 0x7ffffe01
                                                   2147478017u};  // 0x7fffea01
 
-/// Residue images of one polynomial (or accumulator) over the first K primes,
-/// one array per prime.
+/// Residue images of one polynomial (or accumulator) over the first K primes:
+/// prime k's N residues at k * N.
 template <typename W, std::size_t K>
-using NttImage = std::array<std::array<W, ring::kN>, K>;
+using NttImage = std::array<W, K * ring::kN>;
+
+/// Rows of one residue image: residue 16r + j is lane j of row r.
+inline constexpr std::size_t kNttRows = ring::kN / 16;
 
 /// Bound on one negacyclic product coefficient of a public operand centered
 /// mod 2^qbits (|a| <= 2^(qbits-1)) and any i8 secret (|s| <= 2^7 = 128, as
@@ -75,14 +79,20 @@ constexpr std::size_t ntt_lanes(unsigned qbits) {
   return qbits <= kOnePrimeMaxQbits ? 1 : 2;
 }
 
+/// Per-lane twiddle rows of the in-row stages: [s][i][l] serves lane l of row
+/// pair i at a direction's s-th in-row stage, in the lane order it keeps.
+using NttLaneTwiddles = std::array<std::array<std::array<u32, 16>, kNttRows / 2>, 4>;
+
 /// Tables of one prime. zetas are the powers of psi in bit-reversed order, as
-/// consumed by the butterflies; the Shoup companions sit in separate arrays
-/// so that stages vectorized across groups load both contiguously. Public.
+/// consumed by the butterflies, with their Shoup companions; the lane_ tables
+/// spread the in-row stages' zetas over lanes. Public.
 struct NttPrimeTables {
   u32 p = 0;
   u32 p_neg_inv = 0;  ///< -p^-1 mod 2^32 (Montgomery)
   std::array<u32, ring::kN> zetas{}, zetas_shoup{};
   std::array<u32, ring::kN> zetas_inv{}, zetas_inv_shoup{};
+  NttLaneTwiddles lane_zetas{}, lane_zetas_shoup{};
+  NttLaneTwiddles lane_zetas_inv{}, lane_zetas_inv_shoup{};
   Twiddle n_inv_mont{};  ///< N^-1 * 2^32
 };
 
@@ -94,57 +104,100 @@ struct NttTables {
 /// Build (once) and return the tables for kNttPrimes.
 const NttTables& ntt_tables();
 
-// One butterfly stage of span Len (group g: twiddle N/(2*Len) + g). The inner
-// loop stays a loop so that Len >= 8 runs as whole vectors, not transposes.
-template <std::size_t Len, typename W>
-void ntt_forward_stage_g(std::array<W, ring::kN>& v, const NttPrimeTables& t) {
-  constexpr std::size_t groups = ring::kN / (2 * Len);
-  const u32 p = t.p;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const Twiddle w{t.zetas[groups + g], t.zetas_shoup[groups + g]};
-    W* lo = v.data() + 2 * Len * g;
-#pragma GCC unroll 2
-    for (std::size_t j = 0; j < Len; ++j) {
-      const W tw = ntt_mulmod_shoup_g(lo[j + Len], w, p);
-      lo[j + Len] = ntt_submod_g(lo[j], tw, p);
-      lo[j] = ntt_addmod_g(lo[j], tw, p);
-    }
-  }
+// In-row stages hold row pair (2i, 2i+1) as two rows x, y. With the pair's
+// 32 residues numbered e = 0..31, the stage of span 2^b keeps residue e at
+// position rotl5(e, 4 - b) of x ++ y, so lane l of x meets lane l of y. A
+// zip of x and y rotates every position one bit left, an unzip one bit
+// right: forward zips before each stage, inverse unzips, and one more step
+// returns to rows (five rotations of five bits).
+inline constexpr auto kNttZipLo = lane_index([](u32 l) { return l / 2 + (l & 1) * 16; });
+inline constexpr auto kNttZipHi = lane_index([](u32 l) { return 8 + kNttZipLo[l]; });
+inline constexpr auto kNttEven = lane_index([](u32 l) { return 2 * l; });
+inline constexpr auto kNttOdd = lane_index([](u32 l) { return 2 * l + 1; });
+
+template <std::array<u32, 16> X, std::array<u32, 16> Y, typename R>
+void ntt_permute_pair(R& x, R& y) {
+  const R x2 = permute<X>(x, y);
+  y = permute<Y>(x, y);
+  x = x2;
 }
 
-template <std::size_t Len, typename W>
-void ntt_inverse_stage_g(std::array<W, ring::kN>& v, const NttPrimeTables& t) {
-  constexpr std::size_t groups = ring::kN / (2 * Len);
+/// Forward negacyclic NTT mod t.p (psi-twisted, bit-reversed output) of the N
+/// residues at `in`, written to `out` (which may be `in`).
+template <typename W>
+void ntt_forward_g(const W* in, W* out, const NttPrimeTables& t) {
+  using R = ntt_row_t<W>;
   const u32 p = t.p;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const Twiddle w{t.zetas_inv[groups + g], t.zetas_inv_shoup[groups + g]};
-    W* lo = v.data() + 2 * Len * g;
-#pragma GCC unroll 2
-    for (std::size_t j = 0; j < Len; ++j) {
-      const W x = lo[j];
-      lo[j] = ntt_addmod_g(x, lo[j + Len], p);
-      lo[j + Len] = ntt_mulmod_shoup_g(ntt_submod_g(x, lo[j + Len], p), w, p);
+  std::array<R, kNttRows> r;
+  for (std::size_t i = 0; i < kNttRows; ++i) r[i] = R::load(in + 16 * i);
+  // Spans 128..16: rows i and i + d, one twiddle per group of 2d rows.
+#pragma GCC unroll 4
+  for (std::size_t d = kNttRows / 2; d > 0; d /= 2) {
+#pragma GCC unroll 16
+    for (std::size_t i = 0; i < kNttRows; ++i) {
+      if ((i & d) != 0) continue;
+      const std::size_t z = (kNttRows + i) / (2 * d);
+      ntt_butterfly_g(r[i], r[i + d], t.zetas[z], t.zetas_shoup[z], p);
     }
   }
+  // Spans 8..1 within each row pair.
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < kNttRows; i += 2) {
+#pragma GCC unroll 4
+    for (std::size_t s = 0; s < 4; ++s) {
+      ntt_permute_pair<kNttZipLo, kNttZipHi>(r[i], r[i + 1]);
+      ntt_butterfly_g(r[i], r[i + 1], R::load(t.lane_zetas[s][i / 2].data()),
+                      R::load(t.lane_zetas_shoup[s][i / 2].data()), p);
+    }
+    ntt_permute_pair<kNttZipLo, kNttZipHi>(r[i], r[i + 1]);
+  }
+  for (std::size_t i = 0; i < kNttRows; ++i) r[i].store(out + 16 * i);
 }
 
-/// Forward negacyclic NTT mod t.p (psi-twisted, bit-reversed output) in place.
 template <typename W>
 void ntt_forward_g(std::array<W, ring::kN>& v, const NttPrimeTables& t) {
-  [&]<std::size_t... S>(std::index_sequence<S...>) {
-    (ntt_forward_stage_g<(ring::kN / 2 >> S)>(v, t), ...);
-  }(std::make_index_sequence<8>{});
+  ntt_forward_g(v.data(), v.data(), t);
 }
 
-/// Inverse negacyclic NTT mod t.p (bit-reversed input) in place, scaled by
-/// N^-1 * 2^32: that cancels the 2^-32 every Montgomery pointwise product
-/// leaves, so inverse(forward(x)) alone is x * 2^32.
+/// Inverse negacyclic NTT mod t.p (bit-reversed input) of the N residues at
+/// `in`, written to `out`, scaled by N^-1 * 2^32: that cancels the 2^-32
+/// every Montgomery pointwise product leaves, so inverse(forward(x)) alone
+/// is x * 2^32.
+template <typename W>
+void ntt_inverse_g(const W* in, W* out, const NttPrimeTables& t) {
+  using R = ntt_row_t<W>;
+  const u32 p = t.p;
+  std::array<R, kNttRows> r;
+  for (std::size_t i = 0; i < kNttRows; ++i) r[i] = R::load(in + 16 * i);
+  // Spans 1..8 within each row pair.
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < kNttRows; i += 2) {
+#pragma GCC unroll 4
+    for (std::size_t s = 0; s < 4; ++s) {
+      ntt_permute_pair<kNttEven, kNttOdd>(r[i], r[i + 1]);
+      ntt_butterfly_inv_g(r[i], r[i + 1], R::load(t.lane_zetas_inv[s][i / 2].data()),
+                          R::load(t.lane_zetas_inv_shoup[s][i / 2].data()), p);
+    }
+    ntt_permute_pair<kNttEven, kNttOdd>(r[i], r[i + 1]);
+  }
+  // Spans 16..128: rows i and i + d.
+#pragma GCC unroll 4
+  for (std::size_t d = 1; d < kNttRows; d *= 2) {
+#pragma GCC unroll 16
+    for (std::size_t i = 0; i < kNttRows; ++i) {
+      if ((i & d) != 0) continue;
+      const std::size_t z = (kNttRows + i) / (2 * d);
+      ntt_butterfly_inv_g(r[i], r[i + d], t.zetas_inv[z], t.zetas_inv_shoup[z], p);
+    }
+  }
+  for (std::size_t i = 0; i < kNttRows; ++i) {
+    ntt_mulmod_shoup_g(r[i], t.n_inv_mont, p).store(out + 16 * i);
+  }
+}
+
 template <typename W>
 void ntt_inverse_g(std::array<W, ring::kN>& v, const NttPrimeTables& t) {
-  [&]<std::size_t... S>(std::index_sequence<S...>) {
-    (ntt_inverse_stage_g<(std::size_t{1} << S)>(v, t), ...);
-  }(std::make_index_sequence<8>{});
-  for (auto& x : v) x = ntt_mulmod_shoup_g(x, t.n_inv_mont, t.p);
+  ntt_inverse_g(v.data(), v.data(), t);
 }
 
 /// CRT of (r1 mod p1, r2 mod p2) and centered lift into (-P/2, P/2):
@@ -173,49 +226,50 @@ constexpr ct::rebind_t<W, i64> ntt_center_g(const W& r, u32 p) {
 }
 
 /// Forward images mod the first K primes of N centered integer coefficients
-/// x[i] (|x[i]| < p), given as any signed word analog.
-template <std::size_t K, typename Coeffs>
-auto ntt_prepare_g(const Coeffs& x, const NttTables& t) {
-  NttImage<ct::rebind_t<std::remove_cvref_t<decltype(x[0])>, u32>, K> img;
+/// x[i] (|x[i]| < p), given as any signed word analog, written to the K
+/// images at `out`.
+template <std::size_t K, typename Coeffs, typename W>
+void ntt_prepare_g(const Coeffs& x, W* out, const NttTables& t) {
+  std::array<W, ring::kN> r;
   for (std::size_t k = 0; k < K; ++k) {
-    for (std::size_t i = 0; i < ring::kN; ++i) {
-      img[k][i] = ntt_to_residue_g(x[i], t.primes[k].p);
-    }
-    ntt_forward_g(img[k], t.primes[k]);
+    const u32 p = t.primes[k].p;
+    for (std::size_t i = 0; i < ring::kN; ++i) r[i] = ntt_to_residue_g(x[i], p);
+    ntt_forward_g(r.data(), out + k * ring::kN, t.primes[k]);
   }
-  return img;
 }
 
-/// acc += a * s per prime (Montgomery: each term carries 2^-32 until the lift).
-template <typename W, std::size_t K>
-void ntt_pointwise_acc_g(NttImage<W, K>& acc, const NttImage<W, K>& a,
-                         const NttImage<W, K>& s, const NttTables& t) {
+/// acc += a * s over the K images, a row at a time (Montgomery: each term
+/// carries 2^-32 until the lift).
+template <std::size_t K, typename W>
+void ntt_pointwise_acc_g(W* acc, const W* a, const W* s, const NttTables& t) {
+  using R = ntt_row_t<W>;
   for (std::size_t k = 0; k < K; ++k) {
     const u32 p = t.primes[k].p;
     const u32 p_neg_inv = t.primes[k].p_neg_inv;
-    for (std::size_t i = 0; i < ring::kN; ++i) {
-      acc[k][i] =
-          ntt_addmod_g(acc[k][i], ntt_mulmod_mont_g(a[k][i], s[k][i], p, p_neg_inv), p);
+    for (std::size_t i = k * ring::kN; i < (k + 1) * ring::kN; i += 16) {
+      const R prod = ntt_mulmod_mont_g(R::load(a + i), R::load(s + i), p, p_neg_inv);
+      ntt_addmod_g(R::load(acc + i), prod, p).store(acc + i);
     }
   }
 }
 
-/// Exact integer negacyclic remainder of an accumulator (consumed): one
-/// inverse NTT per prime, then the centered reduce mod p1 (K = 1) or the CRT
-/// lift (K = 2). Exact while the true accumulated coefficients stay inside
-/// (-p1/2, p1/2), respectively (-P/2, P/2).
-template <typename W, std::size_t K>
-auto ntt_lift_g(NttImage<W, K>& acc, const NttTables& t) {
+/// Exact integer negacyclic remainder of the K accumulator images at `acc`:
+/// one inverse NTT per prime, then the centered reduce mod p1 (K = 1) or the
+/// CRT lift (K = 2). Exact while the true accumulated coefficients stay
+/// inside (-p1/2, p1/2), respectively (-P/2, P/2).
+template <std::size_t K, typename W>
+auto ntt_lift_g(const W* acc, const NttTables& t) {
   static_assert(K == 1 || K == 2);
+  NttImage<W, K> img;
   for (std::size_t k = 0; k < K; ++k) {
-    ntt_inverse_g(acc[k], t.primes[k]);
+    ntt_inverse_g(acc + k * ring::kN, img.data() + k * ring::kN, t.primes[k]);
   }
   std::array<ct::rebind_t<W, i64>, ring::kN> w;
   for (std::size_t i = 0; i < ring::kN; ++i) {
     if constexpr (K == 1) {
-      w[i] = ntt_center_g(acc[0][i], t.primes[0].p);
+      w[i] = ntt_center_g(img[i], t.primes[0].p);
     } else {
-      w[i] = ntt_crt_lift_g(acc[0][i], acc[1][i], t);
+      w[i] = ntt_crt_lift_g(img[i], img[ring::kN + i], t);
     }
   }
   return w;

@@ -11,6 +11,8 @@
 #include <limits>
 #include <span>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "mult/karatsuba.hpp"
@@ -550,6 +552,132 @@ TEST(LaneConv, WideningMultiplyReadsLowHalvesSigned) {
   }
   const i64x8 p = mul_lo32(x, y);
   for (int j = 0; j < 8; ++j) EXPECT_EQ(p.v[j], lo[j] * lo[7 - j]) << j;
+}
+
+// --- NTT row words ------------------------------------------------------------
+//
+// The transforms run on 16-lane rows: u32x16 in production (vpmuludq and
+// vpermt2d under AVX-512F, ymm or xmm parts elsewhere) and Row16, lane by
+// lane, in the ct audit. Both are instantiated here, so every build checks
+// both against scalar u32 code.
+
+template <typename R>
+class NttRow : public ::testing::Test {};
+using NttRowWords = ::testing::Types<u32x16, Row16<u32>>;
+TYPED_TEST_SUITE(NttRow, NttRowWords);
+
+using Lanes16 = std::array<u32, 16>;
+
+template <typename R>
+Lanes16 lanes_of(const R& r) {
+  Lanes16 out;
+  r.store(out.data());
+  return out;
+}
+
+/// The edge values 0, 1, p - 1, 2^31 - 1, 2^32 - 1 (the first `edges` of
+/// them), rows pairing every two of them in some lane (shift s pairs lane l's
+/// edge l % n with edge (l + s) % n), then random rows below `bound`.
+std::vector<std::pair<Lanes16, Lanes16>> row_pairs(u32 p, std::size_t edges, u64 bound,
+                                                   Xoshiro256StarStar& rng) {
+  const std::array<u32, 5> edge = {0, 1, p - 1, (u32{1} << 31) - 1, ~u32{0}};
+  std::vector<std::pair<Lanes16, Lanes16>> rows;
+  for (std::size_t shift = 0; shift < edges; ++shift) {
+    Lanes16 a, b;
+    for (std::size_t l = 0; l < 16; ++l) {
+      a[l] = edge[l % edges];
+      b[l] = edge[(l + shift) % edges];
+    }
+    rows.emplace_back(a, b);
+  }
+  for (int i = 0; i < 500; ++i) {
+    Lanes16 a, b;
+    for (auto& x : a) x = static_cast<u32>(rng.uniform(bound));
+    for (auto& x : b) x = static_cast<u32>(rng.uniform(bound));
+    rows.emplace_back(a, b);
+  }
+  return rows;
+}
+
+TYPED_TEST(NttRow, MulHi32MatchesScalar) {
+  using R = TypeParam;
+  Xoshiro256StarStar rng(0x3A11);
+  for (const auto& [a, b] : row_pairs(kNttPrimes[0], 5, u64{1} << 32, rng)) {
+    const Lanes16 hi = lanes_of(mul_hi32(R::load(a.data()), R::load(b.data())));
+    const Lanes16 hi_b0 = lanes_of(mul_hi32(R::load(a.data()), b[0]));
+    for (std::size_t l = 0; l < 16; ++l) {
+      ASSERT_EQ(hi[l], static_cast<u32>(u64{a[l]} * b[l] >> 32)) << a[l] << " * " << b[l];
+      ASSERT_EQ(hi_b0[l], static_cast<u32>(u64{a[l]} * b[0] >> 32))
+          << a[l] << " * " << b[0];
+    }
+  }
+}
+
+template <Lanes16 I, typename R>
+void check_permute(const Lanes16& a, const Lanes16& b) {
+  const Lanes16 out = lanes_of(permute<I>(R::load(a.data()), R::load(b.data())));
+  for (std::size_t l = 0; l < 16; ++l) {
+    ASSERT_EQ(out[l], I[l] < 16 ? a[I[l]] : b[I[l] - 16]) << "lane " << l;
+  }
+}
+
+TYPED_TEST(NttRow, PermuteMatchesLaneIndex) {
+  using R = TypeParam;
+  // The transforms' four, and two more shapes: b reversed, a ++ b rotated.
+  constexpr Lanes16 rev = lane_index([](u32 l) { return 31 - l; });
+  constexpr Lanes16 rot = lane_index([](u32 l) { return l + 1; });
+  Xoshiro256StarStar rng(0x9E3);
+  for (const auto& [a, b] : row_pairs(kNttPrimes[0], 5, u64{1} << 32, rng)) {
+    check_permute<kNttZipLo, R>(a, b);
+    check_permute<kNttZipHi, R>(a, b);
+    check_permute<kNttEven, R>(a, b);
+    check_permute<kNttOdd, R>(a, b);
+    check_permute<rev, R>(a, b);
+    check_permute<rot, R>(a, b);
+  }
+}
+
+TYPED_TEST(NttRow, ShoupButterfliesMatchScalar) {
+  // Residues x < p; the forward butterfly's Shoup product also takes any
+  // y < 2^32. Twiddles per lane from the tables' own, and broadcast.
+  using R = TypeParam;
+  Xoshiro256StarStar rng(0xB7F1);
+  for (const auto& t : ntt_tables().primes) {
+    const u32 p = t.p;
+    for (const auto& [xy, wy] : row_pairs(p, 5, u64{1} << 32, rng)) {
+      Lanes16 x, w, ws;
+      for (std::size_t l = 0; l < 16; ++l) {
+        x[l] = xy[l] < p ? xy[l] : static_cast<u32>(xy[l] % p);
+        w[l] = t.zetas[rng.uniform(ring::kN)];
+        ws[l] = ntt_twiddle(w[l], p).shoup;
+      }
+      Lanes16 y = wy;  // any u32 for the forward butterfly
+      R fx = R::load(x.data()), fy = R::load(y.data());
+      ntt_butterfly_g(fx, fy, R::load(w.data()), R::load(ws.data()), p);
+      R bx = R::load(x.data()), by = R::load(y.data());
+      ntt_butterfly_g(bx, by, w[0], ws[0], p);
+      for (auto& v : y) v %= p;  // the inverse butterfly takes residues
+      R ix = R::load(x.data()), iy = R::load(y.data());
+      ntt_butterfly_inv_g(ix, iy, R::load(w.data()), R::load(ws.data()), p);
+      const Lanes16 mont = lanes_of(
+          ntt_mulmod_mont_g(R::load(x.data()), R::load(y.data()), p, t.p_neg_inv));
+      for (std::size_t l = 0; l < 16; ++l) {
+        u32 sx = x[l], sy = wy[l];
+        ntt_butterfly_g(sx, sy, w[l], ws[l], p);
+        ASSERT_EQ(lanes_of(fx)[l], sx) << x[l] << ", " << wy[l] << " by " << w[l];
+        ASSERT_EQ(lanes_of(fy)[l], sy) << x[l] << ", " << wy[l] << " by " << w[l];
+        sx = x[l], sy = wy[l];
+        ntt_butterfly_g(sx, sy, w[0], ws[0], p);
+        ASSERT_EQ(lanes_of(bx)[l], sx);
+        ASSERT_EQ(lanes_of(by)[l], sy);
+        sx = x[l], sy = y[l];
+        ntt_butterfly_inv_g(sx, sy, w[l], ws[l], p);
+        ASSERT_EQ(lanes_of(ix)[l], sx) << x[l] << ", " << y[l] << " by " << w[l];
+        ASSERT_EQ(lanes_of(iy)[l], sy) << x[l] << ", " << y[l] << " by " << w[l];
+        ASSERT_EQ(mont[l], ntt_mulmod_mont_g(x[l], y[l], p, t.p_neg_inv));
+      }
+    }
+  }
 }
 
 TEST(Karatsuba, RejectsOperandsBeyondItsI32Lanes) {

@@ -180,9 +180,12 @@ struct u32x16 {
   }
 };
 
+#if defined(__AVX2__)
 /// Lane-wise unsigned minimum: one vpminud per part. GCC keeps the generic
-/// `a < b ? a : b` as a compare and a blend (and emulates the unsigned
-/// compare without AVX-512), so x86 builds name the instruction.
+/// `a < b ? a : b` as a compare and a blend, so the build names the
+/// instruction. Only targets that have it define min: SSE2 has no unsigned
+/// compare, and its emulated one is slower than the callers' fallback
+/// (mult::ntt_condadd_g, EXPERIMENTS.md E-ntt2).
 inline u32x16 min(const u32x16& a, const u32x16& b) {
   using Part = u32x16::Part;
   return u32x16::map([&](std::size_t k) {
@@ -190,17 +193,13 @@ inline u32x16 min(const u32x16& a, const u32x16& b) {
     // The zero-masking form for the reason mul_lo32 gives.
     return reinterpret_cast<Part>(_mm512_maskz_min_epu32(
         0xFFFF, reinterpret_cast<__m512i>(a.p[k]), reinterpret_cast<__m512i>(b.p[k])));
-#elif defined(__AVX2__)
+#else
     return reinterpret_cast<Part>(_mm256_min_epu32(reinterpret_cast<__m256i>(a.p[k]),
                                                    reinterpret_cast<__m256i>(b.p[k])));
-#elif defined(__SSE4_1__)
-    return reinterpret_cast<Part>(_mm_min_epu32(reinterpret_cast<__m128i>(a.p[k]),
-                                                reinterpret_cast<__m128i>(b.p[k])));
-#else
-    return Part(a.p[k] < b.p[k] ? a.p[k] : b.p[k]);
 #endif
   });
 }
+#endif
 
 namespace detail {
 

@@ -117,16 +117,13 @@ std::vector<i64> NttMultiplier::multiply_witness(const ring::Poly& a, const ring
 }
 
 Transformed NttMultiplier::prepare_public(const ring::Poly& a, unsigned qbits) const {
-  // centered_lift's coefficients, computed as the residues are taken, in
-  // i32 lanes: the shifts keep the low qbits bits and sign-extend them.
+  // centered_lift's coefficients, computed as the residues are taken.
   struct Centered {
     const ring::Poly& a;
-    unsigned shift;
-    i32 operator[](std::size_t i) const {
-      return static_cast<i32>(u32{a[i]} << shift) >> shift;
-    }
+    unsigned qbits;
+    i64 operator[](std::size_t i) const { return ct::centered_g(a[i], qbits); }
   };
-  return prepare(Centered{a, 32 - qbits}, qbits);
+  return prepare(Centered{a, qbits}, qbits);
 }
 
 // Small signed secrets embed directly, without centering: qbits only picks

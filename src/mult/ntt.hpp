@@ -18,9 +18,9 @@
 //    exact while every true coefficient stays below P/2 ≈ 2^61.
 //
 // One residue image is 16 rows of 16 u32 lanes (N = 256 = 16 x 16), and a
-// transform keeps all 16 rows in registers for its eight butterfly stages
-// (Seiler, 2018): spans 128..16 pair whole rows, spans 8..1 pair lanes of a
-// row pair after a constant two-source lane permute. The kernels are
+// transform keeps all 16 rows in registers (given AVX2 or AVX-512) for its
+// eight stages (Seiler, 2018): spans 128..16 pair whole rows, spans 8..1
+// pair lanes of a row pair after a two-source lane permute. The kernels are
 // word-generic (only lane values carry secrets): NttMultiplier runs them over
 // plain u32 in u32x16 rows and the secret-independence audit over
 // ct::Tainted<u32> in element-wise Row16 rows. Twiddle products use Shoup's
@@ -46,6 +46,11 @@ using NttImage = std::array<W, K * ring::kN>;
 
 /// Rows of one residue image: residue 16r + j is lane j of row r.
 inline constexpr std::size_t kNttRows = ring::kN / 16;
+
+/// Loops unroll fully where a u32x16 row is one or two vector registers, so
+/// the rows stay in registers; four xmm parts spill anyway, and unrolled they
+/// outgrow the instruction cache (EXPERIMENTS.md E-ntt2).
+inline constexpr unsigned kNttUnroll = u32x16::kParts <= 2 ? kNttRows : 1;
 
 /// Bound on one negacyclic product coefficient of a public operand centered
 /// mod 2^qbits (|a| <= 2^(qbits-1)) and any i8 secret (|s| <= 2^7 = 128, as
@@ -131,9 +136,9 @@ void ntt_forward_g(const W* in, W* out, const NttPrimeTables& t) {
   std::array<R, kNttRows> r;
   for (std::size_t i = 0; i < kNttRows; ++i) r[i] = R::load(in + 16 * i);
   // Spans 128..16: rows i and i + d, one twiddle per group of 2d rows.
-#pragma GCC unroll 4
+#pragma GCC unroll kNttUnroll
   for (std::size_t d = kNttRows / 2; d > 0; d /= 2) {
-#pragma GCC unroll 16
+#pragma GCC unroll kNttUnroll
     for (std::size_t i = 0; i < kNttRows; ++i) {
       if ((i & d) != 0) continue;
       const std::size_t z = (kNttRows + i) / (2 * d);
@@ -141,9 +146,9 @@ void ntt_forward_g(const W* in, W* out, const NttPrimeTables& t) {
     }
   }
   // Spans 8..1 within each row pair.
-#pragma GCC unroll 8
+#pragma GCC unroll kNttUnroll
   for (std::size_t i = 0; i < kNttRows; i += 2) {
-#pragma GCC unroll 4
+#pragma GCC unroll kNttUnroll
     for (std::size_t s = 0; s < 4; ++s) {
       ntt_permute_pair<kNttZipLo, kNttZipHi>(r[i], r[i + 1]);
       ntt_butterfly_g(r[i], r[i + 1], R::load(t.lane_zetas[s][i / 2].data()),
@@ -170,9 +175,9 @@ void ntt_inverse_g(const W* in, W* out, const NttPrimeTables& t) {
   std::array<R, kNttRows> r;
   for (std::size_t i = 0; i < kNttRows; ++i) r[i] = R::load(in + 16 * i);
   // Spans 1..8 within each row pair.
-#pragma GCC unroll 8
+#pragma GCC unroll kNttUnroll
   for (std::size_t i = 0; i < kNttRows; i += 2) {
-#pragma GCC unroll 4
+#pragma GCC unroll kNttUnroll
     for (std::size_t s = 0; s < 4; ++s) {
       ntt_permute_pair<kNttEven, kNttOdd>(r[i], r[i + 1]);
       ntt_butterfly_inv_g(r[i], r[i + 1], R::load(t.lane_zetas_inv[s][i / 2].data()),
@@ -181,9 +186,9 @@ void ntt_inverse_g(const W* in, W* out, const NttPrimeTables& t) {
     ntt_permute_pair<kNttEven, kNttOdd>(r[i], r[i + 1]);
   }
   // Spans 16..128: rows i and i + d.
-#pragma GCC unroll 4
+#pragma GCC unroll kNttUnroll
   for (std::size_t d = 1; d < kNttRows; d *= 2) {
-#pragma GCC unroll 16
+#pragma GCC unroll kNttUnroll
     for (std::size_t i = 0; i < kNttRows; ++i) {
       if ((i & d) != 0) continue;
       const std::size_t z = (kNttRows + i) / (2 * d);
